@@ -3,6 +3,8 @@
 # bound it under the density-ratio model, trace a dose-response band,
 # and run the built-in oracle cross-checks.  Everything is driven by
 # JSON configs and lands in ./demo_out; reruns are byte-identical.
+# Run it from the repository root; without an install, put the package on
+# the path first: PYTHONPATH=src sh demos/06_cli_pipeline.sh
 set -e
 
 OUT=demo_out
@@ -12,7 +14,7 @@ mkdir -p "$OUT"
 cat > "$OUT/simulate.json" <<'EOF'
 {"dgp": {"name": "confounded-line", "n": 400, "seed": 4}}
 EOF
-msmbounds simulate --config "$OUT/simulate.json" --out "$OUT/sim"
+python3 -m msmbounds simulate --config "$OUT/simulate.json" --out "$OUT/sim"
 
 cat > "$OUT/fit.json" <<'EOF'
 {
@@ -21,7 +23,7 @@ cat > "$OUT/fit.json" <<'EOF'
   "model": {"kind": "polynomial", "degree": 1}
 }
 EOF
-msmbounds fit --config "$OUT/fit.json" --out "$OUT/fit"
+python3 -m msmbounds fit --config "$OUT/fit.json" --out "$OUT/fit"
 echo "--- fitted coefficients (with pairwise-kernel standard errors) ---"
 cat "$OUT/fit/fit_result.csv"
 
@@ -36,7 +38,7 @@ cat > "$OUT/bounds.json" <<'EOF'
   "inference": {"kind": "hulc", "alpha": 0.05}
 }
 EOF
-msmbounds bounds --config "$OUT/bounds.json" --out "$OUT/bounds"
+python3 -m msmbounds bounds --config "$OUT/bounds.json" --out "$OUT/bounds"
 echo "--- slope bounds along the gamma grid, with HulC intervals ---"
 cat "$OUT/bounds/bounds_result.csv"
 
@@ -51,9 +53,9 @@ cat > "$OUT/curve.json" <<'EOF'
   "inference": {"kind": "wald", "alpha": 0.05}
 }
 EOF
-msmbounds curve --config "$OUT/curve.json" --out "$OUT/curve"
+python3 -m msmbounds curve --config "$OUT/curve.json" --out "$OUT/curve"
 echo "--- dose-response band under a bounded outcome shift ---"
 cat "$OUT/curve/curve_result.csv"
 
 echo '{"instances": 25, "tiny_instances": 4}' > "$OUT/oracle.json"
-msmbounds oracle-check --config "$OUT/oracle.json" --out "$OUT/oracle" --seed 7
+python3 -m msmbounds oracle-check --config "$OUT/oracle.json" --out "$OUT/oracle" --seed 7

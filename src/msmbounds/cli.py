@@ -504,8 +504,20 @@ def _bounds_on_dataset(data, config, seed):
     return lower, upper, None, flags
 
 
+def _estimate_bounds(pairs, coord, flags):
+    """Ordered coordinate bounds and their variances from (lower, upper)
+    BetaEstimate pairs, one pair per grid value."""
+    flags.append("asymptotic, rate-conditional")
+    rows = []
+    for est_low, est_high in pairs:
+        lo, hi = est_low.beta[coord], est_high.beta[coord]
+        vlo, vhi = est_low.covariance[coord, coord], est_high.covariance[coord, coord]
+        rows.append((hi, lo, vhi, vlo) if lo > hi else (lo, hi, vlo, vhi))
+    lower, upper, vlo, vhi = (np.array(col, dtype=float) for col in zip(*rows))
+    return lower, upper, (vlo, vhi), flags
+
+
 def _propensity_bounds(data, model, nuis, sens, method, grid, coord, seed, flags):
-    n = data.n
     if method in _TRACE_METHODS:
         if method == "coordinate-ascent":
             trace = coordinate_ascent_bounds(
@@ -521,22 +533,11 @@ def _propensity_bounds(data, model, nuis, sens, method, grid, coord, seed, flags
                 inner_iterations=sens.get("inner_iterations", 1),
             )
         return trace.lower, trace.upper, None, flags
+    if method == "parametric":
+        pairs = (fit_parametric_bounds(data, model, nuis, GammaSpec(float(g))) for g in grid)
+        return _estimate_bounds(pairs, coord, flags)
     lower = np.empty(grid.size)
     upper = np.empty(grid.size)
-    variances = None
-    if method == "parametric":
-        flags.append("asymptotic, rate-conditional")
-        variances = (np.empty(grid.size), np.empty(grid.size))
-        for j, g in enumerate(grid):
-            est_low, est_high = fit_parametric_bounds(data, model, nuis, GammaSpec(float(g)))
-            lo, hi = est_low.beta[coord], est_high.beta[coord]
-            vlo = est_low.covariance[coord, coord]
-            vhi = est_high.covariance[coord, coord]
-            if lo > hi:
-                lo, hi, vlo, vhi = hi, lo, vhi, vlo
-            lower[j], upper[j] = lo, hi
-            variances[0][j], variances[1][j] = vlo, vhi
-        return lower, upper, variances, flags
     if method == "linear-curve":
         if "a0" not in sens:
             raise ConfigError("linear-curve needs a0")
@@ -565,7 +566,6 @@ def _propensity_bounds(data, model, nuis, sens, method, grid, coord, seed, flags
 def _outcome_bounds(data, model, nuis, sens, method, grid, coord, flags):
     lower = np.empty(grid.size)
     upper = np.empty(grid.size)
-    variances = None
     if method == "linear":
         for j, d in enumerate(grid):
             lower[j], upper[j] = outcome_beta_bounds_linear(
@@ -585,20 +585,8 @@ def _outcome_bounds(data, model, nuis, sens, method, grid, coord, flags):
             variances[0][j], variances[1][j] = vlo, vhi
         return lower, upper, variances, flags
     if method == "parametric":
-        flags.append("asymptotic, rate-conditional")
-        variances = (np.empty(grid.size), np.empty(grid.size))
-        for j, d in enumerate(grid):
-            est_low, est_high = outcome_parametric_bounds(
-                data, model, nuis, DeltaSpec(float(d))
-            )
-            lo, hi = est_low.beta[coord], est_high.beta[coord]
-            vlo = est_low.covariance[coord, coord]
-            vhi = est_high.covariance[coord, coord]
-            if lo > hi:
-                lo, hi, vlo, vhi = hi, lo, vhi, vlo
-            lower[j], upper[j] = lo, hi
-            variances[0][j], variances[1][j] = vlo, vhi
-        return lower, upper, variances, flags
+        pairs = (outcome_parametric_bounds(data, model, nuis, DeltaSpec(float(d))) for d in grid)
+        return _estimate_bounds(pairs, coord, flags)
     if method == "nonlinear-grid":
         flags.append("conservative box")
         for j, d in enumerate(grid):

@@ -22,12 +22,13 @@ from ._ranks import (
     select_top_mask,
     upper_mass_v,
 )
-from .errors import NoConvergence, SingularMoment
 from .msm import (
     PairKernel,
-    linear_weighted_beta,
+    _solve,
+    solve_moment,
     u_projection_variance,
     u_statistic,
+    weighted_fit,
 )
 from .nuisance import clipped_pseudo_outcome, group_cells
 from .results import BetaEstimate
@@ -58,16 +59,6 @@ class GammaSpec:
     @property
     def edge_high(self):
         return self.gamma
-
-
-def _solve(mat, rhs, context):
-    try:
-        out = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMoment(f"{context}: {exc}") from exc
-    if not np.all(np.isfinite(out)):
-        raise SingularMoment(f"{context}: non-finite solve result")
-    return out
 
 
 def _cell_pseudo_outcomes(data, spec, side):
@@ -153,42 +144,6 @@ def _pair_targets(data, nuisances, spec, side, h):
     return u_statistic(kernel), phi_row
 
 
-def _solve_target_moment(model, a, u_target, beta0=None):
-    """Solve mean_n[h(A) g(A; beta)] = u_target for beta."""
-    h = None
-    if model.linear:
-        b = model.basis_matrix(a)
-        h = model.features(a)
-        m = h.T @ b / b.shape[0]
-        return _solve(m, u_target, "pair-moment matrix")
-    h = model.features(a)
-    beta = np.zeros(model.dim) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-
-    def gap(bvec):
-        return u_target - h.T @ model.predict(a, bvec) / a.size
-
-    res = gap(beta)
-    for _ in range(100):
-        norm = np.max(np.abs(res))
-        if norm <= 1e-9:
-            return beta
-        jac = h.T @ model.grad(a, beta) / a.size
-        step = _solve(jac, res, "pair-moment Jacobian")
-        scale = 1.0
-        for _ in range(30):
-            trial = beta + scale * step
-            trial_res = gap(trial)
-            if np.max(np.abs(trial_res)) < norm:
-                beta, res = trial, trial_res
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergence("pair-moment Newton stalled")
-    if np.max(np.abs(res)) <= 1e-9:
-        return beta
-    raise NoConvergence("pair-moment Newton did not converge")
-
-
 def _pair_covariance(data, model, beta, h, phi_row):
     """Prop.-2-style covariance: 4 Cov of the projected kernel M^-1 h (phi - g)."""
     a = data.a
@@ -216,7 +171,7 @@ def fit_parametric_bounds(data, model, nuisances, spec):
     out = []
     for side in ("lower", "upper"):
         target, phi_row = _pair_targets(data, nuisances, spec, side, h)
-        beta = _solve_target_moment(model, data.a, target)
+        beta = solve_moment(model, data.a, target)
         cov = _pair_covariance(data, model, beta, h, phi_row)
         out.append(BetaEstimate(beta=beta, covariance=cov))
     return out[0], out[1]
@@ -351,14 +306,8 @@ def local_beta_bounds(data, model, nuisances, spec, coord):
     """
     w = nuisances.weights
     h = model.features(data.a)
-    if model.linear:
-        beta, _ = linear_weighted_beta(model.basis_matrix(data.a), w, data.y)
-        grad = model.basis_matrix(data.a)
-    else:
-        from .msm import fit_msm
-
-        beta = fit_msm(data, model, weights=w).beta
-        grad = model.grad(data.a, beta)
+    beta = weighted_fit(model, data.a, data.y, w)
+    grad = h if model.linear else model.grad(data.a, beta)
     m = (h * w[:, None]).T @ grad / data.n
     resid = data.y - model.predict(data.a, beta)
     e = np.zeros(model.dim)

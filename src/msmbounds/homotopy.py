@@ -13,57 +13,13 @@ import numpy as np
 
 from ._ranks import gamma_count, select_bottom_mask, select_top_mask
 from .errors import NoConvergence, SingularMoment
-from .msm import linear_weighted_beta
+from .msm import _solve, linear_weighted_beta, weighted_fit
 from .nuisance import group_cells
 from .results import HomotopyTrace
 
 _INNER_CAP = 20
 _CIRCULAR_TOL = 1e-6
 _CIRCULAR_CAP = 50
-
-
-def _solve(mat, rhs, context):
-    try:
-        out = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMoment(f"{context}: {exc}") from exc
-    if not np.all(np.isfinite(out)):
-        raise SingularMoment(f"{context}: non-finite solve result")
-    return out
-
-
-def _fit_beta(model, a_obj, y, weights, beta0=None):
-    """Solve the weighted moment condition; closed form when linear."""
-    if model.linear:
-        beta, _ = linear_weighted_beta(model.basis_matrix(a_obj), weights, y)
-        return beta
-    h = model.features(a_obj)
-    hw = h * weights[:, None]
-    beta = np.zeros(model.dim) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-
-    def moment(b):
-        return hw.T @ (y - model.predict(a_obj, b)) / y.size
-
-    res = moment(beta)
-    for _ in range(100):
-        norm = np.max(np.abs(res))
-        if norm <= 1e-9:
-            return beta
-        jac = -hw.T @ model.grad(a_obj, beta) / y.size
-        step = _solve(jac, -res, "homotopy refit Jacobian")
-        scale = 1.0
-        for _ in range(30):
-            trial = beta + scale * step
-            trial_res = moment(trial)
-            if np.max(np.abs(trial_res)) < norm:
-                beta, res = trial, trial_res
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergence("homotopy refit stalled")
-    if np.max(np.abs(res)) <= 1e-9:
-        return beta
-    raise NoConvergence("homotopy refit did not converge")
 
 
 def _derivative_parts(model, a_obj, y, w, beta, v, coord, flavor):
@@ -73,7 +29,7 @@ def _derivative_parts(model, a_obj, y, w, beta, v, coord, flavor):
     linearized: c_i = e^T {mean h w grad^T}^-1 h_i w_i,   d_i = c_i y_i
     """
     h = model.features(a_obj)
-    grad = model.basis_matrix(a_obj) if model.linear else model.grad(a_obj, beta)
+    grad = h if model.linear else model.grad(a_obj, beta)
     e = np.zeros(model.dim)
     e[coord] = 1.0
     if flavor == "exact":
@@ -184,10 +140,8 @@ def _swap_phase(model, a_obj, y, w, box, mask, beta_cur, sense, coord, band):
                                 + dw_j * np.outer(b_mat[j], b_mat[j])) / n
                 rhs2 = rhs + (dw_i * b_mat[i] * y[i] + dw_j * b_mat[j] * y[j]) / n
                 try:
-                    beta2 = np.linalg.solve(gram2, rhs2)
-                except np.linalg.LinAlgError:
-                    continue
-                if not np.all(np.isfinite(beta2)):
+                    beta2 = _solve(gram2, rhs2, "swap Gram matrix")
+                except SingularMoment:
                     continue
                 val2 = float(beta2[coord])
                 if best is None or sense * val2 > sense * best[0]:
@@ -205,7 +159,7 @@ def _swap_phase(model, a_obj, y, w, box, mask, beta_cur, sense, coord, band):
 def _linearized_value(model, a_obj, y, w, beta, v, coord):
     """Coordinate of the linearized functional at v: beta + M^-1 mean[h w (y v - g)]."""
     h = model.features(a_obj)
-    grad = model.basis_matrix(a_obj) if model.linear else model.grad(a_obj, beta)
+    grad = h if model.linear else model.grad(a_obj, beta)
     m = (h * w[:, None]).T @ grad / y.size
     gap = h.T @ (w * (y * v - model.predict(a_obj, beta))) / y.size
     return float(beta[coord] + _solve(m, gap, "linearized functional")[coord])
@@ -256,7 +210,7 @@ def homotopy_bounds(
     y = data.y
     a_obj = data.a
     n = y.size
-    beta_point = _fit_beta(model, a_obj, y, w)
+    beta_point = weighted_fit(model, a_obj, y, w)
     point = float(beta_point[coord])
 
     lower = np.full(grid.size, np.nan)
@@ -378,10 +332,10 @@ def _one_step(
                     break
                 damps += 1
                 v_cur = 0.5 * (v_cur + v_vertex)
-                beta_cur = _fit_beta(model, a_obj, y, w * v_cur, beta_cur)
+                beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur)
                 continue
             v_cur = v_vertex
-            beta_cur = _fit_beta(model, a_obj, y, w * v_cur, beta_cur)
+            beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur)
             candidates.append((v_cur, beta_cur, float(beta_cur[coord])))
             seen_masks.append(mask)
         else:
@@ -389,7 +343,7 @@ def _one_step(
                 d, c, beta_cur, model, data, nuisances, gamma, branch, flavor
             )
             v_cur = np.where(mask, box[1], box[0])
-            beta_cur = _fit_beta(model, a_obj, y, w * v_cur, beta_cur)
+            beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur)
             val = float(beta_cur[coord])
             candidates.append((v_cur, beta_cur, val))
             if last_coord is not None and abs(val - last_coord) <= _CIRCULAR_TOL:

@@ -25,7 +25,8 @@ class MsmModel:
     """Working marginal model g(a; beta) plus the moment features h(a).
 
     ``basis`` is set when g(a; beta) = basis(a) @ beta; that unlocks the
-    closed-form fit and the linear bound machinery.
+    closed-form fit and the linear bound machinery, all of which solve the
+    least-squares projection, so the moment features must be the basis.
     """
 
     dim: int
@@ -34,6 +35,9 @@ class MsmModel:
     moment_features: object  # (a,) -> (m, dim)
     basis: object = None    # (a,) -> (m, dim) when the curve is linear
     name: str = "custom"
+
+    def __post_init__(self):
+        _check_linear_features(self.basis, self.moment_features)
 
     @property
     def linear(self):
@@ -63,6 +67,15 @@ class MsmModel:
         if g.ndim == 1:
             g = g[:, None]
         return g
+
+
+def _check_linear_features(basis, moment_features):
+    if basis is not None and moment_features is not basis:
+        raise ValueError(
+            "a model with a basis solves the basis moments, so moment_features "
+            "must be the basis; drop basis to solve other moment features by "
+            "the generic Newton path"
+        )
 
 
 def _poly_basis(degree):
@@ -159,6 +172,56 @@ def sandwich_variance(model, a, y, w, beta):
     return _solve(m, minv_s.T, "sandwich bread").T
 
 
+def solve_moment(model, a, target, w=None, beta0=None, max_iter=100):
+    """Solve mean_n[ h(A) w g(A; beta) ] = target for beta.
+
+    ``w`` defaults to one. A linear model solves (h w)^T b / n beta =
+    target in closed form; any other model runs a damped Newton from
+    ``beta0`` (zero by default) until the residual drops below 1e-9.
+    """
+    if model.linear:
+        # the moment features are the basis (MsmModel checks); h^T b is kept
+        # a product of two arrays, which numpy rounds unlike b^T b
+        b = model.basis_matrix(a)
+        hw = model.features(a) if w is None else b * w[:, None]
+        return _solve(hw.T @ b / b.shape[0], target, "moment matrix")
+    h = model.features(a)
+    hw = h if w is None else h * w[:, None]
+    n = h.shape[0]
+    beta = np.zeros(model.dim) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+
+    def gap(bvec):
+        return target - hw.T @ model.predict(a, bvec) / n
+
+    res = gap(beta)
+    for _ in range(max_iter):
+        norm = np.max(np.abs(res))
+        if norm <= 1e-9:
+            return beta
+        step = _solve(hw.T @ model.grad(a, beta) / n, res, "moment Jacobian")
+        scale = 1.0
+        for _ in range(30):
+            trial = beta + scale * step
+            trial_res = gap(trial)
+            if np.max(np.abs(trial_res)) < norm:
+                beta, res = trial, trial_res
+                break
+            scale *= 0.5
+        else:
+            raise NoConvergence("Newton step could not reduce the moment residual")
+    if np.max(np.abs(res)) <= 1e-9:
+        return beta
+    raise NoConvergence(
+        f"moment residual {np.max(np.abs(res)):.3e} after {max_iter} iterations"
+    )
+
+
+def weighted_fit(model, a, y, w, beta0=None, max_iter=100):
+    """beta solving the weighted moment condition mean_n[ h w (y - g(A; beta)) ] = 0."""
+    hw = model.features(a) * w[:, None]
+    return solve_moment(model, a, hw.T @ y / y.size, w, beta0, max_iter)
+
+
 def fit_msm(data, model, nuisances=None, weights=None, beta0=None, max_iter=100):
     """Fit the working marginal model by the weighted moment condition.
 
@@ -171,50 +234,9 @@ def fit_msm(data, model, nuisances=None, weights=None, beta0=None, max_iter=100)
             raise ValueError("pass either nuisances or explicit weights")
         weights = nuisances.weights
     w = _as_rows(weights)
-    a = data.a
-    y = data.y
-    if model.linear:
-        beta, _ = linear_weighted_beta(model.basis_matrix(a), w, y)
-    else:
-        beta = _newton_moment(model, a, y, w, beta0, max_iter)
-    cov = sandwich_variance(model, a, y, w, beta)
+    beta = weighted_fit(model, data.a, data.y, w, beta0, max_iter)
+    cov = sandwich_variance(model, data.a, data.y, w, beta)
     return BetaEstimate(beta=beta, covariance=cov)
-
-
-def _newton_moment(model, a, y, w, beta0, max_iter):
-    h = model.features(a)
-    hw = h * w[:, None]
-    beta = (
-        np.zeros(model.dim)
-        if beta0 is None
-        else np.asarray(beta0, dtype=float).copy()
-    )
-
-    def moment(b):
-        return hw.T @ (y - model.predict(a, b)) / y.size
-
-    res = moment(beta)
-    for _ in range(max_iter):
-        norm = np.max(np.abs(res))
-        if norm <= 1e-9:
-            return beta
-        jac = -hw.T @ model.grad(a, beta) / y.size
-        step = _solve(jac, -res, "moment Jacobian")
-        scale = 1.0
-        for _ in range(30):
-            trial = beta + scale * step
-            trial_res = moment(trial)
-            if np.max(np.abs(trial_res)) < norm:
-                beta, res = trial, trial_res
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergence("Newton step could not reduce the moment residual")
-    if np.max(np.abs(res)) <= 1e-9:
-        return beta
-    raise NoConvergence(
-        f"moment residual {np.max(np.abs(res)):.3e} after {max_iter} iterations"
-    )
 
 
 class PairKernel:

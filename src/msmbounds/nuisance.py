@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from .data import Dataset, split_folds
+from .data import Dataset, FoldAssignment, split_folds
 from .errors import (
     BadTau,
     ConfigError,
@@ -474,26 +474,35 @@ class CrossFit:
     def __init__(self, data, config=None, seed=0):
         self.data = data
         self.config = config or NuisanceConfig()
-        self.assignment = split_folds(data.n, self.config.folds, seed)
-        self.bundles = [
-            _Bundle(data, self.assignment.complement(f), self.config)
-            for f in range(self.config.folds)
-        ]
+        splits = self._splits(seed)
+        self.bundles = [_Bundle(data, train, self.config) for train, _ in splits]
+        self._scored = [units for _, units in splits]
+        fold_of_unit = np.empty(data.n, dtype=int)
+        for f, units in enumerate(self._scored):
+            fold_of_unit[units] = f
+        self.assignment = FoldAssignment(fold_of_unit, len(splits))
         self._w = None
         self._mu = None
         self._q_cache = {}
         self._s_cache = {}
         self._kappa_units_cache = {}
 
+    def _splits(self, seed):
+        """(train, scored) unit indices per bundle: each fold is scored by
+        the bundle trained on the other folds."""
+        folds = split_folds(self.data.n, self.config.folds, seed)
+        return [(folds.complement(f), folds.members(f)) for f in range(folds.k)]
+
     def bundle_for(self, i):
         return self.bundles[self.assignment.fold_of_unit[i]]
 
     def _per_unit(self, fn):
+        if len(self.bundles) == 1:
+            # one bundle scores every unit, in index order
+            return fn(self.bundles[0], self._scored[0])
         out = np.empty(self.data.n)
-        for f in range(self.config.folds):
-            members = self.assignment.members(f)
-            if members.size:
-                out[members] = fn(self.bundles[f], members)
+        for bundle, units in zip(self.bundles, self._scored):
+            out[units] = fn(bundle, units)
         return out
 
     @property
@@ -580,32 +589,12 @@ class SelfFit(CrossFit):
     in_sample = True
 
     def __init__(self, data, config=None):
-        self.data = data
-        base = config or NuisanceConfig()
-        self.config = base
-        bundle = _Bundle(data, np.arange(data.n), base)
-        self.bundles = [bundle]
+        # no seed: nothing is split at random
+        super().__init__(data, config)
 
-        class _AllOne:
-            def __init__(self, n):
-                self.fold_of_unit = np.zeros(n, dtype=int)
-                self.k = 1
-
-            def members(self, f):
-                return np.arange(self.fold_of_unit.size)
-
-            def complement(self, f):
-                return np.arange(self.fold_of_unit.size)
-
-        self.assignment = _AllOne(data.n)
-        self._w = None
-        self._mu = None
-        self._q_cache = {}
-        self._s_cache = {}
-        self._kappa_units_cache = {}
-
-    def _per_unit(self, fn):
-        return fn(self.bundles[0], np.arange(self.data.n))
+    def _splits(self, seed):
+        units = np.arange(self.data.n)
+        return [(units, units)]
 
 
 def crossfit(data, config=None, seed=0):
@@ -619,37 +608,48 @@ def stabilized_weights(data, config=None, seed=0, crossfit_obj=None):
     return cf.weights
 
 
-def fixed_weight_nuisances(data, weights, mu=None):
-    """Adapter exposing externally supplied weights through the CrossFit surface.
+class _FixedNuisances:
+    """Externally supplied weights exposed through the CrossFit surface.
 
     Only the pieces that make sense without fitted models are available:
-    weights always, mean regressions when ``mu`` callables are given.
+    weights always, mean regressions when a ``mu`` callable is given.
+    Everything that needs fitted quantile or pseudo-outcome models raises
+    ConfigError.
     """
 
-    class _Fixed:
-        in_sample = True
+    in_sample = True
+    config = None
 
-        def __init__(self):
-            self.data = data
-            self._w = np.array(weights, dtype=float)
-            if self._w.shape != (data.n,):
-                raise ConfigError("weights must have one entry per unit")
-            self._mu = mu
+    def __init__(self, data, weights, mu=None):
+        self.data = data
+        self.weights = np.array(weights, dtype=float)
+        if self.weights.shape != (data.n,):
+            raise ConfigError("weights must have one entry per unit")
+        self._mu = mu
 
-        @property
-        def weights(self):
-            return self._w
+    def _outcome_model(self):
+        if self._mu is None:
+            raise ConfigError("no outcome model attached to fixed weights")
+        return self._mu
 
-        @property
-        def mu_units(self):
-            if self._mu is None:
-                raise ConfigError("no outcome model attached to fixed weights")
-            return self._mu(self.data.a, self.data.x)
+    @property
+    def mu_units(self):
+        return self._outcome_model()(self.data.a, self.data.x)
 
-        def mu_row(self, i):
-            if self._mu is None:
-                raise ConfigError("no outcome model attached to fixed weights")
-            a_rep = np.full(self.data.n, self.data.a[i])
-            return self._mu(a_rep, self.data.x)
+    def mu_row(self, i):
+        a_rep = np.full(self.data.n, self.data.a[i])
+        return self._outcome_model()(a_rep, self.data.x)
 
-    return _Fixed()
+    def mu_at_units(self, a0):
+        return self._outcome_model()(np.full(self.data.n, float(a0)), self.data.x)
+
+    def _unfitted(self, *args):
+        raise ConfigError("fixed weights carry no quantile or pseudo-outcome fits")
+
+    quantile_units = s_units = kappa_units = kappa_row = kappa_at_units = _unfitted
+    bundles = property(_unfitted)
+
+
+def fixed_weight_nuisances(data, weights, mu=None):
+    """Adapter exposing externally supplied weights through the CrossFit surface."""
+    return _FixedNuisances(data, weights, mu)

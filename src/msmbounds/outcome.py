@@ -16,7 +16,7 @@ import scipy.optimize
 import scipy.sparse
 
 from .errors import GridFailure, NoConvergence, SingularMoment
-from .msm import PairKernel, u_projection_variance, u_statistic
+from .msm import PairKernel, _solve, solve_moment, u_projection_variance, u_statistic
 from .results import BetaEstimate
 
 
@@ -29,16 +29,6 @@ class DeltaSpec:
     def __post_init__(self):
         if self.delta < 0.0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
-
-
-def _solve(mat, rhs, context):
-    try:
-        out = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMoment(f"{context}: {exc}") from exc
-    if not np.all(np.isfinite(out)):
-        raise SingularMoment(f"{context}: non-finite solve result")
-    return out
 
 
 def _dr_base(data, nuisances):
@@ -121,7 +111,7 @@ def outcome_parametric_bounds(data, model, nuisances, spec):
             return h[i][None, :] * vals[:, None]
 
         target = u_statistic(PairKernel(data.n, model.dim, krow))
-        beta = _solve_target(model, data.a, target)
+        beta = solve_moment(model, data.a, target)
         g_vals = model.predict(data.a, beta)
         grad = model.basis_matrix(data.a) if model.linear else model.grad(data.a, beta)
         m = h.T @ grad / data.n
@@ -134,39 +124,6 @@ def outcome_parametric_bounds(data, model, nuisances, spec):
         cov = u_projection_variance(PairKernel(data.n, model.dim, cov_row))
         out.append(BetaEstimate(beta=beta, covariance=cov))
     return out[0], out[1]
-
-
-def _solve_target(model, a, target, beta0=None):
-    if model.linear:
-        h = model.features(a)
-        b = model.basis_matrix(a)
-        return _solve(h.T @ b / b.shape[0], target, "pair-moment matrix")
-    h = model.features(a)
-    beta = np.zeros(model.dim) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-
-    def gap(bvec):
-        return target - h.T @ model.predict(a, bvec) / a.shape[0]
-
-    res = gap(beta)
-    for _ in range(100):
-        norm = np.max(np.abs(res))
-        if norm <= 1e-9:
-            return beta
-        jac = h.T @ model.grad(a, beta) / a.shape[0]
-        step = _solve(jac, res, "pair-moment Jacobian")
-        scale = 1.0
-        for _ in range(30):
-            trial = beta + scale * step
-            trial_res = gap(trial)
-            if np.max(np.abs(trial_res)) < norm:
-                beta, res = trial, trial_res
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergence("shifted-moment Newton stalled")
-    if np.max(np.abs(res)) <= 1e-9:
-        return beta
-    raise NoConvergence("shifted-moment Newton did not converge")
 
 
 def _feasible_lp(h, t, delta):
@@ -202,7 +159,7 @@ def outcome_nonlinear_grid_bounds(
     base_target = h.T @ (w * mu) / data.n
 
     if spec.delta == 0.0:
-        beta = _solve_weighted_target(model, data.a, w, base_target)
+        beta = solve_moment(model, data.a, base_target, w)
         val = float(beta[coord])
         return val, val
 
@@ -217,9 +174,7 @@ def outcome_nonlinear_grid_bounds(
         if lp_filter and not _feasible_lp(h, t, spec.delta):
             continue
         try:
-            beta = _solve_weighted_target(
-                model, data.a, w, base_target + t, beta0=beta_warm
-            )
+            beta = solve_moment(model, data.a, base_target + t, w, beta_warm)
         except (NoConvergence, SingularMoment):
             failures.append(tuple(float(v) for v in t))
             continue
@@ -234,37 +189,3 @@ def outcome_nonlinear_grid_bounds(
             f"{len(failures)} grid nodes skipped as unsolvable", RuntimeWarning
         )
     return lo, hi
-
-
-def _solve_weighted_target(model, a, w, target, beta0=None):
-    """Solve mean_n[h w g(beta)] = target for beta."""
-    h = model.features(a)
-    hw = h * np.asarray(w, dtype=float)[:, None]
-    if model.linear:
-        b = model.basis_matrix(a)
-        return _solve(hw.T @ b / b.shape[0], target, "weighted moment matrix")
-    beta = np.zeros(model.dim) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-
-    def gap(bvec):
-        return target - hw.T @ model.predict(a, bvec) / a.shape[0]
-
-    res = gap(beta)
-    for _ in range(100):
-        norm = np.max(np.abs(res))
-        if norm <= 1e-9:
-            return beta
-        jac = hw.T @ model.grad(a, beta) / a.shape[0]
-        step = _solve(jac, res, "weighted moment Jacobian")
-        scale = 1.0
-        for _ in range(30):
-            trial = beta + scale * step
-            trial_res = gap(trial)
-            if np.max(np.abs(trial_res)) < norm:
-                beta, res = trial, trial_res
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergence("weighted-target Newton stalled")
-    if np.max(np.abs(res)) <= 1e-9:
-        return beta
-    raise NoConvergence("weighted-target Newton did not converge")

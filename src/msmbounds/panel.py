@@ -15,8 +15,13 @@ from .data import PanelDataset
 from .errors import ConfigError
 from .gamma import GammaSpec, local_beta_bounds, marginal_quantile_beta_bounds
 from .homotopy import homotopy_bounds
-from .msm import fit_msm
-from .nuisance import DiscretePropensity, GaussianPropensity, NuisanceConfig
+from .msm import _check_linear_features, fit_msm
+from .nuisance import (
+    DiscretePropensity,
+    GaussianPropensity,
+    NuisanceConfig,
+    fixed_weight_nuisances,
+)
 from .results import HomotopyTrace
 
 
@@ -25,7 +30,8 @@ class PanelMsmModel:
     """Working model over whole treatment paths a_1..a_T.
 
     Callables receive the (n, T) treatment array. ``basis`` set means the
-    curve is basis @ beta and the closed forms apply.
+    curve is basis @ beta and the closed forms apply; the moment features
+    must then be the basis.
     """
 
     dim: int
@@ -34,6 +40,9 @@ class PanelMsmModel:
     moment_features: object  # (a2d,) -> (n, dim)
     basis: object = None
     name: str = "panel-custom"
+
+    def __post_init__(self):
+        _check_linear_features(self.basis, self.moment_features)
 
     @property
     def linear(self):
@@ -162,14 +171,6 @@ def panel_fit_msm(panel, model, weights):
     return fit_msm(panel, model, weights=weights)
 
 
-class _FixedWeights:
-    """Minimal nuisance shim: precomputed weights, nothing else."""
-
-    def __init__(self, weights):
-        self.weights = np.asarray(weights, dtype=float).ravel()
-        self.config = NuisanceConfig()
-
-
 def panel_propensity_bounds(panel, model, weights, grid, method="homotopy",
                             coord=0, flavor="exact", **kwargs):
     """Marginal-constraint propensity bounds on a panel coordinate.
@@ -180,7 +181,7 @@ def panel_propensity_bounds(panel, model, weights, grid, method="homotopy",
     (path features, product weight, outcome).
     """
     grid = np.asarray(list(grid), dtype=float)
-    shim = _FixedWeights(weights)
+    shim = fixed_weight_nuisances(panel, np.ravel(weights))
     if method == "homotopy":
         return homotopy_bounds(
             panel, model, nuisances=None, grid=grid, flavor=flavor,

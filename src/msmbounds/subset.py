@@ -13,9 +13,8 @@ import dataclasses
 import numpy as np
 
 from ._ranks import ceil_count, select_bottom_mask, select_top_mask, upper_mass_v, lower_mass_v
-from .errors import SingularMoment
 from .gamma import GammaSpec, _coordinate_transfer
-from .msm import PairKernel, u_statistic
+from .msm import PairKernel, _solve, solve_moment, u_statistic
 from .outcome import DeltaSpec
 from .results import BetaEstimate, HomotopyTrace
 
@@ -32,16 +31,6 @@ class EpsilonSpec:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if not isinstance(self.inner, (GammaSpec, DeltaSpec)):
             raise TypeError("inner must be a GammaSpec or DeltaSpec")
-
-
-def _solve(mat, rhs, context):
-    try:
-        out = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMoment(f"{context}: {exc}") from exc
-    if not np.all(np.isfinite(out)):
-        raise SingularMoment(f"{context}: non-finite solve result")
-    return out
 
 
 def _select_counts(n, epsilon):
@@ -121,14 +110,12 @@ def subset_parametric_bounds(data, model, nuisances, eps):
     """
     if not isinstance(eps.inner, GammaSpec):
         raise TypeError("subset_parametric_bounds needs a GammaSpec inner model")
-    from .gamma import _solve_target_moment
-
     h = model.features(data.a)
     out = []
     for side in ("lower", "upper"):
         row = _subset_kernel_rows(data, nuisances, eps, side, h)
         target = u_statistic(PairKernel(data.n, model.dim, row))
-        beta = _solve_target_moment(model, data.a, target)
+        beta = solve_moment(model, data.a, target)
         out.append(BetaEstimate(beta=beta, covariance=None))
     return out[0], out[1]
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from msmbounds.data import Dataset
+from msmbounds.datagen import DgpSpec, generate
 from msmbounds.errors import NoConvergence, SingularMoment
+from msmbounds.gamma import GammaSpec, fit_parametric_bounds, local_beta_bounds
+from msmbounds.homotopy import homotopy_bounds
 from msmbounds.msm import (
     PairKernel,
     custom_msm,
@@ -20,6 +23,9 @@ from msmbounds.msm import (
     u_statistic,
     u_statistic_with_variance,
 )
+from msmbounds.nuisance import SelfFit, fixed_weight_nuisances
+from msmbounds.outcome import DeltaSpec, outcome_parametric_bounds
+from msmbounds.subset import EpsilonSpec, subset_parametric_bounds
 
 
 def _dataset(seed=0, n=150):
@@ -200,3 +206,92 @@ def test_u_statistic_mean_kernel_reduces_to_sample_means():
     z = rng.standard_normal(25)
     kernel = PairKernel(25, 1, lambda i: (0.5 * (z[i] + z))[:, None])
     assert u_statistic(kernel)[0] == pytest.approx(z.mean(), abs=1e-12)
+
+
+def test_basis_must_be_the_moment_features():
+    # every linear routine solves the basis moments, so a basis model whose
+    # moment features differ would disagree with its own sandwich variance
+    basis = lambda a: np.column_stack([np.ones(a.size), a])
+    with pytest.raises(ValueError, match="drop basis"):
+        custom_msm(
+            dim=2,
+            curve=lambda a, b: basis(a) @ b,
+            gradient=lambda a, b: basis(a),
+            moment_features=lambda a: np.column_stack([np.ones(a.size), a ** 3]),
+            basis=basis,
+        )
+    assert custom_msm(2, lambda a, b: basis(a) @ b, lambda a, b: basis(a),
+                      basis, basis=basis).linear
+
+
+def _pseudo_linear():
+    """A line with no basis, so every solve runs the Newton path."""
+    basis = lambda a: np.column_stack([np.ones(a.size), a])
+    return custom_msm(
+        dim=2,
+        curve=lambda a, b: b[0] + b[1] * a,
+        gradient=lambda a, b: basis(a),
+        moment_features=basis,
+        name="pseudo-linear",
+    )
+
+
+def _parametric(routine):
+    spec, fn = {
+        "propensity": (GammaSpec(1.5), fit_parametric_bounds),
+        "outcome": (DeltaSpec(0.4), outcome_parametric_bounds),
+        "subset": (EpsilonSpec(0.3, GammaSpec(1.5)), subset_parametric_bounds),
+    }[routine]
+    return lambda data, model, nuis: [e.beta for e in fn(data, model, nuis, spec)]
+
+
+def _homotopy(data, model, nuis):
+    trace = homotopy_bounds(data, model, nuis, grid=[1.0, 1.5, 2.0], coord=1)
+    return [trace.lower, trace.upper]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_parametric("propensity"), _parametric("outcome"), _parametric("subset"),
+     _homotopy],
+    ids=["fit_parametric_bounds", "outcome_parametric_bounds",
+         "subset_parametric_bounds", "homotopy_bounds"],
+)
+def test_newton_route_matches_closed_form(run):
+    data = generate(DgpSpec("confounded-line", seed=4), 120)
+    nuis = SelfFit(data)
+    model = _pseudo_linear()
+    assert not model.linear
+    for newton, closed in zip(run(data, model, nuis), run(data, linear_msm(), nuis)):
+        np.testing.assert_allclose(newton, closed, rtol=0, atol=1e-8)
+
+
+def _no_root_data():
+    # exp(beta a) > 0 cannot match a negative weighted outcome mean
+    return Dataset(None, [0.5, 1.0, 1.5, 2.0], [-3.0, -4.0, -2.0, -5.0])
+
+
+def _exp_model():
+    return custom_msm(
+        dim=1,
+        curve=lambda a, b: np.exp(b[0] * a),
+        gradient=lambda a, b: (a * np.exp(b[0] * a))[:, None],
+        moment_features=lambda a: np.ones((a.size, 1)),
+        name="exp",
+    )
+
+
+def _local(data, model):
+    local_beta_bounds(data, model, fixed_weight_nuisances(data, np.ones(data.n)),
+                      GammaSpec(2.0), 0)
+
+
+def _homotopy_point(data, model):
+    homotopy_bounds(data, model, weights=np.ones(data.n), grid=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("run", [_local, _homotopy_point],
+                         ids=["local_beta_bounds", "homotopy_bounds"])
+def test_newton_failure_is_typed_through_callers(run):
+    with pytest.raises(NoConvergence):
+        run(_no_root_data(), _exp_model())

@@ -10,6 +10,8 @@ from msmbounds.errors import (
     DegenerateVariance,
     TooManyLevels,
 )
+from msmbounds.gamma import GammaSpec, conditional_quantile_beta_bounds
+from msmbounds.msm import intercept_msm
 from msmbounds.nuisance import (
     CrossFit,
     DiscretePropensity,
@@ -258,3 +260,21 @@ def test_fit_propensity_dispatch():
     assert fit_propensity(data).kind == "continuous"
     disc = Dataset(None, np.tile([0.0, 1.0], 10), np.arange(20.0))
     assert fit_propensity(disc, NuisanceConfig(propensity_method="discrete")).kind == "discrete"
+
+
+def test_fixed_weight_adapter_rejects_fitted_pieces():
+    data = _noisy_linear(n=30)
+    fixed = fixed_weight_nuisances(data, np.ones(30))
+    for call in (
+        lambda: fixed.quantile_units(2.0),
+        lambda: fixed.s_units(2.0, "upper"),
+        lambda: fixed.kappa_units(2.0, "upper"),
+        lambda: fixed.kappa_row(2.0, "lower", 0),
+        lambda: fixed.kappa_at_units(2.0, "lower", 0.5),
+        lambda: fixed.bundles,
+        lambda: fixed.mu_at_units(0.5),
+        lambda: conditional_quantile_beta_bounds(
+            data, intercept_msm(), fixed, GammaSpec(2.0), 0),
+    ):
+        with pytest.raises(ConfigError):
+            call()

@@ -45,6 +45,12 @@ def test_custom_model_requires_callables():
     np.testing.assert_allclose(model.predict([[2.0, 3.0]], [2.0]), [10.0])
 
 
+def test_custom_model_basis_must_be_the_moment_features():
+    total = lambda a2d: a2d.sum(axis=1, keepdims=True)
+    with pytest.raises(ValueError, match="drop basis"):
+        custom_panel_msm(1, basis=total, moment_features=lambda a2d: total(a2d) ** 3)
+
+
 def test_one_dim_treatment_coerced():
     model = cumulative_panel_msm()
     # a 1-d treatment vector is treated as one period
