@@ -504,17 +504,25 @@ def _bounds_on_dataset(data, config, seed):
     return lower, upper, None, flags
 
 
+def _variance_bounds(results):
+    """(lower, upper, (var_lower, var_upper)) arrays from per-grid-value
+    (lo, hi, (var_lo, var_hi)) results."""
+    rows = [(lo, hi, vlo, vhi) for lo, hi, (vlo, vhi) in results]
+    lower, upper, vlo, vhi = (np.array(col, dtype=float) for col in zip(*rows))
+    return lower, upper, (vlo, vhi)
+
+
 def _estimate_bounds(pairs, coord, flags):
     """Ordered coordinate bounds and their variances from (lower, upper)
     BetaEstimate pairs, one pair per grid value."""
     flags.append("asymptotic, rate-conditional")
-    rows = []
+    results = []
     for est_low, est_high in pairs:
         lo, hi = est_low.beta[coord], est_high.beta[coord]
         vlo, vhi = est_low.covariance[coord, coord], est_high.covariance[coord, coord]
-        rows.append((hi, lo, vhi, vlo) if lo > hi else (lo, hi, vlo, vhi))
-    lower, upper, vlo, vhi = (np.array(col, dtype=float) for col in zip(*rows))
-    return lower, upper, (vlo, vhi), flags
+        results.append((hi, lo, (vhi, vlo)) if lo > hi else (lo, hi, (vlo, vhi)))
+    lower, upper, variances = _variance_bounds(results)
+    return lower, upper, variances, flags
 
 
 def _propensity_bounds(data, model, nuis, sens, method, grid, coord, seed, flags):
@@ -536,19 +544,14 @@ def _propensity_bounds(data, model, nuis, sens, method, grid, coord, seed, flags
     if method == "parametric":
         pairs = (fit_parametric_bounds(data, model, nuis, GammaSpec(float(g))) for g in grid)
         return _estimate_bounds(pairs, coord, flags)
-    lower = np.empty(grid.size)
-    upper = np.empty(grid.size)
     if method == "linear-curve":
         if "a0" not in sens:
             raise ConfigError("linear-curve needs a0")
         flags.append("asymptotic, rate-conditional")
-        variances = (np.empty(grid.size), np.empty(grid.size))
-        for j, g in enumerate(grid):
-            lo, hi, (vlo, vhi) = linear_curve_bounds(
-                data, model, nuis, GammaSpec(float(g)), sens["a0"]
-            )
-            lower[j], upper[j] = lo, hi
-            variances[0][j], variances[1][j] = vlo, vhi
+        lower, upper, variances = _variance_bounds(
+            linear_curve_bounds(data, model, nuis, GammaSpec(float(g)), sens["a0"])
+            for g in grid
+        )
         return lower, upper, variances, flags
     routines = {
         "marginal-quantile": marginal_quantile_beta_bounds,
@@ -558,6 +561,8 @@ def _propensity_bounds(data, model, nuis, sens, method, grid, coord, seed, flags
     if method not in routines:
         raise UsageError(f"unknown propensity bounds method {method!r}")
     fn = routines[method]
+    lower = np.empty(grid.size)
+    upper = np.empty(grid.size)
     for j, g in enumerate(grid):
         lower[j], upper[j] = fn(data, model, nuis, GammaSpec(float(g)), coord)
     return lower, upper, None, flags
@@ -576,13 +581,10 @@ def _outcome_bounds(data, model, nuis, sens, method, grid, coord, flags):
         if "a0" not in sens:
             raise ConfigError("outcome curve bounds need a0")
         flags.append("asymptotic, rate-conditional")
-        variances = (np.empty(grid.size), np.empty(grid.size))
-        for j, d in enumerate(grid):
-            lo, hi, (vlo, vhi) = outcome_curve_bounds(
-                data, model, nuis, DeltaSpec(float(d)), sens["a0"]
-            )
-            lower[j], upper[j] = lo, hi
-            variances[0][j], variances[1][j] = vlo, vhi
+        lower, upper, variances = _variance_bounds(
+            outcome_curve_bounds(data, model, nuis, DeltaSpec(float(d)), sens["a0"])
+            for d in grid
+        )
         return lower, upper, variances, flags
     if method == "parametric":
         pairs = (outcome_parametric_bounds(data, model, nuis, DeltaSpec(float(d))) for d in grid)
@@ -633,21 +635,21 @@ def _curve_on_dataset(data, config, seed):
     a0_grid = _parse_grid(sens["a0_grid"])
     model = _make_model(config, panel=False)
     nuis = _make_nuisances(config, data, seed)
-    lower = np.empty(a0_grid.size)
-    upper = np.empty(a0_grid.size)
-    var_lo = np.empty(a0_grid.size)
-    var_hi = np.empty(a0_grid.size)
     if sens["family"] == "propensity":
-        spec = GammaSpec(sens.get("gamma", 1.0))
-        for j, a0 in enumerate(a0_grid):
-            lo, hi, (vl, vh) = linear_curve_bounds(data, model, nuis, spec, float(a0))
-            lower[j], upper[j], var_lo[j], var_hi[j] = lo, hi, vl, vh
+        spec, routine = GammaSpec(sens.get("gamma", 1.0)), linear_curve_bounds
     else:
-        spec = DeltaSpec(sens.get("delta", 0.0))
-        for j, a0 in enumerate(a0_grid):
-            lo, hi, (vl, vh) = outcome_curve_bounds(data, model, nuis, spec, float(a0))
-            lower[j], upper[j], var_lo[j], var_hi[j] = lo, hi, vl, vh
-    return a0_grid, lower, upper, (var_lo, var_hi)
+        spec, routine = DeltaSpec(sens.get("delta", 0.0)), outcome_curve_bounds
+    lower, upper, variances = _variance_bounds(
+        routine(data, model, nuis, spec, float(a0)) for a0 in a0_grid
+    )
+    return a0_grid, lower, upper, variances
+
+
+def _wald_band(lower, upper, variances, n, alpha):
+    """Per-grid-value Wald limits below the lower and above the upper bound."""
+    ci_lower = np.array([wald_ci(lo, v, n, alpha).low for lo, v in zip(lower, variances[0])])
+    ci_upper = np.array([wald_ci(hi, v, n, alpha).high for hi, v in zip(upper, variances[1])])
+    return ci_lower, ci_upper
 
 
 def _hulc_band(data, config, seed, compute, alpha, hseed):
@@ -747,14 +749,7 @@ def cmd_bounds(args):
                 f"wald intervals are unavailable for method {sens['method']!r}; use hulc"
             )
         alpha = inference.get("alpha", 0.05)
-        ci_lower = np.array([
-            wald_ci(lower[j], variances[0][j], data.n, alpha).low
-            for j in range(grid.size)
-        ])
-        ci_upper = np.array([
-            wald_ci(upper[j], variances[1][j], data.n, alpha).high
-            for j in range(grid.size)
-        ])
+        ci_lower, ci_upper = _wald_band(lower, upper, variances, data.n, alpha)
     elif kind == "hulc":
         if sens["method"] in _HEURISTIC_CI_METHODS:
             flags.append("heuristic CI")
@@ -784,14 +779,7 @@ def cmd_curve(args):
     ci_lower = ci_upper = None
     alpha = inference.get("alpha", 0.05)
     if kind == "wald":
-        ci_lower = np.array([
-            wald_ci(lower[j], variances[0][j], data.n, alpha).low
-            for j in range(grid.size)
-        ])
-        ci_upper = np.array([
-            wald_ci(upper[j], variances[1][j], data.n, alpha).high
-            for j in range(grid.size)
-        ])
+        ci_lower, ci_upper = _wald_band(lower, upper, variances, data.n, alpha)
     elif kind == "hulc":
         hseed = inference.get("seed", seed)
 

@@ -24,10 +24,10 @@ from ._ranks import (
 )
 from .msm import (
     PairKernel,
+    _gram_solver,
+    _model_solver,
     _solve,
-    solve_moment,
-    u_projection_variance,
-    u_statistic,
+    pair_moment_fit,
     weighted_fit,
 )
 from .nuisance import clipped_pseudo_outcome, group_cells
@@ -113,52 +113,21 @@ def conditional_outcome_bounds(data, spec, nuisances=None, probe_a=None, probe_x
     return np.minimum(low, high), np.maximum(low, high)
 
 
+def _phi_row(nuisances, gamma, side):
+    """Row function i -> w_i (s_i - kappa(a_i, x_i)) + kappa(a_i, X_j) over j."""
+    s = nuisances.s_units(gamma, side)
+    kappa_own = nuisances.kappa_units(gamma, side)
+    base = nuisances.weights * (s - kappa_own)
+    return lambda i: base[i] + nuisances.kappa_row(gamma, side, i)
+
+
 def bound_kernel(data, nuisances, spec, side):
     """Doubly-robust pair kernel for one side of the propensity bounds.
 
     f(Z_i, Z_j) = w_i (s_i - kappa(a_i, x_i)) + kappa(a_i, x_j), with every
     hat-quantity for slot one taken from unit i's out-of-fold bundle.
     """
-    w = nuisances.weights
-    s = nuisances.s_units(spec.gamma, side)
-    kappa_own = nuisances.kappa_units(spec.gamma, side)
-    base = w * (s - kappa_own)
-
-    def row(i):
-        return base[i] + nuisances.kappa_row(spec.gamma, side, i)
-
-    return PairKernel(data.n, 1, row)
-
-
-def _pair_targets(data, nuisances, spec, side, h):
-    """U_n[h(A_1) phi-hat] plus the pieces needed to rebuild kernel rows."""
-    w = nuisances.weights
-    s = nuisances.s_units(spec.gamma, side)
-    kappa_own = nuisances.kappa_units(spec.gamma, side)
-    base = w * (s - kappa_own)
-
-    def phi_row(i):
-        return base[i] + nuisances.kappa_row(spec.gamma, side, i)
-
-    kernel = PairKernel(data.n, h.shape[1], lambda i: h[i][None, :] * phi_row(i)[:, None])
-    return u_statistic(kernel), phi_row
-
-
-def _pair_covariance(data, model, beta, h, phi_row):
-    """Prop.-2-style covariance: 4 Cov of the projected kernel M^-1 h (phi - g)."""
-    a = data.a
-    if model.linear:
-        grad = model.basis_matrix(a)
-    else:
-        grad = model.grad(a, beta)
-    m = h.T @ grad / a.size
-    g_vals = model.predict(a, beta)
-    minv_h = _solve(m, h.T, "pair covariance bread").T
-
-    def row(i):
-        return minv_h[i][None, :] * (phi_row(i) - g_vals[i])[:, None]
-
-    return u_projection_variance(PairKernel(data.n, model.dim, row))
+    return PairKernel(data.n, 1, _phi_row(nuisances, spec.gamma, side))
 
 
 def fit_parametric_bounds(data, model, nuisances, spec):
@@ -168,11 +137,10 @@ def fit_parametric_bounds(data, model, nuisances, spec):
     and carries the U-statistic projection covariance.
     """
     h = model.features(data.a)
+    solve = _model_solver(model, data.a, h)
     out = []
     for side in ("lower", "upper"):
-        target, phi_row = _pair_targets(data, nuisances, spec, side, h)
-        beta = solve_moment(model, data.a, target)
-        cov = _pair_covariance(data, model, beta, h, phi_row)
+        beta, cov = pair_moment_fit(h, _phi_row(nuisances, spec.gamma, side), solve)
         out.append(BetaEstimate(beta=beta, covariance=cov))
     return out[0], out[1]
 
@@ -188,48 +156,20 @@ def linear_curve_bounds(data, model, nuisances, spec, a0):
     if not model.linear:
         raise ValueError("linear_curve_bounds needs a linear model")
     b = model.basis_matrix(data.a)
-    n = data.n
-    q_mat = b.T @ b / n
+    q_mat = b.T @ b / data.n
     b0 = model.basis_matrix(np.array([float(a0)]))[0]
-    t = b @ _solve(q_mat, b0, "basis Gram matrix")
-    pos = t >= 0.0
+    pos = b @ _solve(q_mat, b0, "basis Gram matrix") >= 0.0
+    phi = {side: _phi_row(nuisances, spec.gamma, side) for side in ("lower", "upper")}
+    solve = _gram_solver(b, q_mat)
 
-    w = nuisances.weights
-    rows = {}
-    for side in ("lower", "upper"):
-        s = nuisances.s_units(spec.gamma, side)
-        kappa_own = nuisances.kappa_units(spec.gamma, side)
-        base = w * (s - kappa_own)
-        rows[side] = (base, side)
+    results = []
+    for same, other in (("lower", "upper"), ("upper", "lower")):
+        def mixed_row(i, same=same, other=other):
+            return phi[same if pos[i] else other](i)
 
-    def mixed_row(i, for_upper):
-        side = ("upper" if pos[i] else "lower") if for_upper else (
-            "lower" if pos[i] else "upper"
-        )
-        base, _ = rows[side]
-        return base[i] + nuisances.kappa_row(spec.gamma, side, i)
-
-    results = {}
-    for which, for_upper in (("lower", False), ("upper", True)):
-        kernel = PairKernel(
-            n, model.dim, lambda i, fu=for_upper: b[i][None, :] * mixed_row(i, fu)[:, None]
-        )
-        target = u_statistic(kernel)
-        beta = _solve(q_mat, target, "basis Gram matrix")
-        value = float(b0 @ beta)
-        fitted = b @ beta
-        qinv_b = _solve(q_mat, b.T, "basis Gram matrix").T
-
-        def cov_row(i, fu=for_upper, fit=fitted):
-            return qinv_b[i][None, :] * (mixed_row(i, fu) - fit[i])[:, None]
-
-        cov = u_projection_variance(PairKernel(n, model.dim, cov_row))
-        results[which] = (value, float(b0 @ cov @ b0))
-    g_low, var_low = results["lower"]
-    g_high, var_high = results["upper"]
-    if g_low > g_high:
-        g_low, g_high = g_high, g_low
-        var_low, var_high = var_high, var_low
+        beta, cov = pair_moment_fit(b, mixed_row, solve)
+        results.append((float(b0 @ beta), float(b0 @ cov @ b0)))
+    (g_low, var_low), (g_high, var_high) = sorted(results, key=lambda r: r[0])
     return g_low, g_high, (var_low, var_high)
 
 

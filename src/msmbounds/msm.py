@@ -5,7 +5,10 @@ moment features, w the density-ratio weights, and g the working curve.
 Linear curves solve in closed form; anything else runs a damped Newton.
 
 Pair kernels are evaluated exactly over all ordered pairs in deterministic
-index order, one row at a time, so results never depend on chunking.
+index order, one row at a time, so results never depend on chunking. One
+pass yields every row and column sum: the U-statistic, its Hajek-projection
+variance and, in ``pair_moment_fit``, both the target of a pair moment and
+the covariance of its solution all come from those sums.
 """
 
 import dataclasses
@@ -261,8 +264,10 @@ class PairKernel:
 
 
 def _pair_sums(kernel):
-    """One pass over rows: per-row sums, per-column sums, diagonal, all off-diagonal."""
+    """One pass over rows: per-row and per-column sums of the off-diagonal entries."""
     n, k = kernel.n, kernel.dim
+    if n < 2:
+        raise ValueError("need at least two units")
     row_sums = np.empty((n, k))
     col_sums = np.zeros((n, k))
     diag = np.empty((n, k))
@@ -272,45 +277,79 @@ def _pair_sums(kernel):
         row_sums[i] = r.sum(axis=0) - r[i]
         col_sums += r
     col_sums -= diag
-    return row_sums, col_sums, diag
+    return row_sums, col_sums
+
+
+def _u_value(row_sums):
+    n = row_sums.shape[0]
+    return row_sums.sum(axis=0) / (n * (n - 1))
+
+
+def _projection_variance(unit_sums):
+    """4 Cov(h1) from the per-unit sums 2 (n-1) h1_i of the symmetrized kernel."""
+    h1 = unit_sums / (2.0 * (unit_sums.shape[0] - 1))
+    centered = h1 - h1.mean(axis=0)
+    return 4.0 * centered.T @ centered / h1.shape[0]
 
 
 def u_statistic(kernel):
     """Exact order-2 U-statistic: average of f over all ordered pairs i != j."""
-    if kernel.n < 2:
-        raise ValueError("need at least two units")
-    row_sums, _, _ = _pair_sums(kernel)
-    total = row_sums.sum(axis=0)
-    return total / (kernel.n * (kernel.n - 1))
-
-
-def u_projection(kernel):
-    """Per-unit Hajek projection of the symmetrized kernel.
-
-    h1_i = (n-1)^-1 sum_{j != i} (f(Z_i,Z_j) + f(Z_j,Z_i)) / 2, an (n, dim)
-    array whose covariance drives the asymptotic variance.
-    """
-    if kernel.n < 2:
-        raise ValueError("need at least two units")
-    row_sums, col_sums, _ = _pair_sums(kernel)
-    return (row_sums + col_sums) / (2.0 * (kernel.n - 1))
+    return _u_value(_pair_sums(kernel)[0])
 
 
 def u_projection_variance(kernel):
-    """Asymptotic covariance of sqrt(n) times the U-statistic: 4 Cov(h1)."""
-    h1 = u_projection(kernel)
-    centered = h1 - h1.mean(axis=0)
-    cov = centered.T @ centered / h1.shape[0]
-    return 4.0 * cov
+    """Asymptotic covariance of sqrt(n) times the U-statistic: 4 Cov(h1).
+
+    h1_i = (n-1)^-1 sum_{j != i} (f(Z_i,Z_j) + f(Z_j,Z_i)) / 2 is the Hajek
+    projection of the symmetrized kernel.
+    """
+    return _projection_variance(np.add(*_pair_sums(kernel)))
 
 
 def u_statistic_with_variance(kernel):
     """U-statistic and its 4 Cov(h1) asymptotic covariance in one pass."""
-    if kernel.n < 2:
-        raise ValueError("need at least two units")
-    row_sums, col_sums, _ = _pair_sums(kernel)
-    value = row_sums.sum(axis=0) / (kernel.n * (kernel.n - 1))
-    h1 = (row_sums + col_sums) / (2.0 * (kernel.n - 1))
-    centered = h1 - h1.mean(axis=0)
-    cov = 4.0 * centered.T @ centered / h1.shape[0]
-    return value, cov
+    row_sums, col_sums = _pair_sums(kernel)
+    return _u_value(row_sums), _projection_variance(row_sums + col_sums)
+
+
+def pair_moment_fit(h, phi_row, solve):
+    """Solve the pair moment U_n[h(A_1)(phi(Z_1, Z_2) - g(A_1; beta))] = 0.
+
+    One pass over the kernel rows h_i phi_i(.) gives the target U_n[h phi];
+    ``solve(target)`` returns (beta, the fitted g(A_i; beta), the bread M).
+    The covariance is 4 Cov of the Hajek projection of M^-1 h_i (phi_ij - g_i),
+    whose row and column sums come from the same pass: subtracting g only
+    removes (n-1) h_i g_i from row i and sum_{i != j} h_i g_i from column j.
+    Returns (beta, covariance of sqrt(n) beta-hat).
+    """
+    n, dim = h.shape
+    kernel = PairKernel(n, dim, lambda i: h[i][None, :] * phi_row(i)[:, None])
+    row_sums, col_sums = _pair_sums(kernel)
+    beta, fitted, bread = solve(_u_value(row_sums))
+    hg = h * fitted[:, None]
+    unit_sums = row_sums - (n - 1) * hg + col_sums - (hg.sum(axis=0) - hg)
+    # M^-1 per unit, before the covariance: forming M^-1 V M^-T afterwards
+    # drifts ~1e-10 relative from the row-wise kernel on poly2 models
+    unit_sums = _solve(bread, unit_sums.T, "pair covariance bread").T
+    return beta, _projection_variance(unit_sums)
+
+
+def _gram_solver(b, q_mat):
+    """``solve`` for pair_moment_fit on the least-squares projection onto b."""
+
+    def solve(target):
+        beta = _solve(q_mat, target, "basis Gram matrix")
+        return beta, b @ beta, q_mat
+
+    return solve
+
+
+def _model_solver(model, a, h):
+    """``solve`` for pair_moment_fit on the working model's moment equation."""
+
+    def solve(target):
+        beta = solve_moment(model, a, target)
+        grad = model.basis_matrix(a) if model.linear else model.grad(a, beta)
+        return beta, model.predict(a, beta), h.T @ grad / a.size
+
+    return solve

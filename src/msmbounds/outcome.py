@@ -16,7 +16,7 @@ import scipy.optimize
 import scipy.sparse
 
 from .errors import GridFailure, NoConvergence, SingularMoment
-from .msm import PairKernel, _solve, solve_moment, u_projection_variance, u_statistic
+from .msm import _gram_solver, _model_solver, _solve, pair_moment_fit, solve_moment
 from .results import BetaEstimate
 
 
@@ -31,9 +31,10 @@ class DeltaSpec:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
 
 
-def _dr_base(data, nuisances):
-    """Slot-one part of the doubly-robust kernel: w_i (y_i - mu_ii)."""
-    return nuisances.weights * (data.y - nuisances.mu_units)
+def _shifted_phi_row(data, nuisances, shift):
+    """Row function i -> w_i (y_i - mu_ii) + mu(a_i, X_j) + shift_i over j."""
+    base = nuisances.weights * (data.y - nuisances.mu_units)
+    return lambda i: base[i] + nuisances.mu_row(i) + shift[i]
 
 
 def _linear_shift_bounds(data, model, nuisances, spec, direction):
@@ -45,34 +46,16 @@ def _linear_shift_bounds(data, model, nuisances, spec, direction):
     if not model.linear:
         raise ValueError("linear shift bounds need a linear model")
     b = model.basis_matrix(data.a)
-    n = data.n
-    q_mat = b.T @ b / n
-    t = b @ _solve(q_mat, direction, "basis Gram matrix")
-    signs = np.sign(t)
-    base = _dr_base(data, nuisances)
+    q_mat = b.T @ b / data.n
+    signs = np.sign(b @ _solve(q_mat, direction, "basis Gram matrix"))
+    solve = _gram_solver(b, q_mat)
 
-    out = {}
-    for which, sgn in (("lower", -1.0), ("upper", 1.0)):
-        shift = sgn * spec.delta * signs
-
-        def zeta_row(i, sh=shift):
-            return base[i] + nuisances.mu_row(i) + sh[i]
-
-        kernel = PairKernel(
-            n, model.dim, lambda i, sh=shift: b[i][None, :] * zeta_row(i, sh)[:, None]
-        )
-        beta = _solve(q_mat, u_statistic(kernel), "basis Gram matrix")
-        value = float(direction @ beta)
-        fitted = b @ beta
-        qinv_b = _solve(q_mat, b.T, "basis Gram matrix").T
-
-        def cov_row(i, sh=shift, fit=fitted):
-            return qinv_b[i][None, :] * (zeta_row(i, sh) - fit[i])[:, None]
-
-        cov = u_projection_variance(PairKernel(n, model.dim, cov_row))
-        out[which] = (value, float(direction @ cov @ direction))
-    low, var_low = out["lower"]
-    high, var_high = out["upper"]
+    out = []
+    for sgn in (-1.0, 1.0):
+        phi_row = _shifted_phi_row(data, nuisances, sgn * spec.delta * signs)
+        beta, cov = pair_moment_fit(b, phi_row, solve)
+        out.append((float(direction @ beta), float(direction @ cov @ direction)))
+    (low, var_low), (high, var_high) = out
     return low, high, (var_low, var_high)
 
 
@@ -101,27 +84,11 @@ def outcome_parametric_bounds(data, model, nuisances, spec):
     the per-direction linear bounds whenever the sign split is non-constant.
     """
     h = model.features(data.a)
-    base = _dr_base(data, nuisances)
+    solve = _model_solver(model, data.a, h)
     out = []
     for sgn in (-1.0, 1.0):
-        shift = sgn * spec.delta
-
-        def krow(i, sh=shift):
-            vals = base[i] + nuisances.mu_row(i) + sh
-            return h[i][None, :] * vals[:, None]
-
-        target = u_statistic(PairKernel(data.n, model.dim, krow))
-        beta = solve_moment(model, data.a, target)
-        g_vals = model.predict(data.a, beta)
-        grad = model.basis_matrix(data.a) if model.linear else model.grad(data.a, beta)
-        m = h.T @ grad / data.n
-        minv_h = _solve(m, h.T, "pair covariance bread").T
-
-        def cov_row(i, sh=shift, g=g_vals):
-            vals = base[i] + nuisances.mu_row(i) + sh - g[i]
-            return minv_h[i][None, :] * vals[:, None]
-
-        cov = u_projection_variance(PairKernel(data.n, model.dim, cov_row))
+        phi_row = _shifted_phi_row(data, nuisances, np.full(data.n, sgn * spec.delta))
+        beta, cov = pair_moment_fit(h, phi_row, solve)
         out.append(BetaEstimate(beta=beta, covariance=cov))
     return out[0], out[1]
 

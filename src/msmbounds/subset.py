@@ -88,15 +88,16 @@ def _subset_kernel_rows(data, nuisances, eps, side, h):
     kappa_own = nuisances.kappa_units(gamma, side)
     dr_base = w * (y - mu_own)
     delta_term = w * ((s - kappa_own) - (y - mu_own))
+    low_count, high_count = _select_counts(data.n, eps.epsilon)
 
     def row(i):
         mu_row = nuisances.mu_row(i)
         kappa_row = nuisances.kappa_row(gamma, side, i)
         r_row = kappa_row - mu_row
         if side == "lower":
-            lam_row, _ = _lambda_masks(r_row, r_row, eps.epsilon)
+            lam_row = select_bottom_mask(r_row, low_count)
         else:
-            _, lam_row = _lambda_masks(r_row, r_row, eps.epsilon)
+            lam_row = select_top_mask(r_row, high_count)
         vals = dr_base[i] + mu_row + lam_row[i] * delta_term[i] + lam_row * r_row
         return h[i][None, :] * vals[:, None]
 

@@ -18,7 +18,6 @@ from msmbounds.msm import (
     moment_matrix,
     polynomial_msm,
     sandwich_variance,
-    u_projection,
     u_projection_variance,
     u_statistic,
     u_statistic_with_variance,
@@ -163,14 +162,17 @@ def test_u_statistic_hand_value():
 
 def test_u_projection_symmetrizes():
     z, kernel = _hand_kernel()
-    h1 = u_projection(kernel)
-    for i in range(3):
-        parts = [
+    h1 = [
+        np.mean([
             0.5 * (z[i] * z[j] ** 2 + z[j] * z[i] ** 2)
             for j in range(3)
             if j != i
-        ]
-        assert h1[i, 0] == pytest.approx(np.mean(parts), abs=1e-12)
+        ])
+        for i in range(3)
+    ]
+    np.testing.assert_allclose(h1, [4.5, 9.0, 10.5], atol=1e-12)
+    # 4 Cov(h1) of the symmetrized projection, ddof 0: 4 * 6.5
+    assert u_projection_variance(kernel)[0, 0] == pytest.approx(26.0, abs=1e-12)
 
 
 def test_u_statistic_with_variance_consistent():
