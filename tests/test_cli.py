@@ -12,6 +12,8 @@ import pytest
 
 from msmbounds.cli import main
 
+from cli_cases import bounds_config, case
+
 
 def _write_config(path, payload):
     path.write_text(json.dumps(payload))
@@ -33,22 +35,6 @@ def _fit_config(**extra):
     }
     cfg.update(extra)
     return cfg
-
-
-def _bounds_config(**sens_extra):
-    sens = {
-        "family": "propensity",
-        "method": "marginal-quantile",
-        "grid": {"start": 1.0, "stop": 2.0, "step": 0.5},
-        "coord": 1,
-    }
-    sens.update(sens_extra)
-    return {
-        "data": {"dgp": {"name": "gauss-line", "n": 100, "seed": 1}},
-        "model": {"kind": "polynomial", "degree": 1},
-        "nuisance": {"in_sample": True},
-        "sensitivity": sens,
-    }
 
 
 def test_fit_writes_results_and_metadata(tmp_path, capsys):
@@ -75,7 +61,7 @@ def test_fit_json_format(tmp_path, capsys):
 
 
 def test_bounds_grid_and_collapse(tmp_path, capsys):
-    cfg = _write_config(tmp_path / "c.json", _bounds_config())
+    cfg = _write_config(tmp_path / "c.json", case("bounds-grid"))
     out = tmp_path / "run"
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
     rows = _read_curve_csv(out / "bounds_result.csv")
@@ -89,7 +75,7 @@ def test_bounds_grid_and_collapse(tmp_path, capsys):
 
 
 def test_bounds_byte_identical_across_reruns(tmp_path, capsys):
-    cfg = _write_config(tmp_path / "c.json", _bounds_config())
+    cfg = _write_config(tmp_path / "c.json", case("bounds-grid"))
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["bounds", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["bounds", "--config", cfg, "--out", str(out2)]) == 0
@@ -100,9 +86,7 @@ def test_bounds_byte_identical_across_reruns(tmp_path, capsys):
 
 
 def test_bounds_hulc_intervals(tmp_path, capsys):
-    config = _bounds_config()
-    config["inference"] = {"kind": "hulc", "alpha": 0.05, "seed": 2}
-    cfg = _write_config(tmp_path / "c.json", config)
+    cfg = _write_config(tmp_path / "c.json", case("bounds-hulc"))
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = _read_curve_csv(tmp_path / "bounds_result.csv")
     for r in rows:
@@ -113,7 +97,7 @@ def test_bounds_hulc_intervals(tmp_path, capsys):
 
 
 def test_bounds_wald_needs_variance_method(tmp_path, capsys):
-    config = _bounds_config()
+    config = bounds_config()
     config["inference"] = {"kind": "wald"}
     cfg = _write_config(tmp_path / "c.json", config)
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -121,10 +105,7 @@ def test_bounds_wald_needs_variance_method(tmp_path, capsys):
 
 
 def test_bounds_wald_with_parametric(tmp_path, capsys):
-    config = _bounds_config(method="parametric", grid=[1.0, 1.5])
-    config["data"]["dgp"]["n"] = 80
-    config["inference"] = {"kind": "wald"}
-    cfg = _write_config(tmp_path / "c.json", config)
+    cfg = _write_config(tmp_path / "c.json", case("bounds-wald-parametric"))
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = _read_curve_csv(tmp_path / "bounds_result.csv")
     for r in rows:
@@ -132,42 +113,27 @@ def test_bounds_wald_with_parametric(tmp_path, capsys):
 
 
 def test_bounds_homotopy_method(tmp_path, capsys):
-    config = _bounds_config(method="homotopy-exact", grid=[1.0, 1.2, 1.5])
-    config["data"]["dgp"]["n"] = 60
-    cfg = _write_config(tmp_path / "c.json", config)
+    cfg = _write_config(tmp_path / "c.json", case("bounds-homotopy"))
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = _read_curve_csv(tmp_path / "bounds_result.csv")
     assert len(rows) == 3
 
 
 def test_bounds_subset_families(tmp_path, capsys):
-    config = _bounds_config(family="subset-propensity", method="linear",
-                            grid=[0.0, 0.25, 0.5], gamma=2.0)
-    cfg = _write_config(tmp_path / "c.json", config)
+    cfg = _write_config(tmp_path / "c.json", case("bounds-subset-linear"))
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = _read_curve_csv(tmp_path / "bounds_result.csv")
     widths = [r[2] - r[1] for r in rows]
     assert widths[0] == pytest.approx(0.0, abs=1e-8)
     assert widths == sorted(widths)
 
-    config = _bounds_config(family="outcome", method="linear",
-                            grid=[0.0, 0.5, 1.0])
-    cfg = _write_config(tmp_path / "c2.json", config)
+    cfg = _write_config(tmp_path / "c2.json", case("bounds-outcome-linear"))
     out2 = tmp_path / "oc"
     assert main(["bounds", "--config", cfg, "--out", str(out2)]) == 0
 
 
 def test_panel_bounds_roundtrip(tmp_path, capsys):
-    config = {
-        "data": {"dgp": {"name": "panel-mix", "n": 60, "seed": 5}},
-        "model": {"kind": "cumulative-panel"},
-        "sensitivity": {
-            "family": "propensity",
-            "method": "marginal-quantile",
-            "grid": [1.0, 1.5],
-            "coord": 1,
-        },
-    }
+    config = case("bounds-panel")
     cfg = _write_config(tmp_path / "c.json", config)
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = _read_curve_csv(tmp_path / "bounds_result.csv")
@@ -186,22 +152,12 @@ def test_panel_bounds_roundtrip(tmp_path, capsys):
 
 
 def test_curve_both_families(tmp_path, capsys):
-    base = {
-        "data": {"dgp": {"name": "gauss-line", "n": 80, "seed": 2}},
-        "model": {"kind": "polynomial", "degree": 1},
-        "nuisance": {"in_sample": True},
-    }
-    base["sensitivity"] = {"family": "propensity", "gamma": 1.5,
-                           "a0_grid": [0.0, 0.5, 1.0]}
-    cfg = _write_config(tmp_path / "c.json", base)
+    cfg = _write_config(tmp_path / "c.json", case("curve-propensity"))
     assert main(["curve", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = _read_curve_csv(tmp_path / "curve_result.csv")
     assert len(rows) == 3 and all(r[1] <= r[2] + 1e-12 for r in rows)
 
-    base["sensitivity"] = {"family": "outcome", "delta": 0.5,
-                           "a0_grid": [0.0, 1.0]}
-    base["inference"] = {"kind": "wald"}
-    cfg = _write_config(tmp_path / "c2.json", base)
+    cfg = _write_config(tmp_path / "c2.json", case("curve-outcome-wald"))
     out2 = tmp_path / "o"
     assert main(["curve", "--config", cfg, "--out", str(out2)]) == 0
     rows = _read_curve_csv(out2 / "curve_result.csv")
@@ -231,7 +187,7 @@ def test_schema_rejects_unknown_keys(tmp_path, capsys):
 
 
 def test_schema_error_reports_path(tmp_path, capsys):
-    config = _bounds_config()
+    config = bounds_config()
     config["sensitivity"]["family"] = "astral"
     cfg = _write_config(tmp_path / "c.json", config)
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -239,7 +195,7 @@ def test_schema_error_reports_path(tmp_path, capsys):
 
 
 def test_unknown_method_exits_2(tmp_path, capsys):
-    config = _bounds_config(method="frobnicate")
+    config = bounds_config(method="frobnicate")
     cfg = _write_config(tmp_path / "c.json", config)
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
 
@@ -261,7 +217,7 @@ def test_missing_csv_exits_3(tmp_path, capsys):
 def test_degenerate_data_exits_4(tmp_path, capsys):
     rows = ["a,y"] + [f"2.0,{v}" for v in np.linspace(0, 1, 30)]
     (tmp_path / "const.csv").write_text("\n".join(rows) + "\n")
-    config = _bounds_config()
+    config = bounds_config()
     config["data"] = {"csv": {"path": str(tmp_path / "const.csv")}}
     cfg = _write_config(tmp_path / "c.json", config)
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 4

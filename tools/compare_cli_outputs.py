@@ -2,23 +2,26 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/compare_cli_outputs.py TREE_A TREE_B [--work DIR] [--seeds 0 1]
+    python3 tools/compare_cli_outputs.py TREE_A TREE_B [--work DIR]
 
 Each tree is a checkout with the package under ``src/``. Every case is run
 once per tree as ``python -m msmbounds <command> --config ... --out ...
 --workers 1`` with ``PYTHONPATH=<tree>/src``, on the same config file and
 input data. The cases are
 
-- the ``bounds`` and ``curve`` configs of ``tests/test_cli.py``;
+- the ``bounds`` and ``curve`` cases of ``tests/test_cli.py``, read from
+  ``tests/cli_cases.py``, which the tests read too;
 - a few more ``bounds``/``curve`` configs that reach every pair-kernel
   routine with a variance (propensity ``linear-curve``, outcome ``curve``
   and ``parametric``, subset ``parametric``);
 - the two step configs of the benchmark's ``pair-kernel-lp`` workload,
-  written by ``perfbench/workloads.write_inputs`` at full n for each seed.
+  written by ``perfbench/workloads.write_inputs`` at full n for seeds 0
+  and 1.
 
 For every output file the report says "identical" or, for a result CSV,
 the largest relative difference per column. The exit status is 0 when
-every file is identical and 1 otherwise. Uses only the stdlib and numpy.
+every case exits 0 and writes files in both trees and every file is
+identical, and 1 otherwise. Uses only the stdlib and numpy.
 """
 
 import argparse
@@ -31,113 +34,52 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [ROOT, os.path.join(ROOT, "tests")]
+
+import cli_cases  # noqa: E402
+from perfbench import workloads  # noqa: E402
 
 
-def _bounds_config(**sens_extra):
-    sens = {
-        "family": "propensity",
-        "method": "marginal-quantile",
-        "grid": {"start": 1.0, "stop": 2.0, "step": 0.5},
-        "coord": 1,
-    }
-    sens.update(sens_extra)
-    return {
-        "data": {"dgp": {"name": "gauss-line", "n": 100, "seed": 1}},
-        "model": {"kind": "polynomial", "degree": 1},
-        "nuisance": {"in_sample": True},
-        "sensitivity": sens,
-    }
+SEEDS = (0, 1)  # benchmark seeds of the pair-kernel-lp step configs
+
+FOLDS = {"folds": 2}
+
+# Every pair-kernel routine with a variance that the CLI test cases miss,
+# cross-fitted.
+EXTRA_CASES = {
+    "bounds-linear-curve-wald": ("bounds", {
+        **cli_cases.bounds_config(method="linear-curve", grid=[1.0, 2.0], a0=0.5),
+        "nuisance": FOLDS, "inference": cli_cases.WALD,
+    }),
+    "bounds-outcome-curve-wald": ("bounds", {
+        **cli_cases.bounds_config(family="outcome", method="curve", grid=[0.0, 0.5], a0=0.5),
+        "nuisance": FOLDS, "inference": cli_cases.WALD,
+    }),
+    "bounds-outcome-parametric-wald": ("bounds", {
+        **cli_cases.bounds_config(family="outcome", method="parametric", grid=[0.0, 0.5]),
+        "nuisance": FOLDS, "inference": cli_cases.WALD,
+    }),
+    "bounds-subset-parametric": ("bounds", cli_cases.bounds_config(
+        family="subset-propensity", method="parametric", grid=[0.0, 0.5], gamma=2.0)),
+    "curve-propensity-poly2-wald": ("curve", cli_cases.curve_config(
+        {"family": "propensity", "gamma": 2.0, "a0_grid": [-1.0, 0.0, 1.0]},
+        model={"kind": "polynomial", "degree": 2}, nuisance=FOLDS,
+        inference=cli_cases.WALD)),
+}
 
 
-def _with(config, **changes):
-    out = json.loads(json.dumps(config))
-    for path, value in changes.items():
-        *keys, last = path.split("__")
-        node = out
-        for key in keys:
-            node = node[key]
-        node[last] = value
-    return out
-
-
-def _curve_config(sens, **extra):
-    cfg = {
-        "data": {"dgp": {"name": "gauss-line", "n": 80, "seed": 2}},
-        "model": {"kind": "polynomial", "degree": 1},
-        "nuisance": {"in_sample": True},
-        "sensitivity": sens,
-    }
-    cfg.update(extra)
-    return cfg
-
-
-def cli_cases():
-    """(name, command, config) for the configs without input files."""
-    wald = {"kind": "wald"}
-    parametric = _bounds_config(method="parametric", grid=[1.0, 1.5])
-    panel = {
-        "data": {"dgp": {"name": "panel-mix", "n": 60, "seed": 5}},
-        "model": {"kind": "cumulative-panel"},
-        "sensitivity": {"family": "propensity", "method": "marginal-quantile",
-                        "grid": [1.0, 1.5], "coord": 1},
-    }
-    folds = {"folds": 2}
-    return [
-        # tests/test_cli.py
-        ("bounds-grid", "bounds", _bounds_config()),
-        ("bounds-hulc", "bounds", _with(
-            _bounds_config(), inference={"kind": "hulc", "alpha": 0.05, "seed": 2})),
-        ("bounds-wald-parametric", "bounds", _with(
-            parametric, data__dgp__n=80, inference=wald)),
-        ("bounds-homotopy", "bounds", _with(
-            _bounds_config(method="homotopy-exact", grid=[1.0, 1.2, 1.5]),
-            data__dgp__n=60)),
-        ("bounds-subset-linear", "bounds", _bounds_config(
-            family="subset-propensity", method="linear", grid=[0.0, 0.25, 0.5],
-            gamma=2.0)),
-        ("bounds-outcome-linear", "bounds", _bounds_config(
-            family="outcome", method="linear", grid=[0.0, 0.5, 1.0])),
-        ("bounds-panel", "bounds", panel),
-        ("curve-propensity", "curve", _curve_config(
-            {"family": "propensity", "gamma": 1.5, "a0_grid": [0.0, 0.5, 1.0]})),
-        ("curve-outcome-wald", "curve", _curve_config(
-            {"family": "outcome", "delta": 0.5, "a0_grid": [0.0, 1.0]},
-            inference=wald)),
-        # every other pair-kernel routine with a variance, cross-fitted
-        ("bounds-linear-curve-wald", "bounds", _with(
-            _bounds_config(method="linear-curve", grid=[1.0, 2.0], a0=0.5),
-            nuisance=folds, inference=wald)),
-        ("bounds-outcome-curve-wald", "bounds", _with(
-            _bounds_config(family="outcome", method="curve", grid=[0.0, 0.5], a0=0.5),
-            nuisance=folds, inference=wald)),
-        ("bounds-outcome-parametric-wald", "bounds", _with(
-            _bounds_config(family="outcome", method="parametric", grid=[0.0, 0.5]),
-            nuisance=folds, inference=wald)),
-        ("bounds-subset-parametric", "bounds", _bounds_config(
-            family="subset-propensity", method="parametric", grid=[0.0, 0.5],
-            gamma=2.0)),
-        ("curve-propensity-poly2-wald", "curve", _curve_config(
-            {"family": "propensity", "gamma": 2.0, "a0_grid": [-1.0, 0.0, 1.0]},
-            model={"kind": "polynomial", "degree": 2}, nuisance=folds,
-            inference=wald)),
-    ]
-
-
-def write_cases(work, seeds):
+def write_cases(work):
     """Write every case's config (and data) under ``work``: [(name, argv)]."""
     cases = []
-    for name, command, config in cli_cases():
+    for name, (command, config) in {**cli_cases.CASES, **EXTRA_CASES}.items():
         case_dir = os.path.join(work, name)
         os.makedirs(case_dir)
         path = os.path.join(case_dir, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh, indent=2)
         cases.append((name, [command, "--config", path]))
-    sys.path.insert(0, ROOT)
-    from perfbench import workloads
-
     for step in workloads.WORKLOADS["pair-kernel-lp"]:
-        for seed in seeds:
+        for seed in SEEDS:
             argv, _ = workloads.write_inputs(step, seed, 0, os.path.join(work, f"seed{seed}"))
             cases.append((f"{step}-seed{seed}", argv[:3]))
     return cases
@@ -187,26 +129,32 @@ def compare_file(path_a, path_b):
     return "max relative difference: " + ", ".join(parts)
 
 
+def _listdir(path):
+    return os.listdir(path) if os.path.isdir(path) else []
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree_a")
     parser.add_argument("tree_b")
     parser.add_argument("--work", help="directory for inputs and outputs (default: a temporary one)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1],
-                        help="benchmark seeds for the pair-kernel-lp steps")
     args = parser.parse_args(argv)
     work = args.work or tempfile.mkdtemp(prefix="compare_cli_")
     os.makedirs(work, exist_ok=True)
     all_identical = True
-    for name, case_argv in write_cases(work, args.seeds):
+    for name, case_argv in write_cases(work):
         outs = []
         for label, tree in (("a", args.tree_a), ("b", args.tree_b)):
             out = os.path.join(work, "out", label, name)
             code, err = run_case(tree, case_argv, out)
             if code != 0:
                 print(f"{name}: tree {label} exited {code}: {err.splitlines()[-1:]}")
+                all_identical = False
             outs.append(out)
-        files = sorted(set(os.listdir(outs[0])) | set(os.listdir(outs[1])))
+        files = sorted(set(_listdir(outs[0])) | set(_listdir(outs[1])))
+        if not files:
+            print(f"{name}: no output files")
+            all_identical = False
         for fname in files:
             paths = [os.path.join(o, fname) for o in outs]
             if not all(os.path.exists(p) for p in paths):
