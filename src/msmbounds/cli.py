@@ -6,6 +6,12 @@ rejected), with environment overrides via MSMBOUNDS_SECTION__KEY. Outputs
 are plot-ready CSV curves plus a JSON metadata sidecar; identical config
 and seed produce byte-identical files regardless of worker count.
 
+``bounds`` looks its (family, method) up in one table, ``ROUTES``: each
+route's library call, the sensitivity keys it needs, its caveat flags and
+whether HulC around it is flagged "heuristic CI". ``FAMILIES`` holds each
+family's grid knob, grid start and spec. ``curve`` runs the a0 route of its
+family over an a0 grid; both commands share one body.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
 
@@ -14,6 +20,7 @@ import json
 import multiprocessing
 import os
 import sys
+from collections import namedtuple
 
 import jsonschema
 import numpy as np
@@ -408,241 +415,210 @@ def _metadata(command, config, seed, flags, extra=None):
 
 
 # ---------------------------------------------------------------------------
-# bounds computation shared by cmd_bounds / cmd_curve and their HulC reruns
+# the route table of bounds and curve
 
 
-_TRACE_METHODS = {"homotopy-exact", "homotopy-linearized", "coordinate-ascent"}
-_HEURISTIC_CI_METHODS = _TRACE_METHODS | {
-    "marginal-quantile",
-    "conditional-quantile",
-    "local",
-    "theta",
-    "linear",
-    "independent",
-    "nonlinear-grid",
+# A sensitivity model: the knob its grid sweeps, the knob value at which the
+# bounds collapse (every grid starts there), and spec(value, sensitivity
+# config), its library spec at one knob value.
+_Family = namedtuple("_Family", "knob start spec", defaults=(None,))
+
+
+FAMILIES = {
+    "propensity": _Family("gamma", 1.0, lambda v, sens: GammaSpec(v)),
+    "outcome": _Family("delta", 0.0, lambda v, sens: DeltaSpec(v)),
+    "subset-propensity": _Family(
+        "epsilon", 0.0, lambda v, sens: EpsilonSpec(v, GammaSpec(sens["gamma"]))),
+    "subset-outcome": _Family(
+        "epsilon", 0.0, lambda v, sens: EpsilonSpec(v, DeltaSpec(sens["delta"]))),
+    # its one route takes the whole gamma grid
+    "subset-independent": _Family("gamma", 1.0),
 }
 
 
-def _bounds_on_dataset(data, config, seed):
-    """Point bounds over the sensitivity grid: (lower, upper, variances, flags).
+# What a route runs on; for panel data ``nuis`` holds the trajectory weights.
+_Run = namedtuple("_Run", "data model nuis sens coord seed")
 
-    variances is None or a pair of arrays on the sqrt(n) scale.
-    """
+
+# How ``bounds`` runs one (family, method). ``call(run, spec)`` gives one grid
+# value's (lo, hi) or (lo, hi, (var_lo, var_hi)); with ``whole_grid``,
+# ``call(run, grid)`` gives a trace with ``lower`` and ``upper``. Each call
+# names its library routine inside a lambda, so the routine is looked up when
+# it runs, not bound at import. ``keys`` are the sensitivity keys it needs,
+# ``flags`` its caveats, and ``heuristic_ci`` marks HulC intervals around it
+# as "heuristic CI".
+_Route = namedtuple(
+    "_Route", "call keys flags heuristic_ci whole_grid", defaults=((), (), True, False)
+)
+
+
+def _coord_bounds(estimates, coord):
+    """Ordered bounds on beta[coord] and their variances from a (lower, upper)
+    pair of BetaEstimates."""
+    est_low, est_high = estimates
+    lo, hi = est_low.beta[coord], est_high.beta[coord]
+    vlo, vhi = est_low.covariance[coord, coord], est_high.covariance[coord, coord]
+    return (hi, lo, (vhi, vlo)) if lo > hi else (lo, hi, (vlo, vhi))
+
+
+def _homotopy(flavor):
+    return lambda r, grid: homotopy_bounds(
+        r.data, r.model, nuisances=r.nuis, grid=grid, flavor=flavor,
+        constraint=r.sens.get("constraint", "marginal"), coord=r.coord,
+        inner_iterations=r.sens.get("inner_iterations", 1),
+    )
+
+
+def _panel_homotopy(flavor):
+    return lambda r, grid: panel_propensity_bounds(
+        r.data, r.model, r.nuis, grid, method="homotopy", coord=r.coord,
+        flavor=flavor, inner_iterations=r.sens.get("inner_iterations", 1),
+    )
+
+
+_ASYMPTOTIC = ("asymptotic, rate-conditional",)
+
+# (family, method) -> route; panel data runs the ("panel", method) routes,
+# all of the propensity family
+ROUTES = {
+    ("propensity", "marginal-quantile"): _Route(
+        lambda r, spec: marginal_quantile_beta_bounds(r.data, r.model, r.nuis, spec, r.coord)),
+    ("propensity", "conditional-quantile"): _Route(
+        lambda r, spec: conditional_quantile_beta_bounds(r.data, r.model, r.nuis, spec, r.coord)),
+    ("propensity", "local"): _Route(
+        lambda r, spec: local_beta_bounds(r.data, r.model, r.nuis, spec, r.coord)),
+    ("propensity", "parametric"): _Route(
+        lambda r, spec: _coord_bounds(
+            fit_parametric_bounds(r.data, r.model, r.nuis, spec), r.coord),
+        flags=_ASYMPTOTIC, heuristic_ci=False),
+    ("propensity", "linear-curve"): _Route(
+        lambda r, spec: linear_curve_bounds(r.data, r.model, r.nuis, spec, r.sens["a0"]),
+        keys=("a0",), flags=_ASYMPTOTIC, heuristic_ci=False),
+    ("propensity", "homotopy-exact"): _Route(_homotopy("exact"), whole_grid=True),
+    ("propensity", "homotopy-linearized"): _Route(_homotopy("linearized"), whole_grid=True),
+    ("propensity", "coordinate-ascent"): _Route(
+        lambda r, grid: coordinate_ascent_bounds(
+            r.data, r.model, r.nuis.weights, grid, coord=r.coord,
+            n_orderings=r.sens.get("n_orderings", 3), seed=r.seed),
+        whole_grid=True),
+    ("outcome", "linear"): _Route(
+        lambda r, spec: outcome_beta_bounds_linear(r.data, r.model, r.nuis, spec, r.coord)),
+    ("outcome", "parametric"): _Route(
+        lambda r, spec: _coord_bounds(
+            outcome_parametric_bounds(r.data, r.model, r.nuis, spec), r.coord),
+        flags=_ASYMPTOTIC, heuristic_ci=False),
+    ("outcome", "curve"): _Route(
+        lambda r, spec: outcome_curve_bounds(r.data, r.model, r.nuis, spec, r.sens["a0"]),
+        keys=("a0",), flags=_ASYMPTOTIC, heuristic_ci=False),
+    ("outcome", "nonlinear-grid"): _Route(
+        lambda r, spec: outcome_nonlinear_grid_bounds(
+            r.data, r.model, r.nuis, spec, r.coord,
+            grid_res=r.sens.get("grid_res", 7), lp_filter=r.sens.get("lp_filter", False)),
+        flags=("conservative box",)),
+    ("subset-propensity", "theta"): _Route(
+        lambda r, eps: subset_theta_bounds(r.data, r.nuis, eps, r.sens["a0"]),
+        keys=("gamma", "a0")),
+    ("subset-propensity", "parametric"): _Route(
+        lambda r, eps: sorted(b.beta[r.coord] for b in subset_parametric_bounds(
+            r.data, r.model, r.nuis, eps)),
+        keys=("gamma",), heuristic_ci=False),
+    ("subset-propensity", "linear"): _Route(
+        lambda r, eps: subset_linear_beta_bounds(r.data, r.model, r.nuis, eps, r.coord),
+        keys=("gamma",)),
+    ("subset-outcome", "outcome-shift"): _Route(
+        lambda r, eps: subset_outcome_beta_bounds(r.data, r.model, r.nuis, eps, r.coord),
+        keys=("delta",), heuristic_ci=False),
+    ("subset-independent", "independent"): _Route(
+        lambda r, grid: subset_independent_bounds(
+            r.data, r.model, r.nuis, grid, r.coord, r.sens["epsilon"]),
+        keys=("epsilon",), whole_grid=True),
+    ("panel", "homotopy-exact"): _Route(_panel_homotopy("exact"), whole_grid=True),
+    ("panel", "homotopy-linearized"): _Route(_panel_homotopy("linearized"), whole_grid=True),
+    ("panel", "marginal-quantile"): _Route(
+        lambda r, grid: panel_propensity_bounds(
+            r.data, r.model, r.nuis, grid, method="marginal-quantile", coord=r.coord),
+        whole_grid=True),
+    ("panel", "local"): _Route(
+        lambda r, grid: panel_propensity_bounds(
+            r.data, r.model, r.nuis, grid, method="local", coord=r.coord),
+        whole_grid=True),
+}
+
+
+def _find_route(sens, panel):
+    """The route of the config's (family, method), with its keys present."""
+    family, method = sens["family"], sens["method"]
+    if panel and family != "propensity":
+        raise ConfigError("panel bounds support the propensity family only")
+    kind = "panel" if panel else family
+    route = ROUTES.get((kind, method))
+    if route is None:
+        raise UsageError(f"unknown {kind} bounds method {method!r}")
+    for key in route.keys:
+        if key not in sens:
+            raise ConfigError(f"{family} method {method!r} needs sensitivity.{key}")
+    return route
+
+
+def _make_run(data, config, seed, panel=False):
     sens = config["sensitivity"]
-    family = sens["family"]
-    method = sens["method"]
-    grid = _parse_grid(sens["grid"])
-    panel = hasattr(data, "T")
     model = _make_model(config, panel)
     coord = sens.get("coord", 1 if model.dim > 1 else 0)
     if coord >= model.dim:
         raise ConfigError(f"coord {coord} out of range for a {model.dim}-column model")
-    flags = []
-
     if panel:
-        if family != "propensity":
-            raise ConfigError("panel bounds support the propensity family only")
-        weights = panel_weights(data, _nuisance_config(config))
-        method_map = {
-            "homotopy-exact": ("homotopy", "exact"),
-            "homotopy-linearized": ("homotopy", "linearized"),
-            "marginal-quantile": ("marginal-quantile", None),
-            "local": ("local", None),
-        }
-        if method not in method_map:
-            raise UsageError(f"unknown panel bounds method {method!r}")
-        kind, flavor = method_map[method]
-        kwargs = {}
-        if kind == "homotopy":
-            kwargs["inner_iterations"] = sens.get("inner_iterations", 1)
-        trace = panel_propensity_bounds(
-            data, model, weights, grid, method=kind, coord=coord,
-            flavor=flavor or "exact", **kwargs,
+        nuis = panel_weights(data, _nuisance_config(config))
+    else:
+        nuis = _make_nuisances(config, data, seed)
+    return _Run(data, model, nuis, sens, coord, seed)
+
+
+def _grid_results(results):
+    """(lower, upper, variances) arrays from per-grid-value (lo, hi) or
+    (lo, hi, (var_lo, var_hi)) results; variances is None for (lo, hi)."""
+    results = list(results)
+    lower, upper = (np.array([r[k] for r in results], dtype=float) for k in (0, 1))
+    if len(results[0]) == 2:
+        return lower, upper, None
+    variances = tuple(np.array([r[2][k] for r in results], dtype=float) for k in (0, 1))
+    return lower, upper, variances
+
+
+def _bounds_on_dataset(data, config, seed):
+    """Bounds over the sensitivity grid: (route, grid, lower, upper, variances).
+
+    variances is None or a pair of arrays on the sqrt(n) scale.
+    """
+    sens = config["sensitivity"]
+    panel = hasattr(data, "T")
+    route = _find_route(sens, panel)
+    family = FAMILIES[sens["family"]]
+    grid = _parse_grid(sens["grid"])
+    if abs(grid[0] - family.start) > 1e-12:
+        raise ConfigError(
+            f"{sens['family']} grids must start at {family.knob} = {family.start:g}"
         )
-        return trace.lower, trace.upper, None, flags
-
-    nuis = _make_nuisances(config, data, seed)
-
-    if family == "propensity":
-        if abs(grid[0] - 1.0) > 1e-12:
-            raise ConfigError("propensity grids must start at gamma = 1")
-        return _propensity_bounds(data, model, nuis, sens, method, grid, coord, seed, flags)
-    if family == "outcome":
-        if abs(grid[0]) > 1e-12:
-            raise ConfigError("outcome grids must start at delta = 0")
-        return _outcome_bounds(data, model, nuis, sens, method, grid, coord, flags)
-    if family == "subset-independent":
-        if abs(grid[0] - 1.0) > 1e-12:
-            raise ConfigError("subset-independent grids must start at gamma = 1")
-        if "epsilon" not in sens:
-            raise ConfigError("subset-independent needs a fixed epsilon")
-        trace = subset_independent_bounds(
-            data, model, nuis, grid, coord, sens["epsilon"]
-        )
-        return trace.lower, trace.upper, None, flags
-    if abs(grid[0]) > 1e-12:
-        raise ConfigError("subset grids must start at epsilon = 0")
-    if family == "subset-propensity":
-        if "gamma" not in sens:
-            raise ConfigError("subset-propensity needs a fixed gamma")
-        inner = GammaSpec(sens["gamma"])
-        return _subset_propensity_bounds(
-            data, model, nuis, sens, method, grid, coord, inner, flags
-        )
-    # subset-outcome
-    if "delta" not in sens:
-        raise ConfigError("subset-outcome needs a fixed delta")
-    inner = DeltaSpec(sens["delta"])
-    lower = np.empty(grid.size)
-    upper = np.empty(grid.size)
-    if method != "outcome-shift":
-        raise UsageError(f"unknown subset-outcome method {method!r}")
-    for j, epsv in enumerate(grid):
-        lower[j], upper[j] = subset_outcome_beta_bounds(
-            data, model, nuis, EpsilonSpec(float(epsv), inner), coord
-        )
-    return lower, upper, None, flags
-
-
-def _variance_bounds(results):
-    """(lower, upper, (var_lower, var_upper)) arrays from per-grid-value
-    (lo, hi, (var_lo, var_hi)) results."""
-    rows = [(lo, hi, vlo, vhi) for lo, hi, (vlo, vhi) in results]
-    lower, upper, vlo, vhi = (np.array(col, dtype=float) for col in zip(*rows))
-    return lower, upper, (vlo, vhi)
-
-
-def _estimate_bounds(pairs, coord, flags):
-    """Ordered coordinate bounds and their variances from (lower, upper)
-    BetaEstimate pairs, one pair per grid value."""
-    flags.append("asymptotic, rate-conditional")
-    results = []
-    for est_low, est_high in pairs:
-        lo, hi = est_low.beta[coord], est_high.beta[coord]
-        vlo, vhi = est_low.covariance[coord, coord], est_high.covariance[coord, coord]
-        results.append((hi, lo, (vhi, vlo)) if lo > hi else (lo, hi, (vlo, vhi)))
-    lower, upper, variances = _variance_bounds(results)
-    return lower, upper, variances, flags
-
-
-def _propensity_bounds(data, model, nuis, sens, method, grid, coord, seed, flags):
-    if method in _TRACE_METHODS:
-        if method == "coordinate-ascent":
-            trace = coordinate_ascent_bounds(
-                data, model, nuis.weights, grid, coord=coord,
-                n_orderings=sens.get("n_orderings", 3), seed=seed,
-            )
-        else:
-            trace = homotopy_bounds(
-                data, model, nuisances=nuis, grid=grid,
-                flavor=method.split("-", 1)[1],
-                constraint=sens.get("constraint", "marginal"),
-                coord=coord,
-                inner_iterations=sens.get("inner_iterations", 1),
-            )
-        return trace.lower, trace.upper, None, flags
-    if method == "parametric":
-        pairs = (fit_parametric_bounds(data, model, nuis, GammaSpec(float(g))) for g in grid)
-        return _estimate_bounds(pairs, coord, flags)
-    if method == "linear-curve":
-        if "a0" not in sens:
-            raise ConfigError("linear-curve needs a0")
-        flags.append("asymptotic, rate-conditional")
-        lower, upper, variances = _variance_bounds(
-            linear_curve_bounds(data, model, nuis, GammaSpec(float(g)), sens["a0"])
-            for g in grid
-        )
-        return lower, upper, variances, flags
-    routines = {
-        "marginal-quantile": marginal_quantile_beta_bounds,
-        "conditional-quantile": conditional_quantile_beta_bounds,
-        "local": local_beta_bounds,
-    }
-    if method not in routines:
-        raise UsageError(f"unknown propensity bounds method {method!r}")
-    fn = routines[method]
-    lower = np.empty(grid.size)
-    upper = np.empty(grid.size)
-    for j, g in enumerate(grid):
-        lower[j], upper[j] = fn(data, model, nuis, GammaSpec(float(g)), coord)
-    return lower, upper, None, flags
-
-
-def _outcome_bounds(data, model, nuis, sens, method, grid, coord, flags):
-    lower = np.empty(grid.size)
-    upper = np.empty(grid.size)
-    if method == "linear":
-        for j, d in enumerate(grid):
-            lower[j], upper[j] = outcome_beta_bounds_linear(
-                data, model, nuis, DeltaSpec(float(d)), coord
-            )
-        return lower, upper, None, flags
-    if method == "curve":
-        if "a0" not in sens:
-            raise ConfigError("outcome curve bounds need a0")
-        flags.append("asymptotic, rate-conditional")
-        lower, upper, variances = _variance_bounds(
-            outcome_curve_bounds(data, model, nuis, DeltaSpec(float(d)), sens["a0"])
-            for d in grid
-        )
-        return lower, upper, variances, flags
-    if method == "parametric":
-        pairs = (outcome_parametric_bounds(data, model, nuis, DeltaSpec(float(d))) for d in grid)
-        return _estimate_bounds(pairs, coord, flags)
-    if method == "nonlinear-grid":
-        flags.append("conservative box")
-        for j, d in enumerate(grid):
-            lower[j], upper[j] = outcome_nonlinear_grid_bounds(
-                data, model, nuis, DeltaSpec(float(d)), coord,
-                grid_res=sens.get("grid_res", 7),
-                lp_filter=sens.get("lp_filter", False),
-            )
-        return lower, upper, None, flags
-    raise UsageError(f"unknown outcome bounds method {method!r}")
-
-
-def _subset_propensity_bounds(data, model, nuis, sens, method, grid, coord, inner, flags):
-    lower = np.empty(grid.size)
-    upper = np.empty(grid.size)
-    if method == "theta":
-        if "a0" not in sens:
-            raise ConfigError("subset theta bounds need a0")
-        for j, epsv in enumerate(grid):
-            lower[j], upper[j] = subset_theta_bounds(
-                data, nuis, EpsilonSpec(float(epsv), inner), sens["a0"]
-            )
-        return lower, upper, None, flags
-    if method == "parametric":
-        for j, epsv in enumerate(grid):
-            est_low, est_high = subset_parametric_bounds(
-                data, model, nuis, EpsilonSpec(float(epsv), inner)
-            )
-            lo, hi = est_low.beta[coord], est_high.beta[coord]
-            lower[j], upper[j] = min(lo, hi), max(lo, hi)
-        return lower, upper, None, flags
-    if method == "linear":
-        for j, epsv in enumerate(grid):
-            lower[j], upper[j] = subset_linear_beta_bounds(
-                data, model, nuis, EpsilonSpec(float(epsv), inner), coord
-            )
-        return lower, upper, None, flags
-    raise UsageError(f"unknown subset-propensity method {method!r}")
+    run = _make_run(data, config, seed, panel)
+    if route.whole_grid:
+        trace = route.call(run, grid)
+        return route, grid, trace.lower, trace.upper, None
+    results = (route.call(run, family.spec(float(v), sens)) for v in grid)
+    return (route, grid, *_grid_results(results))
 
 
 def _curve_on_dataset(data, config, seed):
-    """Dose-response bounds over an a0 grid at a fixed sensitivity value."""
+    """Dose-response bounds over an a0 grid at a fixed sensitivity value:
+    the family's a0 route, with the a0 grid in place of the knob's grid."""
+    if hasattr(data, "T"):
+        raise ConfigError("curve works on static datasets")
     sens = config["sensitivity"]
+    family = FAMILIES[sens["family"]]
+    route = ROUTES[sens["family"], "linear-curve" if sens["family"] == "propensity" else "curve"]
     a0_grid = _parse_grid(sens["a0_grid"])
-    model = _make_model(config, panel=False)
-    nuis = _make_nuisances(config, data, seed)
-    if sens["family"] == "propensity":
-        spec, routine = GammaSpec(sens.get("gamma", 1.0)), linear_curve_bounds
-    else:
-        spec, routine = DeltaSpec(sens.get("delta", 0.0)), outcome_curve_bounds
-    lower, upper, variances = _variance_bounds(
-        routine(data, model, nuis, spec, float(a0)) for a0 in a0_grid
-    )
-    return a0_grid, lower, upper, variances
+    spec = family.spec(sens.get(family.knob, family.start), sens)
+    run = _make_run(data, config, seed)
+    results = (route.call(run._replace(sens={**sens, "a0": float(a0)}), spec) for a0 in a0_grid)
+    return (route, a0_grid, *_grid_results(results))
 
 
 def _wald_band(lower, upper, variances, n, alpha):
@@ -652,7 +628,7 @@ def _wald_band(lower, upper, variances, n, alpha):
     return ci_lower, ci_upper
 
 
-def _hulc_band(data, config, seed, compute, alpha, hseed):
+def _hulc_band(data, compute, alpha, hseed):
     """Min/max of per-subsample reruns of ``compute`` at every grid point."""
     b = HulcSpec(alpha=alpha, seed=hseed).n_subsamples
     if data.n // b < 4:
@@ -707,8 +683,33 @@ def cmd_fit(args):
     return 0
 
 
-def _write_bounds_outputs(args, command, config, seed, grid, lower, upper,
-                          ci_lower, ci_upper, flags):
+def _grid_command(args, command, compute):
+    """``bounds`` and ``curve``: load the config, compute the bounds over the
+    grid, add Wald or HulC intervals, then write the result and meta files.
+
+    compute(data, config, seed) -> (route, grid, lower, upper, variances).
+    """
+    config = _load_config(command, args.config)
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    data = _make_data(config, seed)
+    route, grid, lower, upper, variances = compute(data, config, seed)
+    flags = list(route.flags)
+    inference = config.get("inference", {})
+    kind = inference.get("kind", "none")
+    alpha = inference.get("alpha", 0.05)
+    ci_lower = ci_upper = None
+    if kind == "wald":
+        if variances is None:
+            method = config["sensitivity"]["method"]
+            raise ConfigError(f"wald intervals are unavailable for method {method!r}; use hulc")
+        ci_lower, ci_upper = _wald_band(lower, upper, variances, data.n, alpha)
+    elif kind == "hulc":
+        if route.heuristic_ci:
+            flags.append("heuristic CI")
+        ci_lower, ci_upper = _hulc_band(
+            data, lambda sub: compute(sub, config, seed)[2:4], alpha, inference.get("seed", seed)
+        )
+
     if np.any(lower > upper + 1e-12):
         raise NumericalError("lower bound exceeded upper bound on the grid")
     if args.format == "json":
@@ -733,64 +734,11 @@ def _write_bounds_outputs(args, command, config, seed, grid, lower, upper,
 
 
 def cmd_bounds(args):
-    config = _load_config("bounds", args.config)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    data = _make_data(config, seed)
-    sens = config["sensitivity"]
-    grid = _parse_grid(sens["grid"])
-    lower, upper, variances, flags = _bounds_on_dataset(data, config, seed)
-
-    inference = config.get("inference", {"kind": "none"})
-    kind = inference.get("kind", "none")
-    ci_lower = ci_upper = None
-    if kind == "wald":
-        if variances is None:
-            raise ConfigError(
-                f"wald intervals are unavailable for method {sens['method']!r}; use hulc"
-            )
-        alpha = inference.get("alpha", 0.05)
-        ci_lower, ci_upper = _wald_band(lower, upper, variances, data.n, alpha)
-    elif kind == "hulc":
-        if sens["method"] in _HEURISTIC_CI_METHODS:
-            flags.append("heuristic CI")
-        alpha = inference.get("alpha", 0.05)
-        hseed = inference.get("seed", seed)
-
-        def compute(subdata):
-            lo, hi, _, _ = _bounds_on_dataset(subdata, config, seed)
-            return lo, hi
-
-        ci_lower, ci_upper = _hulc_band(data, config, seed, compute, alpha, hseed)
-    return _write_bounds_outputs(
-        args, "bounds", config, seed, grid, lower, upper, ci_lower, ci_upper, flags
-    )
+    return _grid_command(args, "bounds", _bounds_on_dataset)
 
 
 def cmd_curve(args):
-    config = _load_config("curve", args.config)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    data = _make_data(config, seed)
-    if hasattr(data, "T"):
-        raise ConfigError("curve works on static datasets")
-    grid, lower, upper, variances = _curve_on_dataset(data, config, seed)
-    flags = ["asymptotic, rate-conditional"]
-    inference = config.get("inference", {"kind": "none"})
-    kind = inference.get("kind", "none")
-    ci_lower = ci_upper = None
-    alpha = inference.get("alpha", 0.05)
-    if kind == "wald":
-        ci_lower, ci_upper = _wald_band(lower, upper, variances, data.n, alpha)
-    elif kind == "hulc":
-        hseed = inference.get("seed", seed)
-
-        def compute(subdata):
-            _, lo, hi, _ = _curve_on_dataset(subdata, config, seed)
-            return lo, hi
-
-        ci_lower, ci_upper = _hulc_band(data, config, seed, compute, alpha, hseed)
-    return _write_bounds_outputs(
-        args, "curve", config, seed, grid, lower, upper, ci_lower, ci_upper, flags
-    )
+    return _grid_command(args, "curve", _curve_on_dataset)
 
 
 def cmd_simulate(args):

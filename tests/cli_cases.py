@@ -2,6 +2,9 @@
 
 ``tests/test_cli.py`` runs each case, and ``tools/compare_cli_outputs.py``
 runs the same cases on two source trees, so both read them from here.
+The cases are the configs of the named tests in ``tests/test_cli.py``, a
+few more that reach every pair-kernel routine with a Wald variance, and one
+HulC case per static (family, method) route of ``bounds``.
 This module imports nothing from ``msmbounds``.
 """
 
@@ -35,14 +38,13 @@ def curve_config(sens, **sections):
 
 
 WALD = {"kind": "wald"}
+HULC = {"kind": "hulc", "alpha": 0.05, "seed": 2}
+FOLDS = {"folds": 2}
 
 # name -> (command, config); every case exits 0.
 CASES = {
     "bounds-grid": ("bounds", bounds_config()),
-    "bounds-hulc": ("bounds", {
-        **bounds_config(),
-        "inference": {"kind": "hulc", "alpha": 0.05, "seed": 2},
-    }),
+    "bounds-hulc": ("bounds", {**bounds_config(), "inference": HULC}),
     "bounds-wald-parametric": ("bounds", {
         **bounds_config(80, method="parametric", grid=[1.0, 1.5]),
         "inference": WALD,
@@ -70,6 +72,67 @@ CASES = {
         {"family": "outcome", "delta": 0.5, "a0_grid": [0.0, 1.0]},
         inference=WALD)),
 }
+
+# Every pair-kernel routine with a variance that the cases above miss,
+# cross-fitted.
+PAIR_KERNEL_CASES = {
+    "bounds-linear-curve-wald": ("bounds", {
+        **bounds_config(method="linear-curve", grid=[1.0, 2.0], a0=0.5),
+        "nuisance": FOLDS, "inference": WALD,
+    }),
+    "bounds-outcome-curve-wald": ("bounds", {
+        **bounds_config(family="outcome", method="curve", grid=[0.0, 0.5], a0=0.5),
+        "nuisance": FOLDS, "inference": WALD,
+    }),
+    "bounds-outcome-parametric-wald": ("bounds", {
+        **bounds_config(family="outcome", method="parametric", grid=[0.0, 0.5]),
+        "nuisance": FOLDS, "inference": WALD,
+    }),
+    "bounds-subset-parametric": ("bounds", bounds_config(
+        family="subset-propensity", method="parametric", grid=[0.0, 0.5], gamma=2.0)),
+    "curve-propensity-poly2-wald": ("curve", curve_config(
+        {"family": "propensity", "gamma": 2.0, "a0_grid": [-1.0, 0.0, 1.0]},
+        model={"kind": "polynomial", "degree": 2}, nuisance=FOLDS, inference=WALD)),
+}
+CASES.update(PAIR_KERNEL_CASES)
+
+_OUTCOME_GRID = [0.0, 0.5, 1.0]
+_SUBSET_GRID = [0.0, 0.25, 0.5]
+
+# (family, method) -> the sensitivity settings, beyond bounds_config's, of
+# one case per static route of ``bounds``: a grid from the family's null
+# value and the keys that the route needs.
+ROUTE_SENSITIVITY = {
+    ("propensity", "marginal-quantile"): {},
+    ("propensity", "conditional-quantile"): {},
+    ("propensity", "local"): {},
+    ("propensity", "parametric"): {},
+    ("propensity", "linear-curve"): {"a0": 0.5},
+    ("propensity", "homotopy-exact"): {},
+    ("propensity", "homotopy-linearized"): {},
+    ("propensity", "coordinate-ascent"): {},
+    ("outcome", "linear"): {"grid": _OUTCOME_GRID},
+    ("outcome", "parametric"): {"grid": _OUTCOME_GRID},
+    ("outcome", "curve"): {"grid": _OUTCOME_GRID, "a0": 0.5},
+    ("outcome", "nonlinear-grid"): {"grid": _OUTCOME_GRID},
+    ("subset-propensity", "theta"): {"grid": _SUBSET_GRID, "gamma": 2.0, "a0": 0.5},
+    ("subset-propensity", "parametric"): {"grid": _SUBSET_GRID, "gamma": 2.0},
+    ("subset-propensity", "linear"): {"grid": _SUBSET_GRID, "gamma": 2.0},
+    ("subset-outcome", "outcome-shift"): {"grid": _SUBSET_GRID, "delta": 0.5},
+    ("subset-independent", "independent"): {"epsilon": 0.5},
+}
+
+
+def route_config(family, method, inference=HULC):
+    """The config of the static route (family, method) with ``inference``."""
+    sens = ROUTE_SENSITIVITY[family, method]
+    return {**bounds_config(family=family, method=method, **sens), "inference": inference}
+
+
+CASES.update(
+    (f"route-{family}-{method}", ("bounds", route_config(family, method)))
+    for family, method in ROUTE_SENSITIVITY
+)
 
 
 def case(name):

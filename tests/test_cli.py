@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,9 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msmbounds.cli import main
+from msmbounds.cli import FAMILIES, ROUTES, main
 
-from cli_cases import bounds_config, case
+from cli_cases import (
+    PAIR_KERNEL_CASES,
+    ROUTE_SENSITIVITY,
+    WALD,
+    bounds_config,
+    case,
+    route_config,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _write_config(path, payload):
@@ -194,10 +204,125 @@ def test_schema_error_reports_path(tmp_path, capsys):
     assert "config/sensitivity/family" in capsys.readouterr().err
 
 
-def test_unknown_method_exits_2(tmp_path, capsys):
-    config = bounds_config(method="frobnicate")
+@pytest.mark.parametrize("config", [
+    bounds_config(method="frobnicate"),
+    bounds_config(family="subset-independent", method="frobnicate", epsilon=0.5),
+], ids=["propensity", "subset-independent"])
+def test_unknown_method_exits_2(tmp_path, capsys, config):
     cfg = _write_config(tmp_path / "c.json", config)
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+# The meta flags of every static route under HulC, and the four routes with
+# a variance, the only ones that take Wald intervals.
+HULC_FLAGS = {
+    ("propensity", "marginal-quantile"): ["heuristic CI"],
+    ("propensity", "conditional-quantile"): ["heuristic CI"],
+    ("propensity", "local"): ["heuristic CI"],
+    ("propensity", "parametric"): ["asymptotic, rate-conditional"],
+    ("propensity", "linear-curve"): ["asymptotic, rate-conditional"],
+    ("propensity", "homotopy-exact"): ["heuristic CI"],
+    ("propensity", "homotopy-linearized"): ["heuristic CI"],
+    ("propensity", "coordinate-ascent"): ["heuristic CI"],
+    ("outcome", "linear"): ["heuristic CI"],
+    ("outcome", "parametric"): ["asymptotic, rate-conditional"],
+    ("outcome", "curve"): ["asymptotic, rate-conditional"],
+    ("outcome", "nonlinear-grid"): ["conservative box", "heuristic CI"],
+    ("subset-propensity", "theta"): ["heuristic CI"],
+    ("subset-propensity", "parametric"): [],
+    ("subset-propensity", "linear"): ["heuristic CI"],
+    ("subset-outcome", "outcome-shift"): [],
+    ("subset-independent", "independent"): ["heuristic CI"],
+}
+WALD_ROUTES = {
+    ("propensity", "parametric"),
+    ("propensity", "linear-curve"),
+    ("outcome", "parametric"),
+    ("outcome", "curve"),
+}
+
+
+def test_route_cases_cover_every_static_route():
+    static = {key for key in ROUTES if key[0] != "panel"}
+    assert set(HULC_FLAGS) == set(ROUTE_SENSITIVITY) == static
+
+
+@pytest.mark.parametrize("route", list(HULC_FLAGS), ids="/".join)
+def test_every_static_route(tmp_path, capsys, route):
+    family, method = route
+    cfg = _write_config(tmp_path / "hulc.json", case(f"route-{family}-{method}"))
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "hulc")]) == 0
+    meta = json.loads((tmp_path / "hulc" / "bounds_meta.json").read_text())
+    assert meta["flags"] == HULC_FLAGS[route]
+    rows = _read_curve_csv(tmp_path / "hulc" / "bounds_result.csv")
+    assert all(r[3] <= r[1] + 1e-12 and r[2] <= r[4] + 1e-12 for r in rows)
+
+    capsys.readouterr()
+    cfg = _write_config(tmp_path / "wald.json", route_config(family, method, WALD))
+    code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "wald")])
+    if route in WALD_ROUTES:
+        assert code == 0
+        rows = _read_curve_csv(tmp_path / "wald" / "bounds_result.csv")
+        assert all(r[3] < r[1] and r[4] > r[2] for r in rows)
+    else:
+        assert code == 2
+        assert "wald" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(PAIR_KERNEL_CASES))
+def test_pair_kernel_cases(tmp_path, capsys, name):
+    command, config = PAIR_KERNEL_CASES[name]
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = _read_curve_csv(tmp_path / f"{command}_result.csv")
+    for r in rows:
+        assert r[1] <= r[2]
+        if config.get("inference") == WALD:
+            assert r[3] < r[1] and r[4] > r[2]
+
+
+@pytest.mark.parametrize("method", ["marginal-quantile", "local", "homotopy-exact"])
+def test_panel_grid_starts_at_gamma_1(tmp_path, capsys, method):
+    config = case("bounds-panel")
+    config["sensitivity"].update(method=method, grid=[1.5, 2.0])
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: propensity grids must start at gamma = 1" in capsys.readouterr().err
+
+
+def _readme_routes():
+    """The routes that the README's "Methods per family" table and panel
+    sentence name: ({family: (knob, start)}, {(family, method): keys},
+    {panel methods})."""
+    text = README.read_text()
+    table = text.split("Methods per family for `bounds`:", 1)[1].split("\n\n")[1]
+    grids, routes = {}, {}
+    for line in table.splitlines()[2:]:
+        family_cell, grid_cell, methods_cell = line.strip("|").split("|")
+        family = re.fullmatch(r" `([\w-]+)` ", family_cell).group(1)
+        knob, start = re.fullmatch(r" (\w+), from (\S+) ", grid_cell).groups()
+        grids[family] = (knob, float(start))
+        methods, _, fixed = methods_cell.partition(";")
+        fixed_keys = tuple(re.findall(r"fixed `(\w+)`", fixed))
+        for item in methods.split(","):
+            method = re.search(r"`([\w-]+)`", item).group(1)
+            routes[family, method] = fixed_keys + tuple(re.findall(r"needs `(\w+)`", item))
+    prose = " ".join(text.split())
+    sentence = re.search(
+        r"Panel data supports the propensity family with the (.*?) methods\.", prose
+    ).group(1)
+    propensity = [m for f, m in routes if f == "propensity"]
+    panel = set()
+    for pattern in re.findall(r"`([\w*-]+)`", sentence):
+        panel |= {m for m in propensity if re.fullmatch(pattern.replace("*", ".*"), m)}
+    return grids, routes, panel
+
+
+def test_readme_names_the_route_table():
+    grids, routes, panel = _readme_routes()
+    assert grids == {family: (f.knob, f.start) for family, f in FAMILIES.items()}
+    assert routes == {key: r.keys for key, r in ROUTES.items() if key[0] != "panel"}
+    assert panel == {method for family, method in ROUTES if family == "panel"}
 
 
 def test_unknown_dgp_exits_2(tmp_path, capsys):

@@ -9,11 +9,10 @@ once per tree as ``python -m msmbounds <command> --config ... --out ...
 --workers 1`` with ``PYTHONPATH=<tree>/src``, on the same config file and
 input data. The cases are
 
-- the ``bounds`` and ``curve`` cases of ``tests/test_cli.py``, read from
-  ``tests/cli_cases.py``, which the tests read too;
-- a few more ``bounds``/``curve`` configs that reach every pair-kernel
-  routine with a variance (propensity ``linear-curve``, outcome ``curve``
-  and ``parametric``, subset ``parametric``);
+- the ``bounds`` and ``curve`` cases of ``tests/cli_cases.py``, which
+  ``tests/test_cli.py`` runs too: the configs of its named tests, more
+  configs that reach every pair-kernel routine with a variance, and one
+  HulC case per static (family, method) route of ``bounds``;
 - the two step configs of the benchmark's ``pair-kernel-lp`` workload,
   written by ``perfbench/workloads.write_inputs`` at full n for seeds 0
   and 1.
@@ -42,36 +41,11 @@ from perfbench import workloads  # noqa: E402
 
 SEEDS = (0, 1)  # benchmark seeds of the pair-kernel-lp step configs
 
-FOLDS = {"folds": 2}
-
-# Every pair-kernel routine with a variance that the CLI test cases miss,
-# cross-fitted.
-EXTRA_CASES = {
-    "bounds-linear-curve-wald": ("bounds", {
-        **cli_cases.bounds_config(method="linear-curve", grid=[1.0, 2.0], a0=0.5),
-        "nuisance": FOLDS, "inference": cli_cases.WALD,
-    }),
-    "bounds-outcome-curve-wald": ("bounds", {
-        **cli_cases.bounds_config(family="outcome", method="curve", grid=[0.0, 0.5], a0=0.5),
-        "nuisance": FOLDS, "inference": cli_cases.WALD,
-    }),
-    "bounds-outcome-parametric-wald": ("bounds", {
-        **cli_cases.bounds_config(family="outcome", method="parametric", grid=[0.0, 0.5]),
-        "nuisance": FOLDS, "inference": cli_cases.WALD,
-    }),
-    "bounds-subset-parametric": ("bounds", cli_cases.bounds_config(
-        family="subset-propensity", method="parametric", grid=[0.0, 0.5], gamma=2.0)),
-    "curve-propensity-poly2-wald": ("curve", cli_cases.curve_config(
-        {"family": "propensity", "gamma": 2.0, "a0_grid": [-1.0, 0.0, 1.0]},
-        model={"kind": "polynomial", "degree": 2}, nuisance=FOLDS,
-        inference=cli_cases.WALD)),
-}
-
 
 def write_cases(work):
     """Write every case's config (and data) under ``work``: [(name, argv)]."""
     cases = []
-    for name, (command, config) in {**cli_cases.CASES, **EXTRA_CASES}.items():
+    for name, (command, config) in cli_cases.CASES.items():
         case_dir = os.path.join(work, name)
         os.makedirs(case_dir)
         path = os.path.join(case_dir, "config.json")
