@@ -7,10 +7,16 @@ are plot-ready CSV curves plus a JSON metadata sidecar; identical config
 and seed produce byte-identical files regardless of worker count.
 
 ``bounds`` looks its (family, method) up in one table, ``ROUTES``: each
-route's library call, the sensitivity keys it needs, its caveat flags and
-whether HulC around it is flagged "heuristic CI". ``FAMILIES`` holds each
-family's grid knob, grid start and spec. ``curve`` runs the a0 route of its
-family over an a0 grid; both commands share one body.
+route's library call, the sensitivity keys it needs, its caveat flags,
+whether HulC around it is flagged "heuristic CI" and whether it takes panel
+data. ``FAMILIES`` holds each family's grid knob, grid start and spec.
+``curve`` runs the a0 route of its family over an a0 grid; both commands
+share one body.
+
+Panel data runs the routes marked ``panel`` through the static code: one
+confounding weight per trajectory reduces it to the static problem on (path
+features, product weight, outcome), and the fixed-weight nuisance adapter
+serves the product weights of ``panel_weights``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -27,8 +33,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._ranks import ceil_count, lower_mass_v, upper_mass_v
-from .data import load_csv, load_panel_csv, save_csv
+from ._ranks import lower_mass_v, upper_mass_v
+from .data import PanelDataset, load_csv, load_panel_csv, save_csv
 from .datagen import DgpSpec, generate
 from .errors import (
     ConfigError,
@@ -48,7 +54,7 @@ from .gamma import (
 from .homotopy import coordinate_ascent_bounds, homotopy_bounds
 from .inference import HulcSpec, subsample_partition, wald_ci
 from .msm import fit_msm, polynomial_msm
-from .nuisance import CrossFit, NuisanceConfig, SelfFit
+from .nuisance import CrossFit, NuisanceConfig, SelfFit, fixed_weight_nuisances
 from .oracles import oracle_exhaustive_beta_bound, oracle_linear_box_mean
 from .outcome import (
     DeltaSpec,
@@ -57,7 +63,7 @@ from .outcome import (
     outcome_nonlinear_grid_bounds,
     outcome_parametric_bounds,
 )
-from .panel import cumulative_panel_msm, panel_fit_msm, panel_propensity_bounds, panel_weights
+from .panel import cumulative_panel_msm, panel_weights
 from .subset import (
     EpsilonSpec,
     subset_independent_bounds,
@@ -345,7 +351,8 @@ def _make_data(cfg, default_seed):
     return load_panel_csv(d["path"], schema)
 
 
-def _make_model(cfg, panel):
+def _make_model(cfg, data):
+    panel = isinstance(data, PanelDataset)
     spec = cfg.get("model", {"kind": "polynomial", "degree": 1})
     if spec["kind"] == "cumulative-panel":
         if not panel:
@@ -366,6 +373,8 @@ def _nuisance_config(cfg):
 def _make_nuisances(cfg, data, default_seed):
     spec = cfg.get("nuisance", {})
     nconf = _nuisance_config(cfg)
+    if isinstance(data, PanelDataset):
+        return fixed_weight_nuisances(data, panel_weights(data, nconf))
     if spec.get("in_sample", False):
         return SelfFit(data, nconf)
     return CrossFit(data, nconf, seed=spec.get("seed", default_seed))
@@ -436,7 +445,7 @@ FAMILIES = {
 }
 
 
-# What a route runs on; for panel data ``nuis`` holds the trajectory weights.
+# What a route runs on; for panel data ``nuis`` serves the trajectory weights.
 _Run = namedtuple("_Run", "data model nuis sens coord seed")
 
 
@@ -445,10 +454,11 @@ _Run = namedtuple("_Run", "data model nuis sens coord seed")
 # ``call(run, grid)`` gives a trace with ``lower`` and ``upper``. Each call
 # names its library routine inside a lambda, so the routine is looked up when
 # it runs, not bound at import. ``keys`` are the sensitivity keys it needs,
-# ``flags`` its caveats, and ``heuristic_ci`` marks HulC intervals around it
-# as "heuristic CI".
+# ``flags`` its caveats, ``heuristic_ci`` marks HulC intervals around it as
+# "heuristic CI", and ``panel`` marks the routes that take panel data.
 _Route = namedtuple(
-    "_Route", "call keys flags heuristic_ci whole_grid", defaults=((), (), True, False)
+    "_Route", "call keys flags heuristic_ci whole_grid panel",
+    defaults=((), (), True, False, False),
 )
 
 
@@ -469,24 +479,18 @@ def _homotopy(flavor):
     )
 
 
-def _panel_homotopy(flavor):
-    return lambda r, grid: panel_propensity_bounds(
-        r.data, r.model, r.nuis, grid, method="homotopy", coord=r.coord,
-        flavor=flavor, inner_iterations=r.sens.get("inner_iterations", 1),
-    )
-
-
 _ASYMPTOTIC = ("asymptotic, rate-conditional",)
 
-# (family, method) -> route; panel data runs the ("panel", method) routes,
-# all of the propensity family
+# (family, method) -> route
 ROUTES = {
     ("propensity", "marginal-quantile"): _Route(
-        lambda r, spec: marginal_quantile_beta_bounds(r.data, r.model, r.nuis, spec, r.coord)),
+        lambda r, spec: marginal_quantile_beta_bounds(r.data, r.model, r.nuis, spec, r.coord),
+        panel=True),
     ("propensity", "conditional-quantile"): _Route(
         lambda r, spec: conditional_quantile_beta_bounds(r.data, r.model, r.nuis, spec, r.coord)),
     ("propensity", "local"): _Route(
-        lambda r, spec: local_beta_bounds(r.data, r.model, r.nuis, spec, r.coord)),
+        lambda r, spec: local_beta_bounds(r.data, r.model, r.nuis, spec, r.coord),
+        panel=True),
     ("propensity", "parametric"): _Route(
         lambda r, spec: _coord_bounds(
             fit_parametric_bounds(r.data, r.model, r.nuis, spec), r.coord),
@@ -494,8 +498,9 @@ ROUTES = {
     ("propensity", "linear-curve"): _Route(
         lambda r, spec: linear_curve_bounds(r.data, r.model, r.nuis, spec, r.sens["a0"]),
         keys=("a0",), flags=_ASYMPTOTIC, heuristic_ci=False),
-    ("propensity", "homotopy-exact"): _Route(_homotopy("exact"), whole_grid=True),
-    ("propensity", "homotopy-linearized"): _Route(_homotopy("linearized"), whole_grid=True),
+    ("propensity", "homotopy-exact"): _Route(_homotopy("exact"), whole_grid=True, panel=True),
+    ("propensity", "homotopy-linearized"): _Route(
+        _homotopy("linearized"), whole_grid=True, panel=True),
     ("propensity", "coordinate-ascent"): _Route(
         lambda r, grid: coordinate_ascent_bounds(
             r.data, r.model, r.nuis.weights, grid, coord=r.coord,
@@ -532,16 +537,6 @@ ROUTES = {
         lambda r, grid: subset_independent_bounds(
             r.data, r.model, r.nuis, grid, r.coord, r.sens["epsilon"]),
         keys=("epsilon",), whole_grid=True),
-    ("panel", "homotopy-exact"): _Route(_panel_homotopy("exact"), whole_grid=True),
-    ("panel", "homotopy-linearized"): _Route(_panel_homotopy("linearized"), whole_grid=True),
-    ("panel", "marginal-quantile"): _Route(
-        lambda r, grid: panel_propensity_bounds(
-            r.data, r.model, r.nuis, grid, method="marginal-quantile", coord=r.coord),
-        whole_grid=True),
-    ("panel", "local"): _Route(
-        lambda r, grid: panel_propensity_bounds(
-            r.data, r.model, r.nuis, grid, method="local", coord=r.coord),
-        whole_grid=True),
 }
 
 
@@ -550,9 +545,9 @@ def _find_route(sens, panel):
     family, method = sens["family"], sens["method"]
     if panel and family != "propensity":
         raise ConfigError("panel bounds support the propensity family only")
-    kind = "panel" if panel else family
-    route = ROUTES.get((kind, method))
-    if route is None:
+    route = ROUTES.get((family, method))
+    if route is None or (panel and not route.panel):
+        kind = "panel" if panel else family
         raise UsageError(f"unknown {kind} bounds method {method!r}")
     for key in route.keys:
         if key not in sens:
@@ -560,17 +555,13 @@ def _find_route(sens, panel):
     return route
 
 
-def _make_run(data, config, seed, panel=False):
+def _make_run(data, config, seed):
     sens = config["sensitivity"]
-    model = _make_model(config, panel)
+    model = _make_model(config, data)
     coord = sens.get("coord", 1 if model.dim > 1 else 0)
     if coord >= model.dim:
         raise ConfigError(f"coord {coord} out of range for a {model.dim}-column model")
-    if panel:
-        nuis = panel_weights(data, _nuisance_config(config))
-    else:
-        nuis = _make_nuisances(config, data, seed)
-    return _Run(data, model, nuis, sens, coord, seed)
+    return _Run(data, model, _make_nuisances(config, data, seed), sens, coord, seed)
 
 
 def _grid_results(results):
@@ -590,15 +581,14 @@ def _bounds_on_dataset(data, config, seed):
     variances is None or a pair of arrays on the sqrt(n) scale.
     """
     sens = config["sensitivity"]
-    panel = hasattr(data, "T")
-    route = _find_route(sens, panel)
+    route = _find_route(sens, isinstance(data, PanelDataset))
     family = FAMILIES[sens["family"]]
     grid = _parse_grid(sens["grid"])
     if abs(grid[0] - family.start) > 1e-12:
         raise ConfigError(
             f"{sens['family']} grids must start at {family.knob} = {family.start:g}"
         )
-    run = _make_run(data, config, seed, panel)
+    run = _make_run(data, config, seed)
     if route.whole_grid:
         trace = route.call(run, grid)
         return route, grid, trace.lower, trace.upper, None
@@ -609,7 +599,7 @@ def _bounds_on_dataset(data, config, seed):
 def _curve_on_dataset(data, config, seed):
     """Dose-response bounds over an a0 grid at a fixed sensitivity value:
     the family's a0 route, with the a0 grid in place of the knob's grid."""
-    if hasattr(data, "T"):
+    if isinstance(data, PanelDataset):
         raise ConfigError("curve works on static datasets")
     sens = config["sensitivity"]
     family = FAMILIES[sens["family"]]
@@ -652,14 +642,8 @@ def cmd_fit(args):
     config = _load_config("fit", args.config)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     data = _make_data(config, seed)
-    panel = hasattr(data, "T")
-    model = _make_model(config, panel)
-    if panel:
-        weights = panel_weights(data, _nuisance_config(config))
-        estimate = panel_fit_msm(data, model, weights)
-    else:
-        nuis = _make_nuisances(config, data, seed)
-        estimate = fit_msm(data, model, nuis)
+    model = _make_model(config, data)
+    estimate = fit_msm(data, model, _make_nuisances(config, data, seed))
     se = np.sqrt(np.diag(estimate.covariance) / data.n)
     payload = {
         "coefficients": [float(v) for v in estimate.beta],

@@ -61,6 +61,17 @@ class GammaSpec:
         return self.gamma
 
 
+def _gamma_grid(grid, increasing=True):
+    """The grid as a float array; it must start at gamma = 1 and, with
+    ``increasing``, rise strictly."""
+    grid = np.asarray(list(grid), dtype=float)
+    if grid.size == 0 or abs(grid[0] - 1.0) > 1e-12:
+        raise ValueError("grid must start at gamma = 1")
+    if increasing and grid.size > 1 and not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must be strictly increasing")
+    return grid
+
+
 def _cell_pseudo_outcomes(data, spec, side):
     """In-sample per-cell clipped pseudo-outcomes using exact cell quantiles."""
     s = np.empty(data.n)
@@ -173,16 +184,21 @@ def linear_curve_bounds(data, model, nuisances, spec, a0):
     return g_low, g_high, (var_low, var_high)
 
 
-def _coordinate_transfer(data, model, weights, coord):
-    """T_i = e^T M^-1 b(A_i) w_i, the per-unit leverage of Y_i on the coordinate."""
+def _coordinate_row(data, model, w, coord):
+    """c_i = e^T M^-1 b(A_i), with M the w-weighted basis Gram."""
     if not model.linear:
         raise ValueError("coordinate bounds need a linear model")
     b = model.basis_matrix(data.a)
-    w = np.asarray(weights, dtype=float).ravel()
     m = (b * w[:, None]).T @ b / data.n
     e = np.zeros(model.dim)
     e[coord] = 1.0
-    return b @ _solve(m.T, e, "weighted moment matrix") * w
+    return b @ _solve(m.T, e, "weighted moment matrix")
+
+
+def _coordinate_transfer(data, model, weights, coord):
+    """T_i = e^T M^-1 b(A_i) w_i, the per-unit leverage of Y_i on the coordinate."""
+    w = np.asarray(weights, dtype=float).ravel()
+    return _coordinate_row(data, model, w, coord) * w
 
 
 def marginal_quantile_beta_bounds(data, model, nuisances, spec, coord, return_v=False):

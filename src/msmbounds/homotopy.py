@@ -13,6 +13,7 @@ import numpy as np
 
 from ._ranks import gamma_count, select_bottom_mask, select_top_mask
 from .errors import NoConvergence, SingularMoment
+from .gamma import _gamma_grid
 from .msm import _solve, linear_weighted_beta, weighted_fit
 from .nuisance import group_cells
 from .results import HomotopyTrace
@@ -194,11 +195,7 @@ def homotopy_bounds(
         raise ValueError(f"unknown flavor {flavor!r}")
     if constraint not in ("marginal", "conditional"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    grid = np.asarray(list(grid), dtype=float)
-    if grid.size == 0 or abs(grid[0] - 1.0) > 1e-12:
-        raise ValueError("grid must start at gamma = 1")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be strictly increasing")
+    grid = _gamma_grid(grid)
     if weights is None:
         if nuisances is None:
             raise ValueError("pass either nuisances or explicit weights")
@@ -385,11 +382,7 @@ def coordinate_ascent_bounds(
     """
     if not model.linear:
         raise ValueError("coordinate ascent needs a linear model")
-    grid = np.asarray(list(grid), dtype=float)
-    if grid.size == 0 or abs(grid[0] - 1.0) > 1e-12:
-        raise ValueError("grid must start at gamma = 1")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be strictly increasing")
+    grid = _gamma_grid(grid)
     w = np.asarray(weights, dtype=float).ravel()
     b = model.basis_matrix(data.a)
     y = data.y

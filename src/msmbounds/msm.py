@@ -40,14 +40,23 @@ class MsmModel:
     name: str = "custom"
 
     def __post_init__(self):
-        _check_linear_features(self.basis, self.moment_features)
+        if self.basis is not None and self.moment_features is not self.basis:
+            raise ValueError(
+                "a model with a basis solves the basis moments, so moment_features "
+                "must be the basis; drop basis to solve other moment features by "
+                "the generic Newton path"
+            )
 
     @property
     def linear(self):
         return self.basis is not None
 
+    def _coerce(self, a):
+        """The treatment array the callables receive: one entry per unit."""
+        return _as_rows(a)
+
     def features(self, a):
-        h = np.asarray(self.moment_features(_as_rows(a)), dtype=float)
+        h = np.asarray(self.moment_features(self._coerce(a)), dtype=float)
         if h.ndim == 1:
             h = h[:, None]
         if h.shape[1] != self.dim:
@@ -57,28 +66,19 @@ class MsmModel:
     def basis_matrix(self, a):
         if self.basis is None:
             raise ValueError(f"model {self.name!r} has no linear basis")
-        b = np.asarray(self.basis(_as_rows(a)), dtype=float)
+        b = np.asarray(self.basis(self._coerce(a)), dtype=float)
         if b.ndim == 1:
             b = b[:, None]
         return b
 
     def predict(self, a, beta):
-        return np.asarray(self.curve(_as_rows(a), np.asarray(beta, dtype=float)))
+        return np.asarray(self.curve(self._coerce(a), np.asarray(beta, dtype=float)))
 
     def grad(self, a, beta):
-        g = np.asarray(self.gradient(_as_rows(a), np.asarray(beta, dtype=float)))
+        g = np.asarray(self.gradient(self._coerce(a), np.asarray(beta, dtype=float)))
         if g.ndim == 1:
             g = g[:, None]
         return g
-
-
-def _check_linear_features(basis, moment_features):
-    if basis is not None and moment_features is not basis:
-        raise ValueError(
-            "a model with a basis solves the basis moments, so moment_features "
-            "must be the basis; drop basis to solve other moment features by "
-            "the generic Newton path"
-        )
 
 
 def _poly_basis(degree):

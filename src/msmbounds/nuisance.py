@@ -10,11 +10,10 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from .data import Dataset, FoldAssignment, split_folds
+from .data import FoldAssignment, split_folds
 from .errors import (
     BadTau,
     ConfigError,

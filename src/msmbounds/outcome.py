@@ -13,7 +13,6 @@ import warnings
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse
 
 from .errors import GridFailure, NoConvergence, SingularMoment
 from .msm import _gram_solver, _model_solver, _solve, pair_moment_fit, solve_moment

@@ -15,7 +15,7 @@ from .data import PanelDataset
 from .errors import ConfigError
 from .gamma import GammaSpec, local_beta_bounds, marginal_quantile_beta_bounds
 from .homotopy import homotopy_bounds
-from .msm import _check_linear_features, fit_msm
+from .msm import MsmModel, fit_msm
 from .nuisance import (
     DiscretePropensity,
     GaussianPropensity,
@@ -26,56 +26,20 @@ from .results import HomotopyTrace
 
 
 @dataclasses.dataclass(frozen=True)
-class PanelMsmModel:
+class PanelMsmModel(MsmModel):
     """Working model over whole treatment paths a_1..a_T.
 
-    Callables receive the (n, T) treatment array. ``basis`` set means the
-    curve is basis @ beta and the closed forms apply; the moment features
-    must then be the basis.
+    Callables receive the (n, T) treatment array, a 1-d array being one
+    period; everything else is ``MsmModel``.
     """
 
-    dim: int
-    curve: object            # (a2d, beta) -> (n,)
-    gradient: object         # (a2d, beta) -> (n, dim)
-    moment_features: object  # (a2d,) -> (n, dim)
-    basis: object = None
     name: str = "panel-custom"
-
-    def __post_init__(self):
-        _check_linear_features(self.basis, self.moment_features)
-
-    @property
-    def linear(self):
-        return self.basis is not None
 
     def _coerce(self, a):
         a = np.asarray(a, dtype=float)
         if a.ndim == 1:
             a = a[:, None]
         return a
-
-    def features(self, a):
-        h = np.asarray(self.moment_features(self._coerce(a)), dtype=float)
-        if h.ndim == 1:
-            h = h[:, None]
-        return h
-
-    def basis_matrix(self, a):
-        if self.basis is None:
-            raise ValueError(f"model {self.name!r} has no linear basis")
-        b = np.asarray(self.basis(self._coerce(a)), dtype=float)
-        if b.ndim == 1:
-            b = b[:, None]
-        return b
-
-    def predict(self, a, beta):
-        return np.asarray(self.curve(self._coerce(a), np.asarray(beta, dtype=float)))
-
-    def grad(self, a, beta):
-        g = np.asarray(self.gradient(self._coerce(a), np.asarray(beta, dtype=float)))
-        if g.ndim == 1:
-            g = g[:, None]
-        return g
 
 
 def cumulative_panel_msm():

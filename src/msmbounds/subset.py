@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from ._ranks import ceil_count, select_bottom_mask, select_top_mask, upper_mass_v, lower_mass_v
-from .gamma import GammaSpec, _coordinate_transfer
+from .gamma import GammaSpec, _coordinate_row, _coordinate_transfer, _gamma_grid
 from .msm import PairKernel, _solve, solve_moment, u_statistic
 from .outcome import DeltaSpec
 from .results import BetaEstimate, HomotopyTrace
@@ -131,12 +131,7 @@ def subset_linear_beta_bounds(data, model, nuisances, eps, coord):
         raise ValueError("subset_linear_beta_bounds needs a linear model")
     if not isinstance(eps.inner, GammaSpec):
         raise TypeError("subset_linear_beta_bounds needs a GammaSpec inner model")
-    b = model.basis_matrix(data.a)
-    w = nuisances.weights
-    m = (b * w[:, None]).T @ b / data.n
-    e = np.zeros(model.dim)
-    e[coord] = 1.0
-    c = b @ _solve(m.T, e, "weighted moment matrix")
+    c = _coordinate_row(data, model, nuisances.weights, coord)
     lows = np.empty(data.n)
     highs = np.empty(data.n)
     for i in range(data.n):
@@ -151,9 +146,7 @@ def subset_independent_bounds(data, model, nuisances, grid, coord, epsilon):
     independent random subset: the confounding weight v is replaced by
     (1 - epsilon) + epsilon v, shrinking the box toward one.
     """
-    grid = np.asarray(list(grid), dtype=float)
-    if grid.size == 0 or abs(grid[0] - 1.0) > 1e-12:
-        raise ValueError("grid must start at gamma = 1")
+    grid = _gamma_grid(grid, increasing=False)
     f = _coordinate_transfer(data, model, nuisances.weights, coord) * data.y
     lower = np.empty(grid.size)
     upper = np.empty(grid.size)
@@ -187,9 +180,7 @@ def subset_outcome_beta_bounds(data, model, nuisances, eps, coord):
     omega = (b * w[:, None]).T @ b / data.n
     mixed_y = (1.0 - eps.epsilon) * data.y + eps.epsilon * nuisances.mu_units
     beta_star = _solve(omega, b.T @ (w * mixed_y) / data.n, "weighted basis Gram")
-    e = np.zeros(model.dim)
-    e[coord] = 1.0
-    f = b @ _solve(omega.T, e, "weighted basis Gram")
+    f = _coordinate_row(data, model, w, coord)
     half = float(eps.epsilon * eps.inner.delta * np.mean(np.abs(f)))
     center = float(beta_star[coord])
     return center - half, center + half

@@ -1,10 +1,11 @@
-"""The ``bounds`` and ``curve`` configs that the CLI tests run.
+"""The ``bounds``, ``curve`` and ``fit`` configs that the CLI tests run.
 
 ``tests/test_cli.py`` runs each case, and ``tools/compare_cli_outputs.py``
 runs the same cases on two source trees, so both read them from here.
 The cases are the configs of the named tests in ``tests/test_cli.py``, a
-few more that reach every pair-kernel routine with a Wald variance, and one
-HulC case per static (family, method) route of ``bounds``.
+few more that reach every pair-kernel routine with a Wald variance, one
+HulC case per static (family, method) route of ``bounds``, one HulC case per
+route that takes panel data, and a panel ``fit``.
 This module imports nothing from ``msmbounds``.
 """
 
@@ -37,6 +38,20 @@ def curve_config(sens, **sections):
     }
 
 
+def panel_config(method="marginal-quantile", **sections):
+    return {
+        "data": {"dgp": {"name": "panel-mix", "n": 60, "seed": 5}},
+        "model": {"kind": "cumulative-panel"},
+        "sensitivity": {
+            "family": "propensity",
+            "method": method,
+            "grid": [1.0, 1.5],
+            "coord": 1,
+        },
+        **sections,
+    }
+
+
 WALD = {"kind": "wald"}
 HULC = {"kind": "hulc", "alpha": 0.05, "seed": 2}
 FOLDS = {"folds": 2}
@@ -56,16 +71,7 @@ CASES = {
         gamma=2.0)),
     "bounds-outcome-linear": ("bounds", bounds_config(
         family="outcome", method="linear", grid=[0.0, 0.5, 1.0])),
-    "bounds-panel": ("bounds", {
-        "data": {"dgp": {"name": "panel-mix", "n": 60, "seed": 5}},
-        "model": {"kind": "cumulative-panel"},
-        "sensitivity": {
-            "family": "propensity",
-            "method": "marginal-quantile",
-            "grid": [1.0, 1.5],
-            "coord": 1,
-        },
-    }),
+    "bounds-panel": ("bounds", panel_config()),
     "curve-propensity": ("curve", curve_config(
         {"family": "propensity", "gamma": 1.5, "a0_grid": [0.0, 0.5, 1.0]})),
     "curve-outcome-wald": ("curve", curve_config(
@@ -133,6 +139,16 @@ CASES.update(
     (f"route-{family}-{method}", ("bounds", route_config(family, method)))
     for family, method in ROUTE_SENSITIVITY
 )
+
+
+# The propensity methods whose routes take panel data.
+PANEL_METHODS = ("marginal-quantile", "local", "homotopy-exact", "homotopy-linearized")
+
+CASES.update(
+    (f"panel-route-{method}", ("bounds", panel_config(method, inference=HULC)))
+    for method in PANEL_METHODS
+)
+CASES["fit-panel"] = ("fit", {key: panel_config()[key] for key in ("data", "model")})
 
 
 def case(name):

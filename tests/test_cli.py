@@ -15,10 +15,12 @@ from msmbounds.cli import FAMILIES, ROUTES, main
 
 from cli_cases import (
     PAIR_KERNEL_CASES,
+    PANEL_METHODS,
     ROUTE_SENSITIVITY,
     WALD,
     bounds_config,
     case,
+    panel_config,
     route_config,
 )
 
@@ -243,8 +245,7 @@ WALD_ROUTES = {
 
 
 def test_route_cases_cover_every_static_route():
-    static = {key for key in ROUTES if key[0] != "panel"}
-    assert set(HULC_FLAGS) == set(ROUTE_SENSITIVITY) == static
+    assert set(HULC_FLAGS) == set(ROUTE_SENSITIVITY) == set(ROUTES)
 
 
 @pytest.mark.parametrize("route", list(HULC_FLAGS), ids="/".join)
@@ -279,6 +280,44 @@ def test_pair_kernel_cases(tmp_path, capsys, name):
         assert r[1] <= r[2]
         if config.get("inference") == WALD:
             assert r[3] < r[1] and r[4] > r[2]
+
+
+def test_panel_cases_cover_every_panel_route():
+    panel = {key for key, r in ROUTES.items() if r.panel}
+    assert panel == {("propensity", method) for method in PANEL_METHODS}
+
+
+@pytest.mark.parametrize("method", PANEL_METHODS)
+def test_every_panel_route(tmp_path, capsys, method):
+    cfg = _write_config(tmp_path / "hulc.json", case(f"panel-route-{method}"))
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "hulc")]) == 0
+    meta = json.loads((tmp_path / "hulc" / "bounds_meta.json").read_text())
+    assert meta["flags"] == ["heuristic CI"]
+    rows = _read_curve_csv(tmp_path / "hulc" / "bounds_result.csv")
+    assert rows[0][1] == pytest.approx(rows[0][2], abs=1e-12)
+    assert all(r[3] <= r[1] + 1e-12 and r[2] <= r[4] + 1e-12 for r in rows)
+
+    capsys.readouterr()
+    cfg = _write_config(tmp_path / "wald.json", panel_config(method, inference=WALD))
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "wald")]) == 2
+    assert "wald" in capsys.readouterr().err
+
+
+def test_panel_fit(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.json", case("fit-panel"))
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "fit_result.csv").read_text().strip().split("\n")
+    assert lines[0] == "coord,estimate,se" and len(lines) == 3
+
+
+@pytest.mark.parametrize("method", ["homotopy-exact", "homotopy-linearized"])
+def test_panel_conditional_constraint_exits_2(tmp_path, capsys, method):
+    # panel weights carry no quantile fits, so only the marginal constraint runs
+    config = panel_config(method)
+    config["sensitivity"]["constraint"] = "conditional"
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["marginal-quantile", "local", "homotopy-exact"])
@@ -321,8 +360,8 @@ def _readme_routes():
 def test_readme_names_the_route_table():
     grids, routes, panel = _readme_routes()
     assert grids == {family: (f.knob, f.start) for family, f in FAMILIES.items()}
-    assert routes == {key: r.keys for key, r in ROUTES.items() if key[0] != "panel"}
-    assert panel == {method for family, method in ROUTES if family == "panel"}
+    assert routes == {key: r.keys for key, r in ROUTES.items()}
+    assert panel == {method for (family, method), r in ROUTES.items() if r.panel}
 
 
 def test_unknown_dgp_exits_2(tmp_path, capsys):

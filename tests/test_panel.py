@@ -70,6 +70,12 @@ def test_no_basis_raises():
         model.basis_matrix(np.array([[1.0]]))
 
 
+def test_features_of_the_wrong_width_raise():
+    model = custom_panel_msm(2, basis=lambda a2d: a2d.sum(axis=1, keepdims=True))
+    with pytest.raises(ValueError, match="wrong width"):
+        model.features(np.array([[1.0, 2.0]]))
+
+
 def test_panel_weights_requires_panel():
     data = generate(DgpSpec("gauss-line", seed=0), 30)
     with pytest.raises(TypeError):

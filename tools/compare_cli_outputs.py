@@ -9,10 +9,11 @@ once per tree as ``python -m msmbounds <command> --config ... --out ...
 --workers 1`` with ``PYTHONPATH=<tree>/src``, on the same config file and
 input data. The cases are
 
-- the ``bounds`` and ``curve`` cases of ``tests/cli_cases.py``, which
-  ``tests/test_cli.py`` runs too: the configs of its named tests, more
-  configs that reach every pair-kernel routine with a variance, and one
-  HulC case per static (family, method) route of ``bounds``;
+- the ``bounds``, ``curve`` and ``fit`` cases of ``tests/cli_cases.py``,
+  which ``tests/test_cli.py`` runs too: the configs of its named tests,
+  more configs that reach every pair-kernel routine with a variance, one
+  HulC case per static (family, method) route of ``bounds``, one HulC case
+  per route that takes panel data, and a panel ``fit``;
 - the two step configs of the benchmark's ``pair-kernel-lp`` workload,
   written by ``perfbench/workloads.write_inputs`` at full n for seeds 0
   and 1.
