@@ -1,9 +1,10 @@
 """Empirical quantile and rank-selection conventions.
 
-Single home for the deterministic conventions used everywhere:
-type-1 (inverse CDF) quantiles, ties broken toward the lower index, and
-the strict-above / inclusive-below split that makes rank-based weight
-assignments hit the LP vertex exactly when n*tau is integral.
+Single home for the deterministic conventions used everywhere: ties
+broken toward the lower index, and the strict-above / inclusive-below
+split that makes rank-based weight assignments hit the LP vertex exactly
+when n*tau is integral. ``rank_mask`` is the one marginal rank rule behind
+every propensity coordinate bound.
 """
 
 import math
@@ -14,17 +15,6 @@ import numpy as np
 def _ascending_order(values):
     values = np.asarray(values, dtype=float)
     return np.lexsort((np.arange(values.size), values))
-
-
-def type1_quantile(values, tau):
-    """Inverse-CDF empirical quantile: the ceil(n*tau)-th ascending order statistic."""
-    values = np.asarray(values, dtype=float).ravel()
-    n = values.size
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
-    idx = max(int(math.ceil(n * tau - 1e-12)), 1) - 1
-    order = _ascending_order(values)
-    return float(values[order[idx]])
 
 
 def select_top_mask(values, count):
@@ -77,6 +67,22 @@ def gamma_count(n, gamma):
     return n - ceil_count(n, gamma / (1.0 + gamma))
 
 
+def rank_mask(values, gamma, upper):
+    """Units the rank rule puts at the high weight gamma.
+
+    The ``gamma_count(n, gamma)`` largest values for the upper side
+    (ties toward the lower index stay out), the same count of smallest for
+    the lower side (ties toward the lower index get in). The marginal
+    quantile bounds, the homotopy's threshold steps and the per-cell
+    conditional rule all place their weights through this one mask.
+    """
+    if gamma < 1:
+        raise ValueError("gamma must be >= 1")
+    values = np.asarray(values, dtype=float).ravel()
+    count = gamma_count(values.size, gamma)
+    return select_top_mask(values, count) if upper else select_bottom_mask(values, count)
+
+
 def upper_mass_v(values, gamma):
     """Weight vector maximizing mean(values*v) under the box and one-atom mean slack.
 
@@ -84,27 +90,12 @@ def upper_mass_v(values, gamma):
     (tau_u = gamma/(1+gamma)); 1/gamma elsewhere. mean(v) = 1 exactly when
     n*tau_u is integral, otherwise short by at most one atom.
     """
-    values = np.asarray(values, dtype=float).ravel()
-    n = values.size
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    if gamma == 1.0:
-        return np.ones(n)
-    mask = select_top_mask(values, gamma_count(n, gamma))
-    return np.where(mask, gamma, 1.0 / gamma)
+    return np.where(rank_mask(values, gamma, True), gamma, 1.0 / gamma)
 
 
 def lower_mass_v(values, gamma):
     """Weight vector minimizing mean(values*v): gamma on the lowest ranks.
 
-    Mirror of ``upper_mass_v``: the same high-weight count goes to the
-    smallest values (ties toward the lower index get in).
+    Mirror of ``upper_mass_v`` through ``rank_mask``.
     """
-    values = np.asarray(values, dtype=float).ravel()
-    n = values.size
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    if gamma == 1.0:
-        return np.ones(n)
-    mask = select_bottom_mask(values, gamma_count(n, gamma))
-    return np.where(mask, gamma, 1.0 / gamma)
+    return np.where(rank_mask(values, gamma, False), gamma, 1.0 / gamma)

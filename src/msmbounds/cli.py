@@ -357,6 +357,8 @@ def _make_model(cfg, data):
     if spec["kind"] == "cumulative-panel":
         if not panel:
             raise ConfigError("cumulative-panel model needs panel data")
+        if "degree" in spec:
+            raise ConfigError("cumulative-panel model takes no degree")
         return cumulative_panel_msm()
     if panel:
         raise ConfigError("panel data needs a panel model kind")

@@ -8,20 +8,18 @@ the doubly-robust pair kernel, parametric-curve bound fitting with
 U-statistic covariance, linear-curve bounds with the sign split, the two
 quantile-rule bounds for a coordinate of a linear fit, and the small-gamma
 local expansion.
+
+Every propensity coordinate bound here and in ``homotopy`` reweights one
+per-unit derivative, built on ``_leverage``, and places its weights by one
+rule: ``_ranks.rank_mask`` under the marginal constraint and
+``_conditional_mask`` under the conditional one.
 """
 
 import dataclasses
 
 import numpy as np
 
-from ._ranks import (
-    ceil_count,
-    gamma_count,
-    lower_mass_v,
-    select_bottom_mask,
-    select_top_mask,
-    upper_mass_v,
-)
+from ._ranks import ceil_count, lower_mass_v, rank_mask, upper_mass_v
 from .msm import (
     PairKernel,
     _gram_solver,
@@ -184,21 +182,56 @@ def linear_curve_bounds(data, model, nuisances, spec, a0):
     return g_low, g_high, (var_low, var_high)
 
 
-def _coordinate_row(data, model, w, coord):
-    """c_i = e^T M^-1 b(A_i), with M the w-weighted basis Gram."""
-    if not model.linear:
-        raise ValueError("coordinate bounds need a linear model")
-    b = model.basis_matrix(data.a)
-    m = (b * w[:, None]).T @ b / data.n
+def _leverage(model, a, w, coord, beta=None, v=None):
+    """c_i = e^T M^-1 h(a_i), M = mean[h (v w) grad^T] (v = 1 when None).
+
+    grad is h for a linear model and grad g(a; beta) otherwise. Times w_i
+    it is unit i's leverage on the coordinate: the per-unit derivative of
+    every propensity coordinate bound is c_i w_i (y_i - g_i), or c_i w_i y_i
+    linearized.
+    """
+    h = model.features(a)
+    grad = h if model.linear else model.grad(a, beta)
+    vw = w if v is None else v * w
+    m = (h * vw[:, None]).T @ grad / h.shape[0]
     e = np.zeros(model.dim)
     e[coord] = 1.0
-    return b @ _solve(m.T, e, "weighted moment matrix")
+    return h @ _solve(m.T, e, "coordinate leverage matrix")
+
+
+def _cells(data, nuisances):
+    """Unit indices of each (a, x) cell under empirical quantiles; None under fitted ones."""
+    if getattr(nuisances.config, "quantile_method", "pinball") == "empirical":
+        return group_cells(data.a, data.x).values()
+    return None
+
+
+def _conditional_mask(cells, nuisances, d, c, g, gamma, upper):
+    """Units at the high weight under the conditional (per-cell) mean-one constraint.
+
+    With ``cells`` (from ``_cells``) this is the marginal rank rule on d
+    inside each (a, x) cell. Otherwise d = c (y - g) is compared with its
+    fitted conditional quantile c (q_y - g), the Y-quantile level flipped
+    where c < 0: strictly above for the upper side, at or below for the
+    lower. g is None for the linearized d = c y.
+    """
+    if cells is not None:
+        mask = np.zeros(d.size, dtype=bool)
+        for idx in cells:
+            mask[idx] = rank_mask(d[idx], gamma, upper)
+        return mask
+    q_low_y, q_high_y = nuisances.quantile_units(gamma)
+    q_y = np.where((c >= 0) == upper, q_high_y, q_low_y)
+    q_d = c * q_y if g is None else c * (q_y - g)
+    return d > q_d if upper else d <= q_d
 
 
 def _coordinate_transfer(data, model, weights, coord):
-    """T_i = e^T M^-1 b(A_i) w_i, the per-unit leverage of Y_i on the coordinate."""
+    """T_i = c_i w_i, the per-unit leverage of Y_i on the coordinate."""
+    if not model.linear:
+        raise ValueError("coordinate bounds need a linear model")
     w = np.asarray(weights, dtype=float).ravel()
-    return _coordinate_row(data, model, w, coord) * w
+    return _leverage(model, data.a, w, coord) * w
 
 
 def marginal_quantile_beta_bounds(data, model, nuisances, spec, coord, return_v=False):
@@ -220,11 +253,9 @@ def marginal_quantile_beta_bounds(data, model, nuisances, spec, coord, return_v=
 def conditional_quantile_beta_bounds(data, model, nuisances, spec, coord):
     """Coordinate bounds under the conditional (per-cell) mean-one constraint.
 
-    Within each (a, x) cell the extremal v follows the per-cell rank rule
-    on f_i = T_i Y_i; T is constant within a cell, so cell ranks of f are
-    cell ranks of Y, flipped when T is negative. With fitted (smooth)
-    quantiles the comparison is against the sign-adjusted conditional
-    quantile of Y instead.
+    The extremal v follows ``_conditional_mask`` on f_i = T_i Y_i, the
+    linearized derivative: the per-cell rank rule under empirical
+    quantiles, the sign-adjusted fitted conditional quantile otherwise.
     """
     t = _coordinate_transfer(data, model, nuisances.weights, coord)
     f = t * data.y
@@ -232,44 +263,25 @@ def conditional_quantile_beta_bounds(data, model, nuisances, spec, coord):
     if gamma == 1.0:
         val = float(f.mean())
         return val, val
-    use_cells = getattr(nuisances.config, "quantile_method", "pinball") == "empirical"
-    v_hi = np.empty(data.n)
-    v_lo = np.empty(data.n)
-    if use_cells:
-        for idx in group_cells(data.a, data.x).values():
-            fc = f[idx]
-            n_c = fc.size
-            count = gamma_count(n_c, gamma)
-            hi_mask = select_top_mask(fc, count)
-            lo_mask = select_bottom_mask(fc, count)
-            v_hi[idx] = np.where(hi_mask, gamma, 1.0 / gamma)
-            v_lo[idx] = np.where(lo_mask, gamma, 1.0 / gamma)
-    else:
-        q_low_y, q_high_y = nuisances.quantile_units(gamma)
-        # sign of T swaps which Y-quantile is the f-quantile
-        q_f_high = np.where(t >= 0, t * q_high_y, t * q_low_y)
-        q_f_low = np.where(t >= 0, t * q_low_y, t * q_high_y)
-        v_hi = np.where(f > q_f_high, gamma, 1.0 / gamma)
-        v_lo = np.where(f <= q_f_low, gamma, 1.0 / gamma)
+    cells = _cells(data, nuisances)
+    v_lo, v_hi = (
+        np.where(_conditional_mask(cells, nuisances, f, t, None, gamma, upper), gamma, 1.0 / gamma)
+        for upper in (False, True)
+    )
     return float(np.mean(f * v_lo)), float(np.mean(f * v_hi))
 
 
 def local_beta_bounds(data, model, nuisances, spec, coord):
     """First-order expansion around gamma = 1: beta-hat +/- log(gamma) mean|d|.
 
-    d_i is the coordinate projection of the moment-equation derivative in
-    the direction of unit i's confounding weight, at v identically one.
+    d_i = c_i w_i (y_i - g_i) is the coordinate projection of the
+    moment-equation derivative in the direction of unit i's confounding
+    weight, at v identically one.
     """
     w = nuisances.weights
-    h = model.features(data.a)
     beta = weighted_fit(model, data.a, data.y, w)
-    grad = h if model.linear else model.grad(data.a, beta)
-    m = (h * w[:, None]).T @ grad / data.n
     resid = data.y - model.predict(data.a, beta)
-    e = np.zeros(model.dim)
-    e[coord] = 1.0
-    e_minv = _solve(m.T, e, "local expansion matrix")
-    d = (h @ e_minv) * w * resid
+    d = _leverage(model, data.a, w, coord, beta) * w * resid
     center = float(beta[coord])
     spread = float(np.log(spec.gamma) * np.mean(np.abs(d)))
     return center - spread, center + spread

@@ -7,40 +7,22 @@ coordinate ascent with rank-one inverse updates.
 
 Everything here consumes (treatment-object, y, w) through the model's own
 feature callables, so panel wrappers can reuse the machinery unchanged.
+The threshold steps take their per-unit derivative from
+``gamma._leverage`` and their weights from ``_ranks.rank_mask`` (marginal
+constraint) or ``gamma._conditional_mask`` (conditional constraint), the
+same derivative and rules as the closed-form quantile and local bounds.
 """
 
 import numpy as np
 
-from ._ranks import gamma_count, select_bottom_mask, select_top_mask
+from ._ranks import rank_mask
 from .errors import NoConvergence, SingularMoment
-from .gamma import _gamma_grid
+from .gamma import _cells, _conditional_mask, _gamma_grid, _leverage
 from .msm import _solve, linear_weighted_beta, weighted_fit
-from .nuisance import group_cells
 from .results import HomotopyTrace
 
-_INNER_CAP = 20
 _CIRCULAR_TOL = 1e-6
 _CIRCULAR_CAP = 50
-
-
-def _derivative_parts(model, a_obj, y, w, beta, v, coord, flavor):
-    """Per-unit leverage c_i and derivative d_i of the bound functional.
-
-    exact:      c_i = e^T {mean h V w grad^T}^-1 h_i w_i, d_i = c_i (y_i - g_i)
-    linearized: c_i = e^T {mean h w grad^T}^-1 h_i w_i,   d_i = c_i y_i
-    """
-    h = model.features(a_obj)
-    grad = h if model.linear else model.grad(a_obj, beta)
-    e = np.zeros(model.dim)
-    e[coord] = 1.0
-    if flavor == "exact":
-        bracket = (h * (v * w)[:, None]).T @ grad / y.size
-        resid = y - model.predict(a_obj, beta)
-        c = (h @ _solve(bracket.T, e, "derivative bracket")) * w
-        return c, c * resid
-    bracket = (h * w[:, None]).T @ grad / y.size
-    c = (h @ _solve(bracket.T, e, "derivative bracket")) * w
-    return c, c * y
 
 
 def bound_derivative(data, model, beta, weights, coord, v=None, flavor="exact"):
@@ -48,56 +30,12 @@ def bound_derivative(data, model, beta, weights, coord, v=None, flavor="exact"):
     if flavor not in ("exact", "linearized"):
         raise ValueError(f"flavor must be 'exact' or 'linearized', got {flavor!r}")
     w = np.asarray(weights, dtype=float).ravel()
-    v = np.ones_like(w) if v is None else np.asarray(v, dtype=float).ravel()
-    _, d = _derivative_parts(
-        model, data.a, data.y, w, np.asarray(beta, dtype=float), v, coord, flavor
-    )
-    return d
-
-
-def _marginal_mask(d, gamma, branch):
-    # both branches place gamma_count(n, gamma) units at the high weight so
-    # the plug-in never overshoots mean(v) = 1
-    n = d.size
-    if branch == "upper":
-        return select_top_mask(d, gamma_count(n, gamma))
-    return select_bottom_mask(d, gamma_count(n, gamma))
-
-
-def _conditional_mask(d, c, beta, model, data, nuisances, gamma, branch, flavor):
-    """Per-cell quantile rule for the conditional mean-one constraint.
-
-    Empirical-quantile configurations rank d within each observed (a, x)
-    cell; smooth configurations compare d against the sign-adjusted fitted
-    conditional quantile of Y.
-    """
-    n = d.size
-    if getattr(nuisances.config, "quantile_method", "pinball") == "empirical":
-        mask = np.zeros(n, dtype=bool)
-        for idx in group_cells(data.a, data.x).values():
-            dc = d[idx]
-            n_c = dc.size
-            if branch == "upper":
-                sub = select_top_mask(dc, gamma_count(n_c, gamma))
-            else:
-                sub = select_bottom_mask(dc, gamma_count(n_c, gamma))
-            mask[idx] = sub
-        return mask
-    q_low_y, q_high_y = nuisances.quantile_units(gamma)
-    # d = c*(y - g) (exact) or c*y (linearized); the conditional quantile of
-    # d given (a, x) is c*(q_y' - g) resp. c*q_y', with the quantile level
-    # flipped when c < 0
-    if branch == "upper":
-        q_y = np.where(c >= 0, q_high_y, q_low_y)
-    else:
-        q_y = np.where(c >= 0, q_low_y, q_high_y)
+    beta = np.asarray(beta, dtype=float)
     if flavor == "linearized":
-        q_d = c * q_y
-    else:
-        q_d = c * (q_y - model.predict(data.a, beta))
-    if branch == "upper":
-        return d > q_d
-    return d <= q_d
+        return _leverage(model, data.a, w, coord, beta) * w * data.y
+    v = np.ones_like(w) if v is None else np.asarray(v, dtype=float).ravel()
+    c = _leverage(model, data.a, w, coord, beta, v) * w
+    return c * (data.y - model.predict(data.a, beta))
 
 
 def _swap_phase(model, a_obj, y, w, box, mask, beta_cur, sense, coord, band):
@@ -123,9 +61,10 @@ def _swap_phase(model, a_obj, y, w, box, mask, beta_cur, sense, coord, band):
         gram = (b_mat * wv[:, None]).T @ b_mat / n
         rhs = b_mat.T @ (wv * y) / n
         try:
-            _, d = _derivative_parts(model, a_obj, y, w, beta_cur, v, coord, "exact")
+            c = _leverage(model, a_obj, w, coord, beta_cur, v) * w
         except SingularMoment:
             break
+        d = c * (y - model.predict(a_obj, beta_cur))
         in_idx = np.flatnonzero(mask)
         out_idx = np.flatnonzero(~mask)
         if in_idx.size == 0 or out_idx.size == 0:
@@ -203,6 +142,7 @@ def homotopy_bounds(
     w = np.asarray(weights, dtype=float).ravel()
     if constraint == "conditional" and nuisances is None:
         raise ValueError("the conditional constraint needs nuisance quantile fits")
+    cells = _cells(data, nuisances) if constraint == "conditional" else None
 
     y = data.y
     a_obj = data.a
@@ -234,7 +174,7 @@ def homotopy_bounds(
             st = state[branch]
             try:
                 v_new, beta_new, value = _one_step(
-                    model, data, nuisances, a_obj, y, w, st, gamma, box,
+                    model, cells, nuisances, a_obj, y, w, st, gamma, box,
                     branch, coord, flavor, constraint, inner_iterations,
                     beta_point, swap_band,
                 )
@@ -273,7 +213,7 @@ def homotopy_bounds(
 
 
 def _one_step(
-    model, data, nuisances, a_obj, y, w, st, gamma, box,
+    model, cells, nuisances, a_obj, y, w, st, gamma, box,
     branch, coord, flavor, constraint, inner_iterations, beta_point,
     swap_band,
 ):
@@ -284,7 +224,8 @@ def _one_step(
     makes the upper trace nondecreasing and the lower nonincreasing by
     construction while every recorded v remains a feasibility certificate.
     """
-    sense = 1.0 if branch == "upper" else -1.0
+    upper = branch == "upper"
+    sense = 1.0 if upper else -1.0
     v_prev = st["v"]
     beta_prev = st["beta"]
 
@@ -293,13 +234,12 @@ def _one_step(
         # pass is the whole fixed point
         best_v = v_prev
         best_val = st["val"]
-        c, d = _derivative_parts(model, a_obj, y, w, beta_point, v_prev, coord, flavor)
+        c = _leverage(model, a_obj, w, coord, beta_point) * w
+        d = c * y
         if constraint == "marginal":
-            mask = _marginal_mask(d, gamma, branch)
+            mask = rank_mask(d, gamma, upper)
         else:
-            mask = _conditional_mask(
-                d, c, beta_point, model, data, nuisances, gamma, branch, flavor
-            )
+            mask = _conditional_mask(cells, nuisances, d, c, None, gamma, upper)
         v_new = np.where(mask, box[1], box[0])
         val = _linearized_value(model, a_obj, y, w, beta_point, v_new, coord)
         if sense * (val - best_val) > 0:
@@ -315,9 +255,11 @@ def _one_step(
     damps = 0
     last_coord = None
     for it in range(iters):
-        c, d = _derivative_parts(model, a_obj, y, w, beta_cur, v_cur, coord, flavor)
+        c = _leverage(model, a_obj, w, coord, beta_cur, v_cur) * w
+        g = model.predict(a_obj, beta_cur)
+        d = c * (y - g)
         if constraint == "marginal":
-            mask = _marginal_mask(d, gamma, branch)
+            mask = rank_mask(d, gamma, upper)
             if seen_masks and np.array_equal(mask, seen_masks[-1]):
                 break
             revisit = any(np.array_equal(mask, m) for m in seen_masks)
@@ -336,9 +278,7 @@ def _one_step(
             candidates.append((v_cur, beta_cur, float(beta_cur[coord])))
             seen_masks.append(mask)
         else:
-            mask = _conditional_mask(
-                d, c, beta_cur, model, data, nuisances, gamma, branch, flavor
-            )
+            mask = _conditional_mask(cells, nuisances, d, c, g, gamma, upper)
             v_cur = np.where(mask, box[1], box[0])
             beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur)
             val = float(beta_cur[coord])

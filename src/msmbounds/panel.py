@@ -100,29 +100,35 @@ def panel_weights(panel, config=None):
     """Per-unit product weight: prod_s pi(a_s | past a) / pi(a_s | past a, x).
 
     Numerator and denominator are each one pooled fit over all (unit, step)
-    rows. T = 1 reduces exactly to the static stabilized weight.
+    rows; the unstabilized flavor has numerator 1 and fits none. T = 1
+    reduces exactly to the static weight of the same flavor.
     """
     if not isinstance(panel, PanelDataset):
         raise TypeError("panel_weights needs a PanelDataset")
     config = config or NuisanceConfig()
     n, t_len = panel.a.shape
+    stabilized = config.weight_flavor == "stabilized"
 
-    num_feats = np.vstack([_step_features(panel, s, False) for s in range(t_len)])
-    den_feats = np.vstack([_step_features(panel, s, True) for s in range(t_len)])
     targets = np.concatenate([panel.a[:, s] for s in range(t_len)])
-
     fitter = (
         GaussianPropensity
         if config.propensity_method == "gaussian"
         else DiscretePropensity
     )
-    num_fit = fitter(targets, num_feats, clip=config.propensity_clip)
-    den_fit = fitter(targets, den_feats, clip=config.propensity_clip)
+
+    def pooled_fit(include_covariates):
+        feats = np.vstack([_step_features(panel, s, include_covariates) for s in range(t_len)])
+        return fitter(targets, feats, clip=config.propensity_clip)
+
+    num_fit = pooled_fit(False) if stabilized else None
+    den_fit = pooled_fit(True)
 
     weights = np.ones(n)
     for s in range(t_len):
         a_s = panel.a[:, s]
-        num = num_fit.conditional_density(a_s, _step_features(panel, s, False))
+        num = 1.0
+        if stabilized:
+            num = num_fit.conditional_density(a_s, _step_features(panel, s, False))
         den = den_fit.conditional_density(a_s, _step_features(panel, s, True))
         weights *= num / den
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):

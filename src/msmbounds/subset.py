@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from ._ranks import ceil_count, select_bottom_mask, select_top_mask, upper_mass_v, lower_mass_v
-from .gamma import GammaSpec, _coordinate_row, _coordinate_transfer, _gamma_grid
+from .gamma import GammaSpec, _coordinate_transfer, _gamma_grid, _leverage
 from .msm import PairKernel, _solve, solve_moment, u_statistic
 from .outcome import DeltaSpec
 from .results import BetaEstimate, HomotopyTrace
@@ -131,7 +131,7 @@ def subset_linear_beta_bounds(data, model, nuisances, eps, coord):
         raise ValueError("subset_linear_beta_bounds needs a linear model")
     if not isinstance(eps.inner, GammaSpec):
         raise TypeError("subset_linear_beta_bounds needs a GammaSpec inner model")
-    c = _coordinate_row(data, model, nuisances.weights, coord)
+    c = _leverage(model, data.a, nuisances.weights, coord)
     lows = np.empty(data.n)
     highs = np.empty(data.n)
     for i in range(data.n):
@@ -180,7 +180,7 @@ def subset_outcome_beta_bounds(data, model, nuisances, eps, coord):
     omega = (b * w[:, None]).T @ b / data.n
     mixed_y = (1.0 - eps.epsilon) * data.y + eps.epsilon * nuisances.mu_units
     beta_star = _solve(omega, b.T @ (w * mixed_y) / data.n, "weighted basis Gram")
-    f = _coordinate_row(data, model, w, coord)
+    f = _leverage(model, data.a, w, coord)
     half = float(eps.epsilon * eps.inner.delta * np.mean(np.abs(f)))
     center = float(beta_star[coord])
     return center - half, center + half

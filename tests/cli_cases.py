@@ -5,7 +5,8 @@ runs the same cases on two source trees, so both read them from here.
 The cases are the configs of the named tests in ``tests/test_cli.py``, a
 few more that reach every pair-kernel routine with a Wald variance, one
 HulC case per static (family, method) route of ``bounds``, one HulC case per
-route that takes panel data, and a panel ``fit``.
+route that takes panel data, a panel ``fit``, and the rank-rule cases that
+reach the conditional weight rule and the local expansion on a quadratic.
 This module imports nothing from ``msmbounds``.
 """
 
@@ -149,6 +150,36 @@ CASES.update(
     for method in PANEL_METHODS
 )
 CASES["fit-panel"] = ("fit", {key: panel_config()[key] for key in ("data", "model")})
+
+
+# In-sample nuisances with per-cell empirical quantiles on discrete data.
+EMPIRICAL = {"in_sample": True, "propensity_method": "discrete", "quantile_method": "empirical"}
+
+
+def cells_config(**sens_extra):
+    """bounds_config on ``discrete-cells`` at its default n with EMPIRICAL nuisances."""
+    return {
+        **bounds_config(**sens_extra),
+        "data": {"dgp": {"name": "discrete-cells", "seed": 1}},
+        "nuisance": EMPIRICAL,
+    }
+
+
+# Every rank rule the cases above miss: the conditional rule under both
+# quantile kinds through the homotopy and the closed form, and the local
+# expansion's derivative on a model with more than two columns.
+RANK_RULE_CASES = {
+    f"bounds-{method}-conditional-{kind}": (
+        "bounds", make(method=method, constraint="conditional"))
+    for method in ("homotopy-exact", "homotopy-linearized")
+    for kind, make in (("pinball", bounds_config), ("empirical", cells_config))
+}
+RANK_RULE_CASES["bounds-conditional-quantile-empirical"] = (
+    "bounds", cells_config(method="conditional-quantile"))
+RANK_RULE_CASES["bounds-local-poly2"] = ("bounds", {
+    **bounds_config(method="local"), "model": {"kind": "polynomial", "degree": 2},
+})
+CASES.update(RANK_RULE_CASES)
 
 
 def case(name):

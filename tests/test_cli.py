@@ -16,6 +16,7 @@ from msmbounds.cli import FAMILIES, ROUTES, main
 from cli_cases import (
     PAIR_KERNEL_CASES,
     PANEL_METHODS,
+    RANK_RULE_CASES,
     ROUTE_SENSITIVITY,
     WALD,
     bounds_config,
@@ -282,6 +283,17 @@ def test_pair_kernel_cases(tmp_path, capsys, name):
             assert r[3] < r[1] and r[4] > r[2]
 
 
+@pytest.mark.parametrize("name", list(RANK_RULE_CASES))
+def test_rank_rule_cases(tmp_path, capsys, name):
+    command, config = RANK_RULE_CASES[name]
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = _read_curve_csv(tmp_path / f"{command}_result.csv")
+    assert rows[0][1] == pytest.approx(rows[0][2], abs=1e-12)
+    for r in rows:
+        assert r[1] <= r[2]
+
+
 def test_panel_cases_cover_every_panel_route():
     panel = {key for key, r in ROUTES.items() if r.panel}
     assert panel == {("propensity", method) for method in PANEL_METHODS}
@@ -318,6 +330,14 @@ def test_panel_conditional_constraint_exits_2(tmp_path, capsys, method):
     cfg = _write_config(tmp_path / "c.json", config)
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cumulative_panel_model_rejects_degree(tmp_path, capsys):
+    config = case("fit-panel")
+    config["model"]["degree"] = 4
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: cumulative-panel model takes no degree" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["marginal-quantile", "local", "homotopy-exact"])

@@ -123,6 +123,16 @@ def test_conditional_rank_rule_matches_cell_oracle():
     )
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+def test_conditional_quantile_sides_do_not_cross():
+    # pinball quantiles: each side thresholds at its own fitted quantile and
+    # neither is rescaled to mean(v) = 1 per cell, so lower > upper here
+    data = generate(DgpSpec("confounded-line", seed=0), 200)
+    lo, hi = conditional_quantile_beta_bounds(data, linear_msm(), SelfFit(data),
+                                              GammaSpec(1.25), 1)
+    assert lo <= hi
+
+
 def test_conditional_outcome_bounds_cell_plugin():
     # two cells; gamma=2 with cells of size 3 puts quantiles on atoms
     a = np.repeat([0.0, 1.0], 3)

@@ -5,7 +5,11 @@ import pytest
 
 from msmbounds.data import Dataset
 from msmbounds.datagen import DgpSpec, generate
-from msmbounds.gamma import marginal_quantile_beta_bounds, GammaSpec
+from msmbounds.gamma import (
+    GammaSpec,
+    conditional_quantile_beta_bounds,
+    marginal_quantile_beta_bounds,
+)
 from msmbounds.homotopy import (
     bound_derivative,
     coordinate_ascent_bounds,
@@ -143,6 +147,21 @@ def test_linearized_flavor_matches_closed_form_rank_rule():
         lo, hi = marginal_quantile_beta_bounds(data, model, nuis, GammaSpec(g), 1)
         assert hi_t == pytest.approx(hi, abs=1e-8)
         assert lo_t == pytest.approx(lo, abs=1e-8)
+
+
+def test_linearized_flavor_matches_closed_form_conditional_rule():
+    # empirical quantiles only: under pinball quantiles the closed form's
+    # two sides can cross (ROADMAP item 5), so the routes are not compared there
+    data = generate(DgpSpec("discrete-cells", seed=1))
+    nuis = SelfFit(data, NuisanceConfig(propensity_method="discrete",
+                                        quantile_method="empirical"))
+    model = linear_msm()
+    for g in (1.25, 1.5, 2.0, 3.0):
+        trace = homotopy_bounds(data, model, nuisances=nuis, grid=[1.0, g],
+                                flavor="linearized", constraint="conditional", coord=1)
+        lo, hi = conditional_quantile_beta_bounds(data, model, nuis, GammaSpec(g), 1)
+        assert trace.upper[-1] == pytest.approx(hi, abs=1e-10)
+        assert trace.lower[-1] == pytest.approx(lo, abs=1e-10)
 
 
 def test_homotopy_exact_matches_exhaustive_oracle_small_n():

@@ -9,7 +9,7 @@ from msmbounds.errors import ConfigError
 from msmbounds.gamma import GammaSpec, local_beta_bounds, marginal_quantile_beta_bounds
 from msmbounds.homotopy import homotopy_bounds
 from msmbounds.msm import fit_msm, linear_msm
-from msmbounds.nuisance import SelfFit, fixed_weight_nuisances
+from msmbounds.nuisance import NuisanceConfig, SelfFit, fixed_weight_nuisances
 from msmbounds.panel import (
     PanelMsmModel,
     cumulative_panel_msm,
@@ -94,6 +94,14 @@ def test_single_period_weights_match_static():
     w_panel = panel_weights(panel)
     w_static = SelfFit(static).weights
     np.testing.assert_allclose(w_panel, w_static, atol=1e-10)
+
+
+def test_single_period_unstabilized_weights_match_static():
+    panel, static = _single_period(seed=1)
+    config = NuisanceConfig(weight_flavor="unstabilized")
+    w_panel = panel_weights(panel, config)
+    np.testing.assert_allclose(w_panel, SelfFit(static, config).weights, atol=1e-10)
+    assert not np.allclose(w_panel, panel_weights(panel))
 
 
 def test_single_period_fit_matches_static():

@@ -13,10 +13,11 @@ input data. The cases are
   which ``tests/test_cli.py`` runs too: the configs of its named tests,
   more configs that reach every pair-kernel routine with a variance, one
   HulC case per static (family, method) route of ``bounds``, one HulC case
-  per route that takes panel data, and a panel ``fit``;
-- the two step configs of the benchmark's ``pair-kernel-lp`` workload,
-  written by ``perfbench/workloads.write_inputs`` at full n for seeds 0
-  and 1.
+  per route that takes panel data, a panel ``fit``, and the rank-rule
+  cases;
+- the step configs of every benchmark workload (``pair-kernel-lp`` and
+  ``rank-rule-homotopy``), written by ``perfbench/workloads.write_inputs``
+  at full n for seeds 0 and 1.
 
 For every output file the report says "identical" or, for a result CSV,
 the largest relative difference per column. The exit status is 0 when
@@ -40,7 +41,7 @@ import cli_cases  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 
-SEEDS = (0, 1)  # benchmark seeds of the pair-kernel-lp step configs
+SEEDS = (0, 1)  # benchmark seeds of the workload step configs
 
 
 def write_cases(work):
@@ -53,7 +54,7 @@ def write_cases(work):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh, indent=2)
         cases.append((name, [command, "--config", path]))
-    for step in workloads.WORKLOADS["pair-kernel-lp"]:
+    for step in sum(workloads.WORKLOADS.values(), ()):
         for seed in SEEDS:
             argv, _ = workloads.write_inputs(step, seed, 0, os.path.join(work, f"seed{seed}"))
             cases.append((f"{step}-seed{seed}", argv[:3]))
