@@ -29,6 +29,7 @@ from .gamma import (
     linear_curve_bounds,
     local_beta_bounds,
     marginal_quantile_beta_bounds,
+    marginal_quantile_grid_bounds,
 )
 from .homotopy import bound_derivative, coordinate_ascent_bounds, homotopy_bounds
 from .inference import HulcSpec, band_over_grid, hulc_ci, wald_ci

@@ -4,7 +4,8 @@ Single home for the deterministic conventions used everywhere: ties
 broken toward the lower index, and the strict-above / inclusive-below
 split that makes rank-based weight assignments hit the LP vertex exactly
 when n*tau is integral. ``rank_mask`` is the one marginal rank rule behind
-every propensity coordinate bound.
+every propensity coordinate bound, and ``rank_masks`` applies it over a
+whole gamma grid from one sort.
 """
 
 import math
@@ -17,32 +18,31 @@ def _ascending_order(values):
     return np.lexsort((np.arange(values.size), values))
 
 
+def _cut(order, count, top):
+    """Mask of the last ``count`` entries of an ascending order (``top``) or of its first."""
+    mask = np.zeros(order.size, dtype=bool)
+    mask[order[order.size - count:] if top else order[:count]] = True
+    return mask
+
+
+def _select(values, count, top):
+    values = np.asarray(values, dtype=float).ravel()
+    count = int(count)
+    if not 0 <= count <= values.size:
+        raise ValueError("count out of range")
+    if not count:
+        return np.zeros(values.size, dtype=bool)
+    return _cut(_ascending_order(values), count, top)
+
+
 def select_top_mask(values, count):
     """Boolean mask of the ``count`` largest values (ties toward the lower index stay out)."""
-    values = np.asarray(values, dtype=float).ravel()
-    n = values.size
-    count = int(count)
-    if not 0 <= count <= n:
-        raise ValueError("count out of range")
-    mask = np.zeros(n, dtype=bool)
-    if count:
-        order = _ascending_order(values)
-        mask[order[n - count:]] = True
-    return mask
+    return _select(values, count, True)
 
 
 def select_bottom_mask(values, count):
     """Boolean mask of the ``count`` smallest values (ties toward the lower index get in)."""
-    values = np.asarray(values, dtype=float).ravel()
-    n = values.size
-    count = int(count)
-    if not 0 <= count <= n:
-        raise ValueError("count out of range")
-    mask = np.zeros(n, dtype=bool)
-    if count:
-        order = _ascending_order(values)
-        mask[order[:count]] = True
-    return mask
+    return _select(values, count, False)
 
 
 def ceil_count(n, tau):
@@ -74,13 +74,26 @@ def rank_mask(values, gamma, upper):
     (ties toward the lower index stay out), the same count of smallest for
     the lower side (ties toward the lower index get in). The marginal
     quantile bounds, the homotopy's threshold steps and the per-cell
-    conditional rule all place their weights through this one mask.
+    conditional rule all place their weights through this one rule.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     values = np.asarray(values, dtype=float).ravel()
-    count = gamma_count(values.size, gamma)
-    return select_top_mask(values, count) if upper else select_bottom_mask(values, count)
+    return _select(values, gamma_count(values.size, gamma), upper)
+
+
+def rank_masks(values, gammas):
+    """``rank_mask`` of both sides at every gamma, from one sort of ``values``.
+
+    Returns one (lower mask, upper mask) pair per gamma: the first and the
+    last ``gamma_count(n, gamma)`` entries of the one ascending order.
+    """
+    if any(gamma < 1 for gamma in gammas):
+        raise ValueError("gamma must be >= 1")
+    values = np.asarray(values, dtype=float).ravel()
+    order = _ascending_order(values)
+    counts = [gamma_count(values.size, gamma) for gamma in gammas]
+    return [(_cut(order, count, False), _cut(order, count, True)) for count in counts]
 
 
 def upper_mass_v(values, gamma):

@@ -50,6 +50,7 @@ from .gamma import (
     linear_curve_bounds,
     local_beta_bounds,
     marginal_quantile_beta_bounds,
+    marginal_quantile_grid_bounds,
 )
 from .homotopy import coordinate_ascent_bounds, homotopy_bounds
 from .inference import HulcSpec, subsample_partition, wald_ci
@@ -486,8 +487,8 @@ _ASYMPTOTIC = ("asymptotic, rate-conditional",)
 # (family, method) -> route
 ROUTES = {
     ("propensity", "marginal-quantile"): _Route(
-        lambda r, spec: marginal_quantile_beta_bounds(r.data, r.model, r.nuis, spec, r.coord),
-        panel=True),
+        lambda r, grid: marginal_quantile_grid_bounds(r.data, r.model, r.nuis, grid, r.coord),
+        whole_grid=True, panel=True),
     ("propensity", "conditional-quantile"): _Route(
         lambda r, spec: conditional_quantile_beta_bounds(r.data, r.model, r.nuis, spec, r.coord)),
     ("propensity", "local"): _Route(

@@ -202,31 +202,66 @@ def _parse_cell(row_values, row_number, idx, col_name):
         raise ParseError(row_number, col_name, raw) from None
 
 
+def _numpy_columns(path, names):
+    """The named columns as an (n, len(names)) float array, parsed by numpy.
+
+    None wherever the file is not plain comma-separated numbers: the header
+    row is not found, a column is missing, there are no data rows, a cell
+    is quoted, or ``np.loadtxt`` rejects a cell or a row. ``_row_columns``
+    then decides, so the errors keep their types and messages. Whatever
+    numpy accepts it parses with Python's own string-to-float conversion,
+    so every value equals ``float(cell.strip())``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next((r for r in reader if any(field.strip() for field in r)), None)
+            rest = fh.read()
+    except (OSError, ValueError, csv.Error):
+        return None
+    if header is None or '"' in rest or not rest or rest.isspace():
+        return None
+    header = [h.strip() for h in header]
+    if any(name not in header for name in names):
+        return None
+    try:
+        return np.loadtxt(
+            rest.split("\n"), dtype=float, delimiter=",", comments=None,
+            usecols=[header.index(name) for name in names], ndmin=2,
+        )
+    except ValueError:
+        return None
+
+
+def _row_columns(path, names):
+    """The named columns parsed cell by cell from the csv module's rows.
+
+    Raises ``EmptyFile``, ``MissingColumn`` and ``ParseError(row, column,
+    raw)`` for the first failing cell, row by row in ``names`` order.
+    """
+    header, body = _read_rows(path)
+    idx = [_column_index(header, name) for name in names]
+    cols = np.empty((len(body), len(names)))
+    for r, row in enumerate(body):
+        rownum = r + 2  # 1-based, counting the header
+        for j, (i, name) in enumerate(zip(idx, names)):
+            cols[r, j] = _parse_cell(row, rownum, i, name)
+    return cols
+
+
 def load_csv(path, schema=None):
     """Load a static dataset.
 
     schema: {"y": name, "a": name, "x": [names...]}; x defaults to [] when
-    omitted. Rows keep file order.
+    omitted. Rows keep file order. numpy parses plain numeric files; any
+    other file is read row by row, which reports the failing cell.
     """
     schema = dict(schema or {})
-    y_col = schema.get("y", "y")
-    a_col = schema.get("a", "a")
-    x_cols = list(schema.get("x", []))
-    header, body = _read_rows(path)
-    yi = _column_index(header, y_col)
-    ai = _column_index(header, a_col)
-    xi = [_column_index(header, c) for c in x_cols]
-    n = len(body)
-    y = np.empty(n)
-    a = np.empty(n)
-    x = np.empty((n, len(xi)))
-    for r, row in enumerate(body):
-        rownum = r + 2  # 1-based, counting the header
-        y[r] = _parse_cell(row, rownum, yi, y_col)
-        a[r] = _parse_cell(row, rownum, ai, a_col)
-        for j, idx in enumerate(xi):
-            x[r, j] = _parse_cell(row, rownum, idx, x_cols[j])
-    return Dataset(x, a, y)
+    names = [schema.get("y", "y"), schema.get("a", "a"), *schema.get("x", [])]
+    cols = _numpy_columns(path, names)
+    if cols is None:
+        cols = _row_columns(path, names)
+    return Dataset(cols[:, 2:], cols[:, 1], cols[:, 0])
 
 
 def load_panel_csv(path, schema=None):

@@ -19,7 +19,8 @@ import dataclasses
 
 import numpy as np
 
-from ._ranks import ceil_count, lower_mass_v, rank_mask, upper_mass_v
+from ._ranks import ceil_count, rank_mask, rank_masks
+from .errors import ConfigError
 from .msm import (
     PairKernel,
     _gram_solver,
@@ -29,7 +30,7 @@ from .msm import (
     weighted_fit,
 )
 from .nuisance import clipped_pseudo_outcome, group_cells
-from .results import BetaEstimate
+from .results import BetaEstimate, HomotopyTrace
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,15 +183,16 @@ def linear_curve_bounds(data, model, nuisances, spec, a0):
     return g_low, g_high, (var_low, var_high)
 
 
-def _leverage(model, a, w, coord, beta=None, v=None):
+def _leverage(model, a, w, coord, beta=None, v=None, h=None):
     """c_i = e^T M^-1 h(a_i), M = mean[h (v w) grad^T] (v = 1 when None).
 
     grad is h for a linear model and grad g(a; beta) otherwise. Times w_i
     it is unit i's leverage on the coordinate: the per-unit derivative of
     every propensity coordinate bound is c_i w_i (y_i - g_i), or c_i w_i y_i
-    linearized.
+    linearized. ``h`` is ``model.features(a)`` when the caller has built it.
     """
-    h = model.features(a)
+    if h is None:
+        h = model.features(a)
     grad = h if model.linear else model.grad(a, beta)
     vw = w if v is None else v * w
     m = (h * vw[:, None]).T @ grad / h.shape[0]
@@ -200,10 +202,20 @@ def _leverage(model, a, w, coord, beta=None, v=None):
 
 
 def _cells(data, nuisances):
-    """Unit indices of each (a, x) cell under empirical quantiles; None under fitted ones."""
-    if getattr(nuisances.config, "quantile_method", "pinball") == "empirical":
-        return group_cells(data.a, data.x).values()
-    return None
+    """Unit indices of each (a, x) cell under empirical quantiles; None under fitted ones.
+
+    Raises ``ConfigError`` when every cell holds one unit, as on continuous
+    data: the per-cell rank rule would then put 1/gamma on every unit.
+    """
+    if getattr(nuisances.config, "quantile_method", "pinball") != "empirical":
+        return None
+    cells = group_cells(data.a, data.x).values()
+    if all(idx.size == 1 for idx in cells):
+        raise ConfigError(
+            "empirical quantiles need (a, x) cells with more than one unit, and every "
+            "cell of this data holds one; use quantile_method 'pinball' on continuous data"
+        )
+    return cells
 
 
 def _conditional_mask(cells, nuisances, d, c, g, gamma, upper):
@@ -234,19 +246,42 @@ def _coordinate_transfer(data, model, weights, coord):
     return _leverage(model, data.a, w, coord) * w
 
 
-def marginal_quantile_beta_bounds(data, model, nuisances, spec, coord, return_v=False):
-    """Coordinate bounds under the marginal mean-one constraint (rank rule).
+def marginal_quantile_grid_bounds(data, model, nuisances, grid, coord, keep_weights=False):
+    """Coordinate bounds under the marginal mean-one constraint at every gamma of ``grid``.
 
-    f_i = T_i Y_i; the extremal v puts gamma on the ranks of f strictly
-    above ceil(n tau_high) for the upper bound and mirrors for the lower.
+    f_i = T_i Y_i does not depend on gamma, so it is built and sorted once;
+    at each gamma the extremal v puts gamma on the ranks of f strictly above
+    ceil(n tau_high) for the upper bound and mirrors for the lower, both
+    from ``_ranks.rank_masks``. ``keep_weights`` keeps each gamma's
+    (v_lower, v_upper) in the trace.
     """
     f = _coordinate_transfer(data, model, nuisances.weights, coord) * data.y
-    v_hi = upper_mass_v(f, spec.gamma)
-    v_lo = lower_mass_v(f, spec.gamma)
-    low = float(np.mean(f * v_lo))
-    high = float(np.mean(f * v_hi))
+    lower, upper, v_lower, v_upper = [], [], [], []
+    for gamma, masks in zip(grid, rank_masks(f, grid)):
+        for bounds, kept, mask in zip((lower, upper), (v_lower, v_upper), masks):
+            v = np.where(mask, gamma, 1.0 / gamma)
+            bounds.append(float(np.mean(f * v)))
+            if keep_weights:
+                kept.append(v)
+    return HomotopyTrace(
+        grid=grid,
+        lower=lower,
+        upper=upper,
+        target=f"beta[{coord}]",
+        v_lower=v_lower if keep_weights else None,
+        v_upper=v_upper if keep_weights else None,
+        diagnostics={"method": "marginal-quantile", "constraint": "marginal"},
+    )
+
+
+def marginal_quantile_beta_bounds(data, model, nuisances, spec, coord, return_v=False):
+    """Coordinate bounds under the marginal mean-one constraint (rank rule):
+    ``marginal_quantile_grid_bounds`` at the one gamma of ``spec``."""
+    trace = marginal_quantile_grid_bounds(
+        data, model, nuisances, [spec.gamma], coord, keep_weights=return_v)
+    low, high = float(trace.lower[0]), float(trace.upper[0])
     if return_v:
-        return low, high, (v_lo, v_hi)
+        return low, high, (trace.v_lower[0], trace.v_upper[0])
     return low, high
 
 
@@ -260,10 +295,10 @@ def conditional_quantile_beta_bounds(data, model, nuisances, spec, coord):
     t = _coordinate_transfer(data, model, nuisances.weights, coord)
     f = t * data.y
     gamma = spec.gamma
+    cells = _cells(data, nuisances)
     if gamma == 1.0:
         val = float(f.mean())
         return val, val
-    cells = _cells(data, nuisances)
     v_lo, v_hi = (
         np.where(_conditional_mask(cells, nuisances, f, t, None, gamma, upper), gamma, 1.0 / gamma)
         for upper in (False, True)

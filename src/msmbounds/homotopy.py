@@ -38,7 +38,7 @@ def bound_derivative(data, model, beta, weights, coord, v=None, flavor="exact"):
     return c * (data.y - model.predict(data.a, beta))
 
 
-def _swap_phase(model, a_obj, y, w, box, mask, beta_cur, sense, coord, band):
+def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, band):
     """Greedy count-preserving swaps between the two weight levels.
 
     The threshold fixed point can settle in a poor basin; swapping one
@@ -46,11 +46,13 @@ def _swap_phase(model, a_obj, y, w, box, mask, beta_cur, sense, coord, band):
     the feasibility certificate keeps the rank-rule shape) escapes it.
     Candidates come from a derivative-ordered band so the search stays
     cheap at large n; linear models only, where a swap is a rank-two
-    update of the weighted Gram system.
+    update of the weighted Gram system. ``h`` is the model's features
+    (its basis) at ``a_obj``. Each iteration solves all band x band
+    candidate systems in one batch and takes the first strict maximum in
+    drop-major, add-minor order.
     """
     if not model.linear or band <= 0:
         return []
-    b_mat = model.basis_matrix(a_obj)
     n = y.size
     lo, hi = box
     visited = []
@@ -58,10 +60,10 @@ def _swap_phase(model, a_obj, y, w, box, mask, beta_cur, sense, coord, band):
     for _ in range(2 * n):
         v = np.where(mask, hi, lo)
         wv = w * v
-        gram = (b_mat * wv[:, None]).T @ b_mat / n
-        rhs = b_mat.T @ (wv * y) / n
+        gram = (h * wv[:, None]).T @ h / n
+        rhs = h.T @ (wv * y) / n
         try:
-            c = _leverage(model, a_obj, w, coord, beta_cur, v) * w
+            c = _leverage(model, a_obj, w, coord, beta_cur, v, h) * w
         except SingularMoment:
             break
         d = c * (y - model.predict(a_obj, beta_cur))
@@ -71,34 +73,54 @@ def _swap_phase(model, a_obj, y, w, box, mask, beta_cur, sense, coord, band):
             break
         drop = in_idx[np.argsort(sense * d[in_idx])][:band]
         add = out_idx[np.argsort(-sense * d[out_idx])][:band]
-        best = None
-        for i in drop:
-            dw_i = w[i] * (lo - hi)
-            for j in add:
-                dw_j = w[j] * (hi - lo)
-                gram2 = gram + (dw_i * np.outer(b_mat[i], b_mat[i])
-                                + dw_j * np.outer(b_mat[j], b_mat[j])) / n
-                rhs2 = rhs + (dw_i * b_mat[i] * y[i] + dw_j * b_mat[j] * y[j]) / n
-                try:
-                    beta2 = _solve(gram2, rhs2, "swap Gram matrix")
-                except SingularMoment:
-                    continue
-                val2 = float(beta2[coord])
-                if best is None or sense * val2 > sense * best[0]:
-                    best = (val2, i, j, beta2)
-        if best is None or sense * (best[0] - cur_val) <= 1e-12:
+        # the rank-two update of every (drop i, add j) pair, with the
+        # elementwise operations of one pair's update in the same order
+        dw_i = w[drop] * (lo - hi)
+        dw_j = w[add] * (hi - lo)
+        b_i, b_j = h[drop], h[add]
+        outer_i = dw_i[:, None, None] * (b_i[:, :, None] * b_i[:, None, :])
+        outer_j = dw_j[:, None, None] * (b_j[:, :, None] * b_j[:, None, :])
+        gram2 = gram + (outer_i[:, None] + outer_j[None, :]) / n
+        rhs_i = dw_i[:, None] * b_i * y[drop][:, None]
+        rhs_j = dw_j[:, None] * b_j * y[add][:, None]
+        rhs2 = rhs + (rhs_i[:, None] + rhs_j[None, :]) / n
+        betas = _solve_candidates(gram2, rhs2)
+        ok = np.all(np.isfinite(betas), axis=-1)
+        if not ok.any():
             break
-        cur_val, i, j, beta_cur = best[0], best[1], best[2], best[3]
+        score = np.where(ok, sense * betas[..., coord], -np.inf)
+        i, j = np.unravel_index(np.argmax(score), score.shape)
+        best_val = float(betas[i, j, coord])
+        if sense * (best_val - cur_val) <= 1e-12:
+            break
+        cur_val, beta_cur = best_val, betas[i, j]
         mask = mask.copy()
-        mask[i] = False
-        mask[j] = True
+        mask[drop[i]] = False
+        mask[add[j]] = True
         visited.append((np.where(mask, hi, lo), beta_cur.copy(), cur_val))
     return visited
 
 
-def _linearized_value(model, a_obj, y, w, beta, v, coord):
+def _solve_candidates(gram2, rhs2):
+    """Solutions of a stack of candidate systems; NaN rows where one is singular.
+
+    One batched solve; when a candidate's matrix is singular the batch
+    raises, and the candidates are solved one by one through ``msm._solve``.
+    """
+    try:
+        return np.linalg.solve(gram2, rhs2[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        betas = np.full(rhs2.shape, np.nan)
+        for idx in np.ndindex(rhs2.shape[:-1]):
+            try:
+                betas[idx] = _solve(gram2[idx], rhs2[idx], "swap Gram matrix")
+            except SingularMoment:
+                pass
+        return betas
+
+
+def _linearized_value(model, a_obj, h, y, w, beta, v, coord):
     """Coordinate of the linearized functional at v: beta + M^-1 mean[h w (y v - g)]."""
-    h = model.features(a_obj)
     grad = h if model.linear else model.grad(a_obj, beta)
     m = (h * w[:, None]).T @ grad / y.size
     gap = h.T @ (w * (y * v - model.predict(a_obj, beta))) / y.size
@@ -146,6 +168,7 @@ def homotopy_bounds(
 
     y = data.y
     a_obj = data.a
+    h = model.features(a_obj)
     n = y.size
     beta_point = weighted_fit(model, a_obj, y, w)
     point = float(beta_point[coord])
@@ -174,7 +197,7 @@ def homotopy_bounds(
             st = state[branch]
             try:
                 v_new, beta_new, value = _one_step(
-                    model, cells, nuisances, a_obj, y, w, st, gamma, box,
+                    model, cells, nuisances, a_obj, h, y, w, st, gamma, box,
                     branch, coord, flavor, constraint, inner_iterations,
                     beta_point, swap_band,
                 )
@@ -213,7 +236,7 @@ def homotopy_bounds(
 
 
 def _one_step(
-    model, cells, nuisances, a_obj, y, w, st, gamma, box,
+    model, cells, nuisances, a_obj, h, y, w, st, gamma, box,
     branch, coord, flavor, constraint, inner_iterations, beta_point,
     swap_band,
 ):
@@ -234,14 +257,14 @@ def _one_step(
         # pass is the whole fixed point
         best_v = v_prev
         best_val = st["val"]
-        c = _leverage(model, a_obj, w, coord, beta_point) * w
+        c = _leverage(model, a_obj, w, coord, beta_point, h=h) * w
         d = c * y
         if constraint == "marginal":
             mask = rank_mask(d, gamma, upper)
         else:
             mask = _conditional_mask(cells, nuisances, d, c, None, gamma, upper)
         v_new = np.where(mask, box[1], box[0])
-        val = _linearized_value(model, a_obj, y, w, beta_point, v_new, coord)
+        val = _linearized_value(model, a_obj, h, y, w, beta_point, v_new, coord)
         if sense * (val - best_val) > 0:
             best_v, best_val = v_new, val
         return best_v, beta_point, best_val
@@ -255,7 +278,7 @@ def _one_step(
     damps = 0
     last_coord = None
     for it in range(iters):
-        c = _leverage(model, a_obj, w, coord, beta_cur, v_cur) * w
+        c = _leverage(model, a_obj, w, coord, beta_cur, v_cur, h) * w
         g = model.predict(a_obj, beta_cur)
         d = c * (y - g)
         if constraint == "marginal":
@@ -294,7 +317,7 @@ def _one_step(
         if seed_mask.any() and not seed_mask.all():
             candidates.extend(
                 _swap_phase(
-                    model, a_obj, y, w, box, seed_mask, seed_beta, sense,
+                    model, a_obj, h, y, w, box, seed_mask, seed_beta, sense,
                     coord, swap_band,
                 )
             )

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import PanelDataset
 from .errors import ConfigError
-from .gamma import GammaSpec, local_beta_bounds, marginal_quantile_beta_bounds
+from .gamma import GammaSpec, local_beta_bounds, marginal_quantile_grid_bounds
 from .homotopy import homotopy_bounds
 from .msm import MsmModel, fit_msm
 from .nuisance import (
@@ -146,7 +146,8 @@ def panel_propensity_bounds(panel, model, weights, grid, method="homotopy",
     """Marginal-constraint propensity bounds on a panel coordinate.
 
     method: "homotopy" (grid continuation), "marginal-quantile" (closed
-    form per grid point), or "local" (log-gamma expansion per grid point).
+    form over the grid from one sort), or "local" (log-gamma expansion per
+    grid point).
     One confounding weight per trajectory; the static machinery runs on
     (path features, product weight, outcome).
     """
@@ -157,17 +158,14 @@ def panel_propensity_bounds(panel, model, weights, grid, method="homotopy",
             panel, model, nuisances=None, grid=grid, flavor=flavor,
             constraint="marginal", coord=coord, weights=shim.weights, **kwargs,
         )
-    if method not in ("marginal-quantile", "local"):
+    if method == "marginal-quantile":
+        return marginal_quantile_grid_bounds(panel, model, shim, grid, coord)
+    if method != "local":
         raise ConfigError(f"unknown panel bounds method {method!r}")
     lower = np.empty(grid.size)
     upper = np.empty(grid.size)
     for j, gamma in enumerate(grid):
-        spec = GammaSpec(float(gamma))
-        if method == "marginal-quantile":
-            lo, hi = marginal_quantile_beta_bounds(panel, model, shim, spec, coord)
-        else:
-            lo, hi = local_beta_bounds(panel, model, shim, spec, coord)
-        lower[j], upper[j] = lo, hi
+        lower[j], upper[j] = local_beta_bounds(panel, model, shim, GammaSpec(float(gamma)), coord)
     return HomotopyTrace(
         grid=grid,
         lower=lower,

@@ -166,8 +166,9 @@ def cells_config(**sens_extra):
 
 
 # Every rank rule the cases above miss: the conditional rule under both
-# quantile kinds through the homotopy and the closed form, and the local
-# expansion's derivative on a model with more than two columns.
+# quantile kinds through the homotopy and the closed form, the local
+# expansion's derivative on a model with more than two columns, and the
+# homotopy's swap search.
 RANK_RULE_CASES = {
     f"bounds-{method}-conditional-{kind}": (
         "bounds", make(method=method, constraint="conditional"))
@@ -178,6 +179,17 @@ RANK_RULE_CASES["bounds-conditional-quantile-empirical"] = (
     "bounds", cells_config(method="conditional-quantile"))
 RANK_RULE_CASES["bounds-local-poly2"] = ("bounds", {
     **bounds_config(method="local"), "model": {"kind": "polynomial", "degree": 2},
+})
+# Small versions of the two rank-rule benchmark steps: the homotopy's swap
+# search (inner_iterations > 1) and the sort-once marginal rank rule on
+# discrete data, both with HulC blocks.
+RANK_RULE_CASES["bounds-homotopy-swaps-hulc"] = ("bounds", {
+    **bounds_config(method="homotopy-exact", inner_iterations=5,
+                    grid={"start": 1.0, "stop": 3.0, "step": 0.5}),
+    "inference": HULC,
+})
+RANK_RULE_CASES["bounds-marginal-quantile-cells-hulc"] = ("bounds", {
+    **cells_config(grid={"start": 1.0, "stop": 3.0, "step": 0.25}), "inference": HULC,
 })
 CASES.update(RANK_RULE_CASES)
 

@@ -322,6 +322,22 @@ def test_panel_fit(tmp_path, capsys):
     assert lines[0] == "coord,estimate,se" and len(lines) == 3
 
 
+@pytest.mark.parametrize("sens", [
+    {"method": "conditional-quantile"},
+    {"method": "homotopy-exact", "constraint": "conditional"},
+    {"method": "homotopy-linearized", "constraint": "conditional"},
+], ids=lambda sens: sens["method"])
+def test_empirical_quantiles_on_continuous_data_exit_2(tmp_path, capsys, sens):
+    # every (a, x) cell of gauss-line holds one unit, where the per-cell rank
+    # rule would put 1/gamma on every unit
+    config = {**bounds_config(100, **sens), "nuisance": {
+        "in_sample": True, "quantile_method": "empirical"}}
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "more than one unit" in err
+
+
 @pytest.mark.parametrize("method", ["homotopy-exact", "homotopy-linearized"])
 def test_panel_conditional_constraint_exits_2(tmp_path, capsys, method):
     # panel weights carry no quantile fits, so only the marginal constraint runs

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from msmbounds import data as data_module
 from msmbounds.data import (
     Dataset,
     FoldAssignment,
@@ -176,3 +177,87 @@ def test_panel_csv_ragged_and_inconsistent(tmp_path):
     offset.write_text("id,t,a,y\nu1,2,0.0,1.0\nu1,3,0.0,1.0\n")
     with pytest.raises(RaggedPanel):
         load_panel_csv(offset)
+
+
+def _load_by_rows(path, schema):
+    """load_csv through the row loop alone: the result, or the error it raises."""
+    names = [schema.get("y", "y"), schema.get("a", "a"), *schema.get("x", [])]
+    try:
+        cols = data_module._row_columns(path, names)
+        return Dataset(cols[:, 2:], cols[:, 1], cols[:, 0])
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return exc
+
+
+def _same_load(path, schema):
+    """load_csv agrees with the row loop bit for bit, or raises the same error."""
+    want = _load_by_rows(path, schema)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as exc:
+            load_csv(path, schema)
+        assert str(exc.value) == str(want)
+        return None
+    got = load_csv(path, schema)
+    for name in ("x", "a", "y"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+    return got
+
+
+# name -> (file text, schema, whether numpy parses it)
+CSV_EDGE_CASES = {
+    "plain": ("y,a,x\n1.5,2,3\n-0,1e-300,-4e5\n", {"x": ["x"]}, True),
+    "quoted-numbers": ('y,a\n"1.5",2\n3,"4"\n', {}, False),
+    "quoted-header": ('"y","a"\n1.5,2\n', {}, True),
+    "padded-cells": ("y , a\n 1.5 ,\t2 \n3,  4\n", {}, True),
+    "unicode-space": ("y,a\n\u00a01.5,2\u2007\n3,4\u3000\n", {}, True),
+    "blank-rows": ("\n\ny,a\n1,2\n\n , \n3,4\n\n", {}, False),
+    "blank-line-only": ("y,a\n1,2\n\n3,4\n", {}, True),
+    "string-column": ("name,y,a\nfoo,1,2\nbar baz,3,4\n", {}, True),
+    "string-column-quoted-comma": ('name,extra,y,a\n"p,q",1,2,3\n"r",4,5,6\n', {}, False),
+    "underscore": ("y,a\n1_000,2\n", {}, False),
+    "short-row": ("y,a\n1,2\n3\n", {}, False),
+    "hash-in-cell": ("y,a\n1,#2\n", {}, False),
+    "hash-in-string-column": ("y,a,note\n1,2,#x\n3,4,a#b\n", {}, True),
+    "crlf": ("y,a\r\n1,2\r\n3,4\r\n", {}, True),
+    "lone-cr": ("y,a\r1,2\r3,4\r", {}, False),
+    "header-only": ("y,a\n", {}, False),
+    "blank-body": ("y,a\n\n  \n", {}, False),
+    "empty": ("", {}, False),
+    "missing-column": ("y,b\n1,2\n", {}, False),
+    "same-column-twice": ("y,x\n1,2\n3,4\n", {"a": "y", "x": ["x"]}, True),
+    "non-finite": ("y,a\nnan,2\n", {}, True),
+    "empty-cell": ("y,a\n1,\n", {}, False),
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_EDGE_CASES))
+def test_load_csv_matches_row_loop(tmp_path, name):
+    text, schema, fast = CSV_EDGE_CASES[name]
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    names = [schema.get("y", "y"), schema.get("a", "a"), *schema.get("x", [])]
+    assert (data_module._numpy_columns(path, names) is not None) == fast
+    _same_load(path, schema)
+
+
+def test_load_csv_matches_row_loop_on_random_cells(tmp_path):
+    # number-like cells, padded, with some that float() or numpy refuses, so
+    # the numpy parse meets values it must read like float() and ones it
+    # must hand to the row loop
+    rng = np.random.default_rng(0)
+    pads = ["", "", " ", "\t", "\u00a0"]
+    cores = ["1", "-2.5", "+.5", "1e-3", "7E+2", "-0", "0.1", "nan", "-Infinity",
+             "1e309", "4.9e-324", "3.141592653589793", "0x1", "1_0", "1.2.3", "",
+             "#1", "1 2", "e5"]
+    parsed = 0
+    for trial in range(200):
+        rows = [",".join(
+            rng.choice(pads) + rng.choice(cores) + rng.choice(pads) for _ in range(3)
+        ) for _ in range(int(rng.integers(1, 3)))]
+        path = tmp_path / f"r{trial}.csv"
+        path.write_text("y,a,x\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        if data_module._numpy_columns(path, ["y", "a", "x"]) is not None:
+            parsed += 1
+        _same_load(path, {"x": ["x"]})
+    assert parsed >= 20

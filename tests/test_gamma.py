@@ -5,6 +5,7 @@ import pytest
 
 from msmbounds.data import Dataset
 from msmbounds.datagen import DgpSpec, generate
+from msmbounds.errors import ConfigError
 from msmbounds.gamma import (
     GammaSpec,
     bound_kernel,
@@ -15,6 +16,7 @@ from msmbounds.gamma import (
     local_beta_bounds,
     marginal_quantile_beta_bounds,
 )
+from msmbounds.homotopy import homotopy_bounds
 from msmbounds.msm import fit_msm, intercept_msm, linear_msm, u_statistic, PairKernel
 from msmbounds.nuisance import NuisanceConfig, SelfFit, fixed_weight_nuisances
 from msmbounds.oracles import oracle_conditional_box_mean, oracle_linear_box_mean
@@ -282,3 +284,17 @@ def test_marginal_bounds_nest_in_gamma_at_integral_levels():
         intervals.append((lo, hi))
     for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
         assert lo2 <= lo1 + 1e-12 and hi2 >= hi1 - 1e-12
+
+
+def test_empirical_conditional_rule_rejects_one_unit_cells():
+    # continuous data: every (a, x) cell holds one unit, so the per-cell rank
+    # rule has no gamma atom to place and would give lower = upper = point / gamma
+    data = _data(seed=1, n=100)
+    nuis = SelfFit(data, NuisanceConfig(quantile_method="empirical"))
+    for gamma in (1.0, 1.5):
+        with pytest.raises(ConfigError, match="more than one unit"):
+            conditional_quantile_beta_bounds(data, linear_msm(), nuis, GammaSpec(gamma), 1)
+    for flavor in ("exact", "linearized"):
+        with pytest.raises(ConfigError, match="more than one unit"):
+            homotopy_bounds(data, linear_msm(), nuisances=nuis, grid=[1.0, 1.5],
+                            flavor=flavor, constraint="conditional", coord=1)
