@@ -71,8 +71,6 @@ from .panel import (
     PanelMsmModel,
     cumulative_panel_msm,
     custom_panel_msm,
-    panel_fit_msm,
-    panel_propensity_bounds,
     panel_weights,
 )
 from .results import BetaEstimate, BoundCurve, ConfidenceInterval, HomotopyTrace

@@ -23,7 +23,7 @@ from ._ranks import ceil_count, rank_mask, rank_masks
 from .errors import ConfigError
 from .msm import (
     PairKernel,
-    _gram_solver,
+    _linear_functional_fits,
     _model_solver,
     _solve,
     pair_moment_fit,
@@ -60,13 +60,12 @@ class GammaSpec:
         return self.gamma
 
 
-def _gamma_grid(grid, increasing=True):
-    """The grid as a float array; it must start at gamma = 1 and, with
-    ``increasing``, rise strictly."""
+def _gamma_grid(grid):
+    """The grid as a float array; it must start at gamma = 1 and rise strictly."""
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0 or abs(grid[0] - 1.0) > 1e-12:
         raise ValueError("grid must start at gamma = 1")
-    if increasing and grid.size > 1 and not np.all(np.diff(grid) > 0):
+    if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
     return grid
 
@@ -163,22 +162,15 @@ def linear_curve_bounds(data, model, nuisances, spec, a0):
     (lower, upper, (var_lower, var_upper)) with variances on the sqrt(n)
     scale for the curve value at a0.
     """
-    if not model.linear:
-        raise ValueError("linear_curve_bounds needs a linear model")
-    b = model.basis_matrix(data.a)
-    q_mat = b.T @ b / data.n
     b0 = model.basis_matrix(np.array([float(a0)]))[0]
-    pos = b @ _solve(q_mat, b0, "basis Gram matrix") >= 0.0
     phi = {side: _phi_row(nuisances, spec.gamma, side) for side in ("lower", "upper")}
-    solve = _gram_solver(b, q_mat)
 
-    results = []
-    for same, other in (("lower", "upper"), ("upper", "lower")):
-        def mixed_row(i, same=same, other=other):
-            return phi[same if pos[i] else other](i)
+    def mixed_rows(lev):
+        pos = lev >= 0.0
+        return [lambda i, same=same, other=other: phi[same if pos[i] else other](i)
+                for same, other in (("lower", "upper"), ("upper", "lower"))]
 
-        beta, cov = pair_moment_fit(b, mixed_row, solve)
-        results.append((float(b0 @ beta), float(b0 @ cov @ b0)))
+    results = _linear_functional_fits(model, data.a, b0, mixed_rows)
     (g_low, var_low), (g_high, var_high) = sorted(results, key=lambda r: r[0])
     return g_low, g_high, (var_low, var_high)
 

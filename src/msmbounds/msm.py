@@ -334,14 +334,26 @@ def pair_moment_fit(h, phi_row, solve):
     return beta, _projection_variance(unit_sums)
 
 
-def _gram_solver(b, q_mat):
-    """``solve`` for pair_moment_fit on the least-squares projection onto b."""
+def _linear_functional_fits(model, a, direction, phi_rows):
+    """Pair-moment fits of direction^T beta for the least-squares projection onto b.
+
+    direction is e (a coordinate) or b(a0) (a curve point). ``phi_rows(lev)``
+    gives one row function per side from the leverage
+    lev_i = b(A_i)^T Q^-1 direction, Q = b^T b / n, whose sign splits the
+    units. Returns (direction^T beta, direction^T cov direction) per side.
+    """
+    if not model.linear:
+        raise ValueError("linear functional bounds need a linear model")
+    b = model.basis_matrix(a)
+    q_mat = b.T @ b / b.shape[0]
+    lev = b @ _solve(q_mat, direction, "basis Gram matrix")
 
     def solve(target):
         beta = _solve(q_mat, target, "basis Gram matrix")
         return beta, b @ beta, q_mat
 
-    return solve
+    fits = [pair_moment_fit(b, phi_row, solve) for phi_row in phi_rows(lev)]
+    return [(float(direction @ beta), float(direction @ cov @ direction)) for beta, cov in fits]
 
 
 def _model_solver(model, a, h):

@@ -536,13 +536,13 @@ class CrossFit:
         """(q_low, q_high) at each unit's own (a_i, x_i), out of fold."""
         key = round(float(gamma), 12)
         if key not in self._q_cache:
-            q_low = self._per_unit(
-                lambda b, m: b.quantile_pair(gamma, self.data.a[m], self.data.x[m])[0]
+            pairs = {
+                b: b.quantile_pair(gamma, self.data.a[m], self.data.x[m])
+                for b, m in zip(self.bundles, self._scored)
+            }
+            self._q_cache[key] = tuple(
+                self._per_unit(lambda b, m, k=k: pairs[b][k]) for k in (0, 1)
             )
-            q_high = self._per_unit(
-                lambda b, m: b.quantile_pair(gamma, self.data.a[m], self.data.x[m])[1]
-            )
-            self._q_cache[key] = (q_low, q_high)
         return self._q_cache[key]
 
     def s_units(self, gamma, side):
@@ -610,45 +610,27 @@ def stabilized_weights(data, config=None, seed=0, crossfit_obj=None):
 class _FixedNuisances:
     """Externally supplied weights exposed through the CrossFit surface.
 
-    Only the pieces that make sense without fitted models are available:
-    weights always, mean regressions when a ``mu`` callable is given.
-    Everything that needs fitted quantile or pseudo-outcome models raises
-    ConfigError.
+    Only the weights are available; everything that needs a fitted outcome,
+    quantile or pseudo-outcome model raises ConfigError.
     """
 
     in_sample = True
     config = None
 
-    def __init__(self, data, weights, mu=None):
+    def __init__(self, data, weights):
         self.data = data
         self.weights = np.array(weights, dtype=float)
         if self.weights.shape != (data.n,):
             raise ConfigError("weights must have one entry per unit")
-        self._mu = mu
-
-    def _outcome_model(self):
-        if self._mu is None:
-            raise ConfigError("no outcome model attached to fixed weights")
-        return self._mu
-
-    @property
-    def mu_units(self):
-        return self._outcome_model()(self.data.a, self.data.x)
-
-    def mu_row(self, i):
-        a_rep = np.full(self.data.n, self.data.a[i])
-        return self._outcome_model()(a_rep, self.data.x)
-
-    def mu_at_units(self, a0):
-        return self._outcome_model()(np.full(self.data.n, float(a0)), self.data.x)
 
     def _unfitted(self, *args):
-        raise ConfigError("fixed weights carry no quantile or pseudo-outcome fits")
+        raise ConfigError("fixed weights carry no outcome, quantile or pseudo-outcome fits")
 
-    quantile_units = s_units = kappa_units = kappa_row = kappa_at_units = _unfitted
-    bundles = property(_unfitted)
+    mu_row = mu_at_units = quantile_units = s_units = _unfitted
+    kappa_units = kappa_row = kappa_at_units = _unfitted
+    mu_units = bundles = property(_unfitted)
 
 
-def fixed_weight_nuisances(data, weights, mu=None):
+def fixed_weight_nuisances(data, weights):
     """Adapter exposing externally supplied weights through the CrossFit surface."""
-    return _FixedNuisances(data, weights, mu)
+    return _FixedNuisances(data, weights)

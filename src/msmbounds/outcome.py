@@ -15,7 +15,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import GridFailure, NoConvergence, SingularMoment
-from .msm import _gram_solver, _model_solver, _solve, pair_moment_fit, solve_moment
+from .msm import _linear_functional_fits, _model_solver, pair_moment_fit, solve_moment
 from .results import BetaEstimate
 
 
@@ -37,24 +37,17 @@ def _shifted_phi_row(data, nuisances, shift):
 
 
 def _linear_shift_bounds(data, model, nuisances, spec, direction):
-    """Shared core: bounds on direction^T beta for the least-squares projection.
+    """Bounds on direction^T beta for the least-squares projection.
 
-    direction is e (a coordinate) or b(a0) (a curve point). The shift
-    enters as +/- delta times the sign of direction^T Q^-1 b(A_i).
+    The shift enters as +/- delta times the sign of the leverage
+    direction^T Q^-1 b(A_i).
     """
-    if not model.linear:
-        raise ValueError("linear shift bounds need a linear model")
-    b = model.basis_matrix(data.a)
-    q_mat = b.T @ b / data.n
-    signs = np.sign(b @ _solve(q_mat, direction, "basis Gram matrix"))
-    solve = _gram_solver(b, q_mat)
+    def shifted_rows(lev):
+        signs = np.sign(lev)
+        return [_shifted_phi_row(data, nuisances, sgn * spec.delta * signs) for sgn in (-1.0, 1.0)]
 
-    out = []
-    for sgn in (-1.0, 1.0):
-        phi_row = _shifted_phi_row(data, nuisances, sgn * spec.delta * signs)
-        beta, cov = pair_moment_fit(b, phi_row, solve)
-        out.append((float(direction @ beta), float(direction @ cov @ direction)))
-    (low, var_low), (high, var_high) = out
+    (low, var_low), (high, var_high) = _linear_functional_fits(
+        model, data.a, direction, shifted_rows)
     return low, high, (var_low, var_high)
 
 

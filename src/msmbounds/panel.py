@@ -1,10 +1,12 @@
-"""Time-varying treatments: product weights and panel bound pipelines.
+"""Time-varying treatments: path-level working models and product weights.
 
 Per-step treatment models are pooled across time with zero-padded
 fixed-width history features (plus a step index when T > 1, so a single
 period reduces exactly to the static machinery). One confounding weight
 applies per unit trajectory, which lets every marginal-constraint routine
-run unchanged on (trajectory features, product weight, outcome) triples.
+run unchanged on (trajectory features, product weight, outcome) triples:
+``fit_msm`` and ``homotopy_bounds`` take the weights directly, and the
+closed-form routines take them through ``nuisance.fixed_weight_nuisances``.
 """
 
 import dataclasses
@@ -13,16 +15,8 @@ import numpy as np
 
 from .data import PanelDataset
 from .errors import ConfigError
-from .gamma import GammaSpec, local_beta_bounds, marginal_quantile_grid_bounds
-from .homotopy import homotopy_bounds
-from .msm import MsmModel, fit_msm
-from .nuisance import (
-    DiscretePropensity,
-    GaussianPropensity,
-    NuisanceConfig,
-    fixed_weight_nuisances,
-)
-from .results import HomotopyTrace
+from .msm import MsmModel
+from .nuisance import DiscretePropensity, GaussianPropensity, NuisanceConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,42 +128,3 @@ def panel_weights(panel, config=None):
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
         raise ConfigError("panel weights must be positive and finite")
     return weights
-
-
-def panel_fit_msm(panel, model, weights):
-    """Weighted moment fit of a path-level working model."""
-    return fit_msm(panel, model, weights=weights)
-
-
-def panel_propensity_bounds(panel, model, weights, grid, method="homotopy",
-                            coord=0, flavor="exact", **kwargs):
-    """Marginal-constraint propensity bounds on a panel coordinate.
-
-    method: "homotopy" (grid continuation), "marginal-quantile" (closed
-    form over the grid from one sort), or "local" (log-gamma expansion per
-    grid point).
-    One confounding weight per trajectory; the static machinery runs on
-    (path features, product weight, outcome).
-    """
-    grid = np.asarray(list(grid), dtype=float)
-    shim = fixed_weight_nuisances(panel, np.ravel(weights))
-    if method == "homotopy":
-        return homotopy_bounds(
-            panel, model, nuisances=None, grid=grid, flavor=flavor,
-            constraint="marginal", coord=coord, weights=shim.weights, **kwargs,
-        )
-    if method == "marginal-quantile":
-        return marginal_quantile_grid_bounds(panel, model, shim, grid, coord)
-    if method != "local":
-        raise ConfigError(f"unknown panel bounds method {method!r}")
-    lower = np.empty(grid.size)
-    upper = np.empty(grid.size)
-    for j, gamma in enumerate(grid):
-        lower[j], upper[j] = local_beta_bounds(panel, model, shim, GammaSpec(float(gamma)), coord)
-    return HomotopyTrace(
-        grid=grid,
-        lower=lower,
-        upper=upper,
-        target=f"beta[{coord}]",
-        diagnostics={"method": method, "constraint": "marginal"},
-    )

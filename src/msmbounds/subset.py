@@ -12,9 +12,9 @@ import dataclasses
 
 import numpy as np
 
-from ._ranks import ceil_count, select_bottom_mask, select_top_mask, upper_mass_v, lower_mass_v
+from ._ranks import ceil_count, rank_masks, select_bottom_mask, select_top_mask
 from .gamma import GammaSpec, _coordinate_transfer, _gamma_grid, _leverage
-from .msm import PairKernel, _solve, solve_moment, u_statistic
+from .msm import _model_solver, _solve, pair_moment_fit
 from .outcome import DeltaSpec
 from .results import BetaEstimate, HomotopyTrace
 
@@ -72,8 +72,8 @@ def subset_theta_bounds(data, nuisances, eps, a0):
     return min(theta_low, theta_high), max(theta_low, theta_high)
 
 
-def _subset_kernel_rows(data, nuisances, eps, side, h):
-    """Pair-kernel rows h(a_i) f_side(Z_i, Z_j) for the parametric bounds.
+def _subset_phi_row(data, nuisances, eps, side):
+    """Row function i -> f_side(Z_i, Z_j) over j for the parametric bounds.
 
     f = f_mu + lambda(a_i, x_i) w_i[(s_i - kappa_ii) - (y_i - mu_ii)]
           + lambda(a_i, x_j) [kappa(a_i, x_j) - mu(a_i, x_j)],
@@ -98,8 +98,7 @@ def _subset_kernel_rows(data, nuisances, eps, side, h):
             lam_row = select_bottom_mask(r_row, low_count)
         else:
             lam_row = select_top_mask(r_row, high_count)
-        vals = dr_base[i] + mu_row + lam_row[i] * delta_term[i] + lam_row * r_row
-        return h[i][None, :] * vals[:, None]
+        return dr_base[i] + mu_row + lam_row[i] * delta_term[i] + lam_row * r_row
 
     return row
 
@@ -112,11 +111,10 @@ def subset_parametric_bounds(data, model, nuisances, eps):
     if not isinstance(eps.inner, GammaSpec):
         raise TypeError("subset_parametric_bounds needs a GammaSpec inner model")
     h = model.features(data.a)
+    solve = _model_solver(model, data.a, h)
     out = []
     for side in ("lower", "upper"):
-        row = _subset_kernel_rows(data, nuisances, eps, side, h)
-        target = u_statistic(PairKernel(data.n, model.dim, row))
-        beta = solve_moment(model, data.a, target)
+        beta, _ = pair_moment_fit(h, _subset_phi_row(data, nuisances, eps, side), solve)
         out.append(BetaEstimate(beta=beta, covariance=None))
     return out[0], out[1]
 
@@ -144,15 +142,16 @@ def subset_linear_beta_bounds(data, model, nuisances, eps, coord):
 def subset_independent_bounds(data, model, nuisances, grid, coord, epsilon):
     """Marginal-constraint coordinate bounds when confounding hits an
     independent random subset: the confounding weight v is replaced by
-    (1 - epsilon) + epsilon v, shrinking the box toward one.
+    (1 - epsilon) + epsilon v, shrinking the box toward one. v follows the
+    marginal rank rule, from one sort of f for the whole grid.
     """
-    grid = _gamma_grid(grid, increasing=False)
+    grid = _gamma_grid(grid)
     f = _coordinate_transfer(data, model, nuisances.weights, coord) * data.y
     lower = np.empty(grid.size)
     upper = np.empty(grid.size)
-    for j, gamma in enumerate(grid):
-        v_hi = (1.0 - epsilon) + epsilon * upper_mass_v(f, gamma)
-        v_lo = (1.0 - epsilon) + epsilon * lower_mass_v(f, gamma)
+    for j, (gamma, (mask_lo, mask_hi)) in enumerate(zip(grid, rank_masks(f, grid))):
+        v_hi = (1.0 - epsilon) + epsilon * np.where(mask_hi, gamma, 1.0 / gamma)
+        v_lo = (1.0 - epsilon) + epsilon * np.where(mask_lo, gamma, 1.0 / gamma)
         lower[j] = float(np.mean(f * v_lo))
         upper[j] = float(np.mean(f * v_hi))
     return HomotopyTrace(

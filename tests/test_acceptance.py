@@ -20,6 +20,7 @@ from msmbounds.gamma import (
     linear_curve_bounds,
     local_beta_bounds,
     marginal_quantile_beta_bounds,
+    marginal_quantile_grid_bounds,
 )
 from msmbounds.homotopy import coordinate_ascent_bounds, homotopy_bounds
 from msmbounds.inference import HulcSpec, hulc_ci
@@ -43,7 +44,7 @@ from msmbounds.outcome import (
     outcome_nonlinear_grid_bounds,
     outcome_parametric_bounds,
 )
-from msmbounds.panel import cumulative_panel_msm, panel_fit_msm, panel_propensity_bounds, panel_weights
+from msmbounds.panel import cumulative_panel_msm, panel_weights
 from msmbounds.subset import (
     EpsilonSpec,
     subset_independent_bounds,
@@ -444,19 +445,19 @@ def test_criterion_12_single_period_panel_reduction():
         w_panel = panel_weights(panel)
         w_static = SelfFit(static).weights
         worst = max(worst, float(np.max(np.abs(w_panel - w_static))))
-        est_p = panel_fit_msm(panel, model_p, w_panel)
+        est_p = fit_msm(panel, model_p, weights=w_panel)
         est_s = fit_msm(static, model_s, weights=w_panel)
         worst = max(worst, float(np.max(np.abs(est_p.beta - est_s.beta))))
-        tr_p = panel_propensity_bounds(panel, model_p, w_panel, grid,
-                                       method="homotopy", coord=1)
+        tr_p = homotopy_bounds(panel, model_p, grid=grid, coord=1,
+                               weights=w_panel)
         tr_s = homotopy_bounds(static, model_s, grid=grid, coord=1,
                                weights=w_panel)
         worst = max(worst,
                     float(np.max(np.abs(tr_p.lower - tr_s.lower))),
                     float(np.max(np.abs(tr_p.upper - tr_s.upper))))
         shim = fixed_weight_nuisances(static, w_panel)
-        mq = panel_propensity_bounds(panel, model_p, w_panel, grid,
-                                     method="marginal-quantile", coord=1)
+        mq = marginal_quantile_grid_bounds(
+            panel, model_p, fixed_weight_nuisances(panel, w_panel), grid, 1)
         for j, g in enumerate(grid):
             lo, hi = marginal_quantile_beta_bounds(static, model_s, shim,
                                                    GammaSpec(g), 1)

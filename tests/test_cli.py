@@ -348,6 +348,21 @@ def test_panel_conditional_constraint_exits_2(tmp_path, capsys, method):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sens,message", [
+    ({"method": "conditional-quantile"},
+     "unknown panel bounds method 'conditional-quantile'"),
+    ({"method": "parametric"}, "unknown panel bounds method 'parametric'"),
+    ({"family": "outcome", "method": "linear", "grid": [0.0, 0.5]},
+     "panel bounds support the propensity family only"),
+], ids=["conditional-quantile", "parametric", "outcome"])
+def test_panel_rejects_static_only_routes(tmp_path, capsys, sens, message):
+    config = panel_config()
+    config["sensitivity"].update(sens)
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cumulative_panel_model_rejects_degree(tmp_path, capsys):
     config = case("fit-panel")
     config["model"]["degree"] = 4

@@ -20,6 +20,7 @@ from msmbounds.homotopy import homotopy_bounds
 from msmbounds.msm import fit_msm, intercept_msm, linear_msm, u_statistic, PairKernel
 from msmbounds.nuisance import NuisanceConfig, SelfFit, fixed_weight_nuisances
 from msmbounds.oracles import oracle_conditional_box_mean, oracle_linear_box_mean
+from msmbounds.outcome import DeltaSpec, outcome_beta_bounds_linear, outcome_curve_bounds
 
 
 def _data(seed=0, n=120):
@@ -243,10 +244,14 @@ def test_linear_curve_bounds_match_direct_enumeration():
     assert g_hi == pytest.approx(hi_ref, abs=1e-10)
 
 
-def test_linear_curve_bounds_requires_linear_model():
+@pytest.mark.parametrize("bounds,spec", [
+    (linear_curve_bounds, GammaSpec(2.0)),
+    (outcome_curve_bounds, DeltaSpec(0.5)),
+    (outcome_beta_bounds_linear, DeltaSpec(0.5)),
+], ids=["linear_curve_bounds", "outcome_curve_bounds", "outcome_beta_bounds_linear"])
+def test_linear_curve_bounds_requires_linear_model(bounds, spec):
     data = _data(n=30)
     nuis = SelfFit(data)
-    model = fit_msm  # placeholder; build a nonlinear model inline instead
     from msmbounds.msm import custom_msm
 
     nl = custom_msm(
@@ -256,7 +261,7 @@ def test_linear_curve_bounds_requires_linear_model():
         moment_features=lambda a: a[:, None],
     )
     with pytest.raises(ValueError):
-        linear_curve_bounds(data, nl, nuis, GammaSpec(2.0), 0.0)
+        bounds(data, nl, nuis, spec, 0)
 
 
 def test_local_bounds_hand_formula():

@@ -190,6 +190,23 @@ def test_crossfit_no_training_leakage():
         assert i not in cf.bundle_for(i).train_idx
 
 
+@pytest.mark.parametrize("folds", [1, 3])
+def test_quantile_units_evaluates_each_bundle_once(monkeypatch, folds):
+    data = _noisy_linear(n=60)
+    cf = SelfFit(data) if folds == 1 else CrossFit(data, NuisanceConfig(folds=folds), seed=2)
+    want_low, want_high = np.empty(data.n), np.empty(data.n)
+    for b, units in zip(cf.bundles, cf._scored):
+        want_low[units], want_high[units] = b.quantile_pair(1.7, data.a[units], data.x[units])
+    calls = []
+    quantile_pair = type(cf.bundles[0]).quantile_pair
+    monkeypatch.setattr(type(cf.bundles[0]), "quantile_pair",
+                        lambda b, *args: calls.append(b) or quantile_pair(b, *args))
+    q_low, q_high = cf.quantile_units(1.7)
+    assert len(calls) == folds
+    assert q_low.tobytes() == want_low.tobytes()
+    assert q_high.tobytes() == want_high.tobytes()
+
+
 def test_crossfit_weights_flavors():
     data = _noisy_linear()
     stab = CrossFit(data, NuisanceConfig(weight_flavor="stabilized"), seed=0)
@@ -250,9 +267,6 @@ def test_fixed_weight_adapter():
         fixed.mu_units
     with pytest.raises(ConfigError):
         fixed_weight_nuisances(data, np.ones(29))
-    with_mu = fixed_weight_nuisances(data, np.ones(30),
-                                     mu=lambda a, x: np.zeros(np.size(a)))
-    np.testing.assert_array_equal(with_mu.mu_units, np.zeros(30))
 
 
 def test_fit_propensity_dispatch():

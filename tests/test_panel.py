@@ -6,7 +6,12 @@ import pytest
 from msmbounds.data import PanelDataset
 from msmbounds.datagen import DgpSpec, generate
 from msmbounds.errors import ConfigError
-from msmbounds.gamma import GammaSpec, local_beta_bounds, marginal_quantile_beta_bounds
+from msmbounds.gamma import (
+    GammaSpec,
+    local_beta_bounds,
+    marginal_quantile_beta_bounds,
+    marginal_quantile_grid_bounds,
+)
 from msmbounds.homotopy import homotopy_bounds
 from msmbounds.msm import fit_msm, linear_msm
 from msmbounds.nuisance import NuisanceConfig, SelfFit, fixed_weight_nuisances
@@ -14,8 +19,6 @@ from msmbounds.panel import (
     PanelMsmModel,
     cumulative_panel_msm,
     custom_panel_msm,
-    panel_fit_msm,
-    panel_propensity_bounds,
     panel_weights,
 )
 
@@ -107,7 +110,7 @@ def test_single_period_unstabilized_weights_match_static():
 def test_single_period_fit_matches_static():
     panel, static = _single_period(seed=2)
     w = panel_weights(panel)
-    est_panel = panel_fit_msm(panel, cumulative_panel_msm(), w)
+    est_panel = fit_msm(panel, cumulative_panel_msm(), weights=w)
     est_static = fit_msm(static, linear_msm(), weights=w)
     np.testing.assert_allclose(est_panel.beta, est_static.beta, atol=1e-10)
 
@@ -116,26 +119,26 @@ def test_single_period_traces_match_static():
     panel, static = _single_period(seed=3)
     w = panel_weights(panel)
     grid = [1.0, 1.5, 2.0]
-    trace = panel_propensity_bounds(panel, cumulative_panel_msm(), w, grid,
-                                    method="homotopy", coord=1)
+    trace = homotopy_bounds(panel, cumulative_panel_msm(), grid=grid,
+                            coord=1, weights=w)
     static_trace = homotopy_bounds(static, linear_msm(), grid=grid,
                                    coord=1, weights=w)
     np.testing.assert_allclose(trace.lower, static_trace.lower, atol=1e-10)
     np.testing.assert_allclose(trace.upper, static_trace.upper, atol=1e-10)
 
     shim = fixed_weight_nuisances(static, w)
-    mq = panel_propensity_bounds(panel, cumulative_panel_msm(), w, grid,
-                                 method="marginal-quantile", coord=1)
-    loc = panel_propensity_bounds(panel, cumulative_panel_msm(), w, grid,
-                                  method="local", coord=1)
+    panel_shim = fixed_weight_nuisances(panel, w)
+    mq = marginal_quantile_grid_bounds(panel, cumulative_panel_msm(), panel_shim,
+                                       grid, 1)
     for j, g in enumerate(grid):
         lo, hi = marginal_quantile_beta_bounds(static, linear_msm(), shim,
                                                GammaSpec(g), 1)
         np.testing.assert_allclose([mq.lower[j], mq.upper[j]], [lo, hi],
                                    atol=1e-10)
+        loc = local_beta_bounds(panel, cumulative_panel_msm(), panel_shim,
+                                GammaSpec(g), 1)
         lo, hi = local_beta_bounds(static, linear_msm(), shim, GammaSpec(g), 1)
-        np.testing.assert_allclose([loc.lower[j], loc.upper[j]], [lo, hi],
-                                   atol=1e-10)
+        np.testing.assert_allclose(loc, [lo, hi], atol=1e-10)
 
 
 def test_noiseless_cumulative_recovery():
@@ -143,7 +146,7 @@ def test_noiseless_cumulative_recovery():
     a = rng.normal(size=(40, 2))
     y = 1.0 + 2.0 * a.sum(axis=1)
     panel = PanelDataset(range(40), None, a, y)
-    est = panel_fit_msm(panel, cumulative_panel_msm(), np.ones(40))
+    est = fit_msm(panel, cumulative_panel_msm(), weights=np.ones(40))
     np.testing.assert_allclose(est.beta, [1.0, 2.0], atol=1e-8)
 
 
@@ -151,9 +154,9 @@ def test_panel_bounds_bracket_point_and_widen():
     panel = generate(DgpSpec("panel-mix", seed=5), 80)
     w = panel_weights(panel)
     model = cumulative_panel_msm()
-    point = panel_fit_msm(panel, model, w).beta[1]
-    trace = panel_propensity_bounds(panel, model, w, [1.0, 1.3, 1.8],
-                                    method="marginal-quantile", coord=1)
+    point = fit_msm(panel, model, weights=w).beta[1]
+    trace = marginal_quantile_grid_bounds(panel, model, fixed_weight_nuisances(panel, w),
+                                          [1.0, 1.3, 1.8], 1)
     assert trace.lower[0] == pytest.approx(point, abs=1e-8)
     assert trace.upper[0] == pytest.approx(point, abs=1e-8)
     assert np.all(np.diff(trace.upper) >= -1e-10)
@@ -161,9 +164,3 @@ def test_panel_bounds_bracket_point_and_widen():
     assert np.all(trace.lower <= point + 1e-10)
     assert np.all(trace.upper >= point - 1e-10)
 
-
-def test_unknown_method_rejected():
-    panel = generate(DgpSpec("panel-mix", seed=6), 30)
-    with pytest.raises(ConfigError):
-        panel_propensity_bounds(panel, cumulative_panel_msm(), np.ones(30),
-                                [1.0, 2.0], method="bootstrap")

@@ -18,7 +18,7 @@ from msmbounds.gamma import (
 from msmbounds.homotopy import homotopy_bounds
 from msmbounds.msm import _solve, intercept_msm, linear_msm, polynomial_msm
 from msmbounds.nuisance import NuisanceConfig, SelfFit, fixed_weight_nuisances
-from msmbounds.panel import cumulative_panel_msm, panel_propensity_bounds, panel_weights
+from msmbounds.panel import cumulative_panel_msm, panel_weights
 
 STATIC = ("gauss-line", "confounded-line", "hidden-dose", "discrete-cells")
 GRID = [1.0, 1.1, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0]
@@ -120,8 +120,8 @@ def test_batched_swaps_match_double_loop(monkeypatch, name, seed, iters, degree)
 def test_batched_swaps_match_double_loop_on_panel(monkeypatch):
     panel = generate(DgpSpec("panel-mix", seed=4), 80)
     w = panel_weights(panel)
-    _against_reference(monkeypatch, lambda: panel_propensity_bounds(
-        panel, cumulative_panel_msm(), w, GRID, method="homotopy", coord=1,
+    _against_reference(monkeypatch, lambda: homotopy_bounds(
+        panel, cumulative_panel_msm(), grid=GRID, coord=1, weights=w,
         inner_iterations=6, keep_weights=True))
 
 
@@ -200,7 +200,6 @@ def test_grid_route_matches_per_gamma_bounds_on_panel():
     panel = generate(DgpSpec("panel-mix", seed=3), 90)
     w = panel_weights(panel)
     model = cumulative_panel_msm()
-    trace = panel_propensity_bounds(panel, model, w, GRID, method="marginal-quantile",
-                                    coord=1)
-    _same_as_per_gamma(trace, _per_gamma(panel, model, fixed_weight_nuisances(panel, w),
-                                         GRID, 1))
+    nuis = fixed_weight_nuisances(panel, w)
+    trace = marginal_quantile_grid_bounds(panel, model, nuis, GRID, 1)
+    _same_as_per_gamma(trace, _per_gamma(panel, model, nuis, GRID, 1))

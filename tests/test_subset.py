@@ -3,14 +3,22 @@
 import numpy as np
 import pytest
 
+from msmbounds._ranks import select_bottom_mask, select_top_mask
+from msmbounds.data import Dataset
 from msmbounds.datagen import DgpSpec, generate
-from msmbounds.gamma import GammaSpec, fit_parametric_bounds, marginal_quantile_beta_bounds
-from msmbounds.msm import fit_msm, intercept_msm, linear_msm
-from msmbounds.nuisance import SelfFit
+from msmbounds.gamma import (
+    GammaSpec,
+    fit_parametric_bounds,
+    marginal_quantile_beta_bounds,
+    marginal_quantile_grid_bounds,
+)
+from msmbounds.msm import PairKernel, fit_msm, intercept_msm, linear_msm, solve_moment, u_statistic
+from msmbounds.nuisance import CrossFit, NuisanceConfig, SelfFit
 from msmbounds.outcome import DeltaSpec
 from msmbounds.subset import (
     EpsilonSpec,
     _lambda_masks,
+    _select_counts,
     subset_independent_bounds,
     subset_linear_beta_bounds,
     subset_outcome_beta_bounds,
@@ -171,3 +179,65 @@ def test_subset_outcome_width_formula():
     point = fit_msm(data, model, weights=w).beta[1]
     assert lo0 == pytest.approx(point, abs=1e-10)
     assert hi0 == pytest.approx(point, abs=1e-10)
+
+
+def _reference_subset_parametric(data, model, nuisances, eps):
+    """The subset fits built as a row-wise U-statistic of h(a_i) f(Z_i, Z_j)
+    followed by one moment solve per side."""
+    gamma = eps.inner.gamma
+    h = model.features(data.a)
+    w = nuisances.weights
+    mu_own = nuisances.mu_units
+    low_count, high_count = _select_counts(data.n, eps.epsilon)
+    betas = []
+    for side, select, count in (("lower", select_bottom_mask, low_count),
+                                ("upper", select_top_mask, high_count)):
+        s = nuisances.s_units(gamma, side)
+        kappa_own = nuisances.kappa_units(gamma, side)
+        dr_base = w * (data.y - mu_own)
+        delta_term = w * ((s - kappa_own) - (data.y - mu_own))
+
+        def row(i, side=side, select=select, count=count,
+                dr_base=dr_base, delta_term=delta_term):
+            mu_row = nuisances.mu_row(i)
+            r_row = nuisances.kappa_row(gamma, side, i) - mu_row
+            lam_row = select(r_row, count)
+            vals = dr_base[i] + mu_row + lam_row[i] * delta_term[i] + lam_row * r_row
+            return h[i][None, :] * vals[:, None]
+
+        target = u_statistic(PairKernel(data.n, model.dim, row))
+        betas.append(solve_moment(model, data.a, target))
+    return betas
+
+
+@pytest.mark.parametrize("folds", [1, 2])
+@pytest.mark.parametrize("epsilon", [0.25, 1.0])
+@pytest.mark.parametrize("make_model", [intercept_msm, linear_msm])
+def test_parametric_bounds_match_row_wise_reference(folds, epsilon, make_model):
+    data = generate(DgpSpec("confounded-line", seed=11), 60)
+    nuis = SelfFit(data) if folds == 1 else CrossFit(data, NuisanceConfig(folds=2), seed=3)
+    model = make_model()
+    eps = EpsilonSpec(epsilon, GammaSpec(2.0))
+    got = subset_parametric_bounds(data, model, nuis, eps)
+    for est, want in zip(got, _reference_subset_parametric(data, model, nuis, eps)):
+        assert est.beta.tobytes() == want.tobytes()
+        assert est.covariance is None
+
+
+def _tied_cells():
+    cells = generate(DgpSpec("discrete-cells", seed=2))
+    data = Dataset(cells.x, cells.a, np.round(cells.y))
+    return data, SelfFit(data, NuisanceConfig(propensity_method="discrete",
+                                              quantile_method="empirical"))
+
+
+@pytest.mark.parametrize("setup", [lambda: _setup(seed=8, n=150), _tied_cells])
+def test_independent_subset_at_epsilon_one_is_the_marginal_rule(setup):
+    data, nuis = setup()
+    grid = [1.0, 1.1, 1.5, 2.0, 3.0, 4.0]
+    for model in (intercept_msm(), linear_msm()):
+        coord = model.dim - 1
+        got = subset_independent_bounds(data, model, nuis, grid, coord, 1.0)
+        want = marginal_quantile_grid_bounds(data, model, nuis, grid, coord)
+        assert got.lower.tobytes() == want.lower.tobytes()
+        assert got.upper.tobytes() == want.upper.tobytes()

@@ -1,4 +1,4 @@
-"""Run the same CLI configs on two source trees and compare what they write.
+"""Run the same CLI configs and demos on two source trees and compare what they write.
 
 Usage, from the root of a checkout:
 
@@ -19,10 +19,16 @@ input data. The cases are
   ``rank-rule-homotopy``), written by ``perfbench/workloads.write_inputs``
   at full n for seeds 0 and 1.
 
+Then every Python demo of this checkout's ``demos/`` runs in each tree as
+``python <tree>/demos/<name>``, the tree's own copy of the demo against its
+own ``src/``, and the two stdouts are compared byte for byte. That covers
+the library calls the demos make, which no CLI case reaches.
+
 For every output file the report says "identical" or, for a result CSV,
 the largest relative difference per column. The exit status is 0 when
-every case exits 0 and writes files in both trees and every file is
-identical, and 1 otherwise. Uses only the stdlib and numpy.
+every case and demo exits 0 in both trees, every case writes files and
+every file and demo stdout is identical, and 1 otherwise. Uses only the
+stdlib and numpy.
 """
 
 import argparse
@@ -68,6 +74,33 @@ def run_case(tree, argv, out):
         env=env, capture_output=True, text=True,
     )
     return proc.returncode, proc.stderr.strip()
+
+
+def run_demo(tree, name):
+    tree = os.path.abspath(tree)
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(tree, "demos", name)],
+        env=env, capture_output=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr.decode(errors="replace").strip()
+
+
+def compare_demos(tree_a, tree_b):
+    """Run each demo in both trees; True when every one exits 0 with the same stdout."""
+    all_identical = True
+    for name in sorted(f for f in os.listdir(os.path.join(ROOT, "demos")) if f.endswith(".py")):
+        stdouts = []
+        for label, tree in (("a", tree_a), ("b", tree_b)):
+            code, out, err = run_demo(tree, name)
+            if code != 0:
+                print(f"demos/{name}: tree {label} exited {code}: {err.splitlines()[-1:]}")
+                all_identical = False
+            stdouts.append(out)
+        verdict = "identical stdout" if stdouts[0] == stdouts[1] else "stdout differs"
+        all_identical &= stdouts[0] == stdouts[1]
+        print(f"demos/{name}: {verdict}")
+    return all_identical
 
 
 def _csv_columns(path):
@@ -139,6 +172,7 @@ def main(argv=None):
                 verdict = compare_file(*paths)
             all_identical &= verdict == "identical"
             print(f"{name}/{fname}: {verdict}")
+    all_identical &= compare_demos(args.tree_a, args.tree_b)
     return 0 if all_identical else 1
 
 
