@@ -4,8 +4,8 @@ Single home for the deterministic conventions used everywhere: ties
 broken toward the lower index, and the strict-above / inclusive-below
 split that makes rank-based weight assignments hit the LP vertex exactly
 when n*tau is integral. ``rank_mask`` is the one marginal rank rule behind
-every propensity coordinate bound, and ``rank_masks`` applies it over a
-whole gamma grid from one sort.
+every propensity coordinate bound; ``rank_masks`` applies it over a whole
+gamma grid and ``cell_rank_mask`` inside every (a, x) cell, each from one sort.
 """
 
 import math
@@ -73,8 +73,8 @@ def rank_mask(values, gamma, upper):
     The ``gamma_count(n, gamma)`` largest values for the upper side
     (ties toward the lower index stay out), the same count of smallest for
     the lower side (ties toward the lower index get in). The marginal
-    quantile bounds, the homotopy's threshold steps and the per-cell
-    conditional rule all place their weights through this one rule.
+    quantile bounds and the homotopy's threshold steps place their weights
+    through this one rule, and ``cell_rank_mask`` applies it per cell.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
@@ -94,6 +94,24 @@ def rank_masks(values, gammas):
     order = _ascending_order(values)
     counts = [gamma_count(values.size, gamma) for gamma in gammas]
     return [(_cut(order, count, False), _cut(order, count, True)) for count in counts]
+
+
+def cell_rank_mask(values, labels, gamma, upper):
+    """``rank_mask`` inside every cell of ``labels`` (one integer per unit): each
+    cell's ``gamma_count`` first or last entries of the (cell, value, index) order."""
+    if gamma < 1:
+        raise ValueError("gamma must be >= 1")
+    values = np.asarray(values, dtype=float).ravel()
+    order = np.lexsort((np.arange(values.size), values, labels))
+    sizes = np.bincount(labels)
+    distinct, size_at = np.unique(sizes, return_inverse=True)
+    counts = np.array([gamma_count(int(size), gamma) for size in distinct])[size_at]
+    cell = labels[order]
+    rank = np.arange(values.size) - (np.cumsum(sizes) - sizes)[cell]  # within its cell
+    keep = rank >= (sizes - counts)[cell] if upper else rank < counts[cell]
+    mask = np.zeros(values.size, dtype=bool)
+    mask[order[keep]] = True
+    return mask
 
 
 def upper_mass_v(values, gamma):

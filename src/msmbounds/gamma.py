@@ -12,24 +12,25 @@ local expansion.
 Every propensity coordinate bound here and in ``homotopy`` reweights one
 per-unit derivative, built on ``_leverage``, and places its weights by one
 rule: ``_ranks.rank_mask`` under the marginal constraint and
-``_conditional_mask`` under the conditional one.
+``_conditional_mask`` under the conditional one. The (a, x) cells are one
+label per unit (``nuisance.cell_labels``), so every per-cell rule is a sort
+or a ``bincount`` over that array.
 """
 
 import dataclasses
 
 import numpy as np
 
-from ._ranks import ceil_count, rank_mask, rank_masks
+from ._ranks import cell_rank_mask, rank_masks
 from .errors import ConfigError
 from .msm import (
     PairKernel,
     _linear_functional_fits,
-    _model_solver,
+    _pair_moment_sides,
     _solve,
-    pair_moment_fit,
     weighted_fit,
 )
-from .nuisance import clipped_pseudo_outcome, group_cells
+from .nuisance import EmpiricalQuantileFit, cell_labels, clipped_pseudo_outcome
 from .results import BetaEstimate, HomotopyTrace
 
 
@@ -70,19 +71,6 @@ def _gamma_grid(grid):
     return grid
 
 
-def _cell_pseudo_outcomes(data, spec, side):
-    """In-sample per-cell clipped pseudo-outcomes using exact cell quantiles."""
-    s = np.empty(data.n)
-    for idx in group_cells(data.a, data.x).values():
-        yv = data.y[idx]
-        n_c = yv.size
-        order = np.lexsort((np.arange(n_c), yv))
-        q_low = yv[order[ceil_count(n_c, spec.tau_low) - 1]]
-        q_high = yv[order[ceil_count(n_c, spec.tau_high) - 1]]
-        s[idx] = clipped_pseudo_outcome(yv, q_low, q_high, spec.gamma, side)
-    return s
-
-
 def conditional_outcome_bounds(data, spec, nuisances=None, probe_a=None, probe_x=None):
     """Bounds on the confounded conditional mean E[Y v | A = a, X = x].
 
@@ -95,15 +83,15 @@ def conditional_outcome_bounds(data, spec, nuisances=None, probe_a=None, probe_x
     if nuisances is None:
         if probe_a is not None or probe_x is not None:
             raise ValueError("cell plug-in path evaluates at the sample units only")
-        low_s = _cell_pseudo_outcomes(data, spec, "lower")
-        high_s = _cell_pseudo_outcomes(data, spec, "upper")
-        cells = group_cells(data.a, data.x)
-        low = np.empty(data.n)
-        high = np.empty(data.n)
-        for idx in cells.values():
-            low[idx] = low_s[idx].mean()
-            high[idx] = high_s[idx].mean()
-        return low, high
+        q_low, q_high = EmpiricalQuantileFit(data.a, data.x, data.y).evaluate_many(
+            [spec.tau_low, spec.tau_high], data.a, data.x).T
+        labels = cell_labels(data.a, data.x)
+        sizes = np.bincount(labels)
+        low, high = (
+            np.bincount(labels, clipped_pseudo_outcome(data.y, q_low, q_high, spec.gamma, side))
+            / sizes
+            for side in ("lower", "upper"))
+        return low[labels], high[labels]
     if probe_a is None:
         low = nuisances.kappa_units(spec.gamma, "lower")
         high = nuisances.kappa_units(spec.gamma, "upper")
@@ -145,13 +133,10 @@ def fit_parametric_bounds(data, model, nuisances, spec):
     Each side solves the pair moment U_n[h(A_1)(phi-hat - g(A_1; beta))] = 0
     and carries the U-statistic projection covariance.
     """
-    h = model.features(data.a)
-    solve = _model_solver(model, data.a, h)
-    out = []
-    for side in ("lower", "upper"):
-        beta, cov = pair_moment_fit(h, _phi_row(nuisances, spec.gamma, side), solve)
-        out.append(BetaEstimate(beta=beta, covariance=cov))
-    return out[0], out[1]
+    phi_rows = (_phi_row(nuisances, spec.gamma, side) for side in ("lower", "upper"))
+    low, high = (BetaEstimate(beta=beta, covariance=cov)
+                 for beta, cov in _pair_moment_sides(model, data.a, phi_rows))
+    return low, high
 
 
 def linear_curve_bounds(data, model, nuisances, spec, a0):
@@ -194,15 +179,15 @@ def _leverage(model, a, w, coord, beta=None, v=None, h=None):
 
 
 def _cells(data, nuisances):
-    """Unit indices of each (a, x) cell under empirical quantiles; None under fitted ones.
+    """The (a, x) cell label of each unit under empirical quantiles; None under fitted ones.
 
     Raises ``ConfigError`` when every cell holds one unit, as on continuous
     data: the per-cell rank rule would then put 1/gamma on every unit.
     """
     if getattr(nuisances.config, "quantile_method", "pinball") != "empirical":
         return None
-    cells = group_cells(data.a, data.x).values()
-    if all(idx.size == 1 for idx in cells):
+    cells = cell_labels(data.a, data.x)
+    if cells.max() + 1 == data.n:
         raise ConfigError(
             "empirical quantiles need (a, x) cells with more than one unit, and every "
             "cell of this data holds one; use quantile_method 'pinball' on continuous data"
@@ -213,17 +198,14 @@ def _cells(data, nuisances):
 def _conditional_mask(cells, nuisances, d, c, g, gamma, upper):
     """Units at the high weight under the conditional (per-cell) mean-one constraint.
 
-    With ``cells`` (from ``_cells``) this is the marginal rank rule on d
-    inside each (a, x) cell. Otherwise d = c (y - g) is compared with its
+    With ``cells`` (labels from ``_cells``) this is the marginal rank rule on
+    d inside each (a, x) cell. Otherwise d = c (y - g) is compared with its
     fitted conditional quantile c (q_y - g), the Y-quantile level flipped
     where c < 0: strictly above for the upper side, at or below for the
     lower. g is None for the linearized d = c y.
     """
     if cells is not None:
-        mask = np.zeros(d.size, dtype=bool)
-        for idx in cells:
-            mask[idx] = rank_mask(d[idx], gamma, upper)
-        return mask
+        return cell_rank_mask(d, cells, gamma, upper)
     q_low_y, q_high_y = nuisances.quantile_units(gamma)
     q_y = np.where((c >= 0) == upper, q_high_y, q_low_y)
     q_d = c * q_y if g is None else c * (q_y - g)

@@ -151,6 +151,10 @@ def homotopy_bounds(
     ``swap_band`` units nearest the cut (0 disables). The conditional
     constraint applies the rule within (a, x) cells and iterates out the
     circular dependence of the threshold on the fit.
+
+    A branch's first two failed steps keep its previous point, listed as
+    (grid index, branch) in ``diagnostics["fallback_points"]``; from its
+    third on, the point is invalid and listed in ``diagnostics["invalid_points"]``.
     """
     if flavor not in ("exact", "linearized"):
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -188,6 +192,7 @@ def homotopy_bounds(
         "constraint": constraint,
         "inner_iterations": int(inner_iterations),
         "invalid_points": [],
+        "fallback_points": [],
     }
 
     for j in range(1, grid.size):
@@ -211,6 +216,7 @@ def homotopy_bounds(
                     continue
                 # the carried weights stay feasible in the wider box, so the
                 # previous value stands at this grid point
+                diagnostics["fallback_points"].append((j, branch))
                 v_new, beta_new, value = st["v"], st["beta"], st["val"]
             st["v"] = v_new
             st["beta"] = beta_new

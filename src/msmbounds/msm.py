@@ -356,12 +356,14 @@ def _linear_functional_fits(model, a, direction, phi_rows):
     return [(float(direction @ beta), float(direction @ cov @ direction)) for beta, cov in fits]
 
 
-def _model_solver(model, a, h):
-    """``solve`` for pair_moment_fit on the working model's moment equation."""
+def _pair_moment_sides(model, a, phi_rows):
+    """(beta, covariance) of ``pair_moment_fit`` on the working model for each row
+    function that ``phi_rows`` yields, one per side."""
+    h = model.features(a)
 
     def solve(target):
         beta = solve_moment(model, a, target)
         grad = model.basis_matrix(a) if model.linear else model.grad(a, beta)
         return beta, model.predict(a, beta), h.T @ grad / a.size
 
-    return solve
+    return [pair_moment_fit(h, phi_row, solve) for phi_row in phi_rows]

@@ -4,6 +4,9 @@ All fitters are deterministic given the training rows. The cross-fitting
 wrapper hands every unit an evaluator trained on the other folds, and the
 per-(gamma, side) clipped-outcome regressions are cached so a whole gamma
 grid reuses one set of fold fits.
+
+Discrete-support (a, x) cells are one integer label per row (``cell_labels``),
+and the empirical quantiles index into y sorted by (cell, y).
 """
 
 import dataclasses
@@ -269,6 +272,14 @@ class DiscretePropensity:
         return np.maximum(self.marg[lab], self.clip)
 
 
+def _uncrossed(raw, taus):
+    """Quantiles with one column per tau, sorted across the tau axis so they never cross."""
+    order = np.argsort(np.asarray(taus, dtype=float), kind="stable")
+    out = np.empty_like(raw)
+    out[:, order] = np.sort(raw[:, order], axis=1)
+    return out
+
+
 class PinballQuantileFit:
     """Linear-in-features conditional quantiles fit by pinball-loss LP.
 
@@ -308,77 +319,66 @@ class PinballQuantileFit:
     def evaluate_many(self, taus, a, x):
         """Quantiles at each tau for each (a, x) row, sorted so they never cross."""
         design = _poly_design(a, x, self.degree)
-        raw = np.column_stack([design @ self.coef(t) for t in taus])
-        order = np.argsort(np.asarray(taus, dtype=float), kind="stable")
-        sorted_vals = np.sort(raw[:, order], axis=1)
-        out = np.empty_like(raw)
-        out[:, order] = sorted_vals
-        return out
+        return _uncrossed(np.column_stack([design @ self.coef(t) for t in taus]), taus)
 
     def evaluate(self, tau, a, x):
         return self.evaluate_many([tau], a, x)[:, 0]
 
 
-def _cell_keys(a, x):
-    a = np.asarray(a, dtype=float).ravel()
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    keys = []
-    for i in range(a.size):
-        keys.append((round(float(a[i]), 9),) + tuple(round(float(v), 9) for v in x[i]))
-    return keys
+def _cell_rows(a, x):
+    """The (a, x) rows, rounded to 9 decimals: the degree-1 design without its intercept."""
+    return np.round(_poly_design(a, x, 1)[:, 1:], 9)
 
 
-def group_cells(a, x):
-    """Map each distinct (a, x) value combination to the unit indices in it."""
-    cells = {}
-    for i, key in enumerate(_cell_keys(a, x)):
-        cells.setdefault(key, []).append(i)
-    return {k: np.asarray(v) for k, v in cells.items()}
+def cell_labels(a, x):
+    """The (a, x) cell of each row: one integer label per distinct value combination."""
+    return np.unique(_cell_rows(a, x), axis=0, return_inverse=True)[1]
 
 
 class EmpiricalQuantileFit:
-    """Per-(a, x)-cell type-1 empirical quantiles for discrete-support data."""
+    """Per-(a, x)-cell type-1 empirical quantiles for discrete-support data.
+
+    y is kept sorted by (cell, y), then the pooled sample as one more cell
+    for probe rows in a cell that no training row has.
+    """
 
     def __init__(self, a, x, y):
-        self._y = np.asarray(y, dtype=float).ravel()
-        self._cells = {
-            key: np.sort(self._y[idx]) for key, idx in group_cells(a, x).items()
-        }
-        self._pooled = np.sort(self._y)
-
-    def _cell_values(self, key):
-        return self._cells.get(key, self._pooled)
+        y = np.asarray(y, dtype=float).ravel()
+        self._keys, labels = np.unique(_cell_rows(a, x), axis=0, return_inverse=True)
+        self._sorted = np.concatenate([y[np.lexsort((y, labels))], np.sort(y)])
+        self._sizes = np.append(np.bincount(labels), y.size)
+        self._starts = np.cumsum(self._sizes) - self._sizes
 
     def evaluate_many(self, taus, a, x):
-        keys = _cell_keys(a, x)
-        out = np.empty((len(keys), len(taus)))
-        for i, key in enumerate(keys):
-            vals = self._cell_values(key)
-            n = vals.size
-            for j, tau in enumerate(taus):
-                if not 0.0 < tau < 1.0:
-                    raise BadTau(f"tau must be in (0, 1), got {tau}")
-                idx = max(int(math.ceil(n * tau - 1e-12)), 1) - 1
-                out[i, j] = vals[idx]
-        order = np.argsort(np.asarray(taus, dtype=float), kind="stable")
-        tmp = np.sort(out[:, order], axis=1)
-        out[:, order] = tmp
-        return out
+        k = len(self._keys)
+        rows = np.concatenate([self._keys, _cell_rows(a, x)])
+        joint = np.unique(rows, axis=0, return_inverse=True)[1]
+        cell_of_joint = np.full(joint.max() + 1, k)
+        cell_of_joint[joint[:k]] = np.arange(k)
+        cell = cell_of_joint[joint[k:]]
+        n, start = self._sizes[cell], self._starts[cell]
+        out = np.empty((cell.size, len(taus)))
+        for j, tau in enumerate(taus):
+            if not 0.0 < tau < 1.0:
+                raise BadTau(f"tau must be in (0, 1), got {tau}")
+            idx = np.maximum(np.ceil(n * tau - 1e-12).astype(int), 1) - 1
+            out[:, j] = self._sorted[start + idx]
+        return _uncrossed(out, taus)
 
     def evaluate(self, tau, a, x):
         return self.evaluate_many([tau], a, x)[:, 0]
+
+
+def _outcome_fit(a, x, y, config):
+    """The configured regression of y on (a, x): least squares or Nadaraya-Watson."""
+    if config.outcome_method == "linear":
+        return LinearOutcomeFit(a, x, y, degree=config.outcome_degree)
+    return KernelOutcomeFit(a, x, y, bandwidth_scale=config.bandwidth_scale)
 
 
 def fit_outcome(data, config=None):
     """Fit the conditional-mean regression E[Y | A, X] on a dataset."""
-    config = config or NuisanceConfig()
-    if config.outcome_method == "linear":
-        return LinearOutcomeFit(data.a, data.x, data.y, degree=config.outcome_degree)
-    return KernelOutcomeFit(
-        data.a, data.x, data.y, bandwidth_scale=config.bandwidth_scale
-    )
+    return _outcome_fit(data.a, data.x, data.y, config or NuisanceConfig())
 
 
 def fit_propensity(data, config=None):
@@ -450,15 +450,7 @@ class _Bundle:
             sub = self._train_data
             q_low, q_high = self.quantile_pair(gamma, sub.a, sub.x)
             s = clipped_pseudo_outcome(sub.y, q_low, q_high, gamma, side)
-            if self.config.outcome_method == "linear":
-                fit = LinearOutcomeFit(
-                    sub.a, sub.x, s, degree=self.config.outcome_degree
-                )
-            else:
-                fit = KernelOutcomeFit(
-                    sub.a, sub.x, s, bandwidth_scale=self.config.bandwidth_scale
-                )
-            self._kappa[key] = fit
+            self._kappa[key] = _outcome_fit(sub.a, sub.x, s, self.config)
         return self._kappa[key]
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import GridFailure, NoConvergence, SingularMoment
-from .msm import _linear_functional_fits, _model_solver, pair_moment_fit, solve_moment
+from .msm import _linear_functional_fits, _pair_moment_sides, solve_moment
 from .results import BetaEstimate
 
 
@@ -75,14 +75,11 @@ def outcome_parametric_bounds(data, model, nuisances, spec):
     Solves U_n[h(A_1)(f_mu +/- delta - g(A_1; beta))] = 0; weakly inside
     the per-direction linear bounds whenever the sign split is non-constant.
     """
-    h = model.features(data.a)
-    solve = _model_solver(model, data.a, h)
-    out = []
-    for sgn in (-1.0, 1.0):
-        phi_row = _shifted_phi_row(data, nuisances, np.full(data.n, sgn * spec.delta))
-        beta, cov = pair_moment_fit(h, phi_row, solve)
-        out.append(BetaEstimate(beta=beta, covariance=cov))
-    return out[0], out[1]
+    phi_rows = (_shifted_phi_row(data, nuisances, np.full(data.n, sgn * spec.delta))
+                for sgn in (-1.0, 1.0))
+    low, high = (BetaEstimate(beta=beta, covariance=cov)
+                 for beta, cov in _pair_moment_sides(model, data.a, phi_rows))
+    return low, high
 
 
 def _feasible_lp(h, t, delta):

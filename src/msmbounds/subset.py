@@ -14,7 +14,7 @@ import numpy as np
 
 from ._ranks import ceil_count, rank_masks, select_bottom_mask, select_top_mask
 from .gamma import GammaSpec, _coordinate_transfer, _gamma_grid, _leverage
-from .msm import _model_solver, _solve, pair_moment_fit
+from .msm import _pair_moment_sides, _solve
 from .outcome import DeltaSpec
 from .results import BetaEstimate, HomotopyTrace
 
@@ -110,13 +110,10 @@ def subset_parametric_bounds(data, model, nuisances, eps):
     """
     if not isinstance(eps.inner, GammaSpec):
         raise TypeError("subset_parametric_bounds needs a GammaSpec inner model")
-    h = model.features(data.a)
-    solve = _model_solver(model, data.a, h)
-    out = []
-    for side in ("lower", "upper"):
-        beta, _ = pair_moment_fit(h, _subset_phi_row(data, nuisances, eps, side), solve)
-        out.append(BetaEstimate(beta=beta, covariance=None))
-    return out[0], out[1]
+    phi_rows = (_subset_phi_row(data, nuisances, eps, side) for side in ("lower", "upper"))
+    low, high = (BetaEstimate(beta=beta, covariance=None)
+                 for beta, _ in _pair_moment_sides(model, data.a, phi_rows))
+    return low, high
 
 
 def subset_linear_beta_bounds(data, model, nuisances, eps, coord):

@@ -6,7 +6,8 @@ The cases are the configs of the named tests in ``tests/test_cli.py``, a
 few more that reach every pair-kernel routine with a Wald variance, one
 HulC case per static (family, method) route of ``bounds``, one HulC case per
 route that takes panel data, a panel ``fit``, and the rank-rule cases that
-reach the conditional weight rule and the local expansion on a quadratic.
+reach the conditional weight rule, the local expansion on a quadratic and
+cross-fitted empirical quantiles.
 This module imports nothing from ``msmbounds``.
 """
 
@@ -177,6 +178,13 @@ RANK_RULE_CASES = {
 }
 RANK_RULE_CASES["bounds-conditional-quantile-empirical"] = (
     "bounds", cells_config(method="conditional-quantile"))
+# The parametric pair kernel on cross-fitted empirical quantiles: each
+# fold's EmpiricalQuantileFit is evaluated on the units of another fold.
+RANK_RULE_CASES["bounds-parametric-empirical-crossfit"] = ("bounds", {
+    **cells_config(method="parametric", grid=[1.0, 1.5, 2.0]),
+    "nuisance": {"propensity_method": "discrete", "quantile_method": "empirical", "folds": 3},
+    "inference": WALD,
+})
 RANK_RULE_CASES["bounds-local-poly2"] = ("bounds", {
     **bounds_config(method="local"), "model": {"kind": "polynomial", "degree": 2},
 })

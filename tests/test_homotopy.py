@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from msmbounds import homotopy
 from msmbounds.data import Dataset
 from msmbounds.datagen import DgpSpec, generate
+from msmbounds.errors import SingularMoment
 from msmbounds.gamma import (
     GammaSpec,
     conditional_quantile_beta_bounds,
@@ -246,3 +248,28 @@ def test_coordinate_ascent_needs_linear_model():
     )
     with pytest.raises(ValueError):
         coordinate_ascent_bounds(data, nl, np.ones(20), [1.0, 2.0])
+
+
+def test_homotopy_records_fallbacks_and_invalid_points(monkeypatch):
+    # every refit after the point estimate fails: each branch keeps its
+    # previous point at its first two failed steps, then turns invalid
+    real_fit = homotopy.weighted_fit
+    calls = []
+
+    def failing_fit(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            return real_fit(*args, **kwargs)
+        raise SingularMoment("forced")
+
+    monkeypatch.setattr(homotopy, "weighted_fit", failing_fit)
+    data = _data()
+    trace = homotopy_bounds(data, linear_msm(), weights=np.ones(data.n),
+                            grid=[1.0, 1.5, 2.0, 2.5, 3.0], coord=1)
+    assert trace.diagnostics["fallback_points"] == [
+        (1, "lower"), (1, "upper"), (2, "lower"), (2, "upper")]
+    assert trace.diagnostics["invalid_points"] == [
+        (3, "lower"), (3, "upper"), (4, "lower"), (4, "upper")]
+    assert list(trace.valid) == [True, True, True, False, False]
+    for j in (1, 2):
+        assert trace.lower[j] == trace.upper[j] == trace.lower[0]

@@ -21,11 +21,11 @@ from msmbounds.nuisance import (
     NuisanceConfig,
     PinballQuantileFit,
     SelfFit,
+    cell_labels,
     clipped_pseudo_outcome,
     fixed_weight_nuisances,
     fit_outcome,
     fit_propensity,
-    group_cells,
     stabilized_weights,
 )
 
@@ -159,9 +159,9 @@ def test_empirical_quantiles_per_cell():
 def test_group_cells_partitions():
     a = np.array([0.0, 1.0, 0.0, 1.0])
     x = np.array([[0.0], [0.0], [1.0], [0.0]])
-    cells = group_cells(a, x)
-    assert len(cells) == 3
-    sizes = sorted(idx.size for idx in cells.values())
+    labels = cell_labels(a, x)
+    assert np.unique(labels).size == 3
+    sizes = sorted(np.bincount(labels).tolist())
     assert sizes == [1, 1, 2]
 
 
