@@ -458,10 +458,11 @@ _Run = namedtuple("_Run", "data model nuis sens coord seed")
 # names its library routine inside a lambda, so the routine is looked up when
 # it runs, not bound at import. ``keys`` are the sensitivity keys it needs,
 # ``flags`` its caveats, ``heuristic_ci`` marks HulC intervals around it as
-# "heuristic CI", and ``panel`` marks the routes that take panel data.
+# "heuristic CI", ``panel`` marks the routes that take panel data, and
+# ``constraints`` are the values of sensitivity.constraint that it runs.
 _Route = namedtuple(
-    "_Route", "call keys flags heuristic_ci whole_grid panel",
-    defaults=((), (), True, False, False),
+    "_Route", "call keys flags heuristic_ci whole_grid panel constraints",
+    defaults=((), (), True, False, False, ("marginal",)),
 )
 
 
@@ -475,11 +476,11 @@ def _coord_bounds(estimates, coord):
 
 
 def _homotopy(flavor):
-    return lambda r, grid: homotopy_bounds(
+    return _Route(lambda r, grid: homotopy_bounds(
         r.data, r.model, nuisances=r.nuis, grid=grid, flavor=flavor,
         constraint=r.sens.get("constraint", "marginal"), coord=r.coord,
         inner_iterations=r.sens.get("inner_iterations", 1),
-    )
+    ), whole_grid=True, panel=True, constraints=("marginal", "conditional"))
 
 
 _ASYMPTOTIC = ("asymptotic, rate-conditional",)
@@ -490,7 +491,8 @@ ROUTES = {
         lambda r, grid: marginal_quantile_grid_bounds(r.data, r.model, r.nuis, grid, r.coord),
         whole_grid=True, panel=True),
     ("propensity", "conditional-quantile"): _Route(
-        lambda r, spec: conditional_quantile_beta_bounds(r.data, r.model, r.nuis, spec, r.coord)),
+        lambda r, spec: conditional_quantile_beta_bounds(r.data, r.model, r.nuis, spec, r.coord),
+        constraints=("conditional",)),
     ("propensity", "local"): _Route(
         lambda r, spec: local_beta_bounds(r.data, r.model, r.nuis, spec, r.coord),
         panel=True),
@@ -501,9 +503,8 @@ ROUTES = {
     ("propensity", "linear-curve"): _Route(
         lambda r, spec: linear_curve_bounds(r.data, r.model, r.nuis, spec, r.sens["a0"]),
         keys=("a0",), flags=_ASYMPTOTIC, heuristic_ci=False),
-    ("propensity", "homotopy-exact"): _Route(_homotopy("exact"), whole_grid=True, panel=True),
-    ("propensity", "homotopy-linearized"): _Route(
-        _homotopy("linearized"), whole_grid=True, panel=True),
+    ("propensity", "homotopy-exact"): _homotopy("exact"),
+    ("propensity", "homotopy-linearized"): _homotopy("linearized"),
     ("propensity", "coordinate-ascent"): _Route(
         lambda r, grid: coordinate_ascent_bounds(
             r.data, r.model, r.nuis.weights, grid, coord=r.coord,
@@ -544,7 +545,7 @@ ROUTES = {
 
 
 def _find_route(sens, panel):
-    """The route of the config's (family, method), with its keys present."""
+    """The route of the config's (family, method), with its keys and constraint checked."""
     family, method = sens["family"], sens["method"]
     if panel and family != "propensity":
         raise ConfigError("panel bounds support the propensity family only")
@@ -555,6 +556,9 @@ def _find_route(sens, panel):
     for key in route.keys:
         if key not in sens:
             raise ConfigError(f"{family} method {method!r} needs sensitivity.{key}")
+    constraint = sens.get("constraint")
+    if constraint is not None and constraint not in route.constraints:
+        raise ConfigError(f"{family} method {method!r} does not run constraint {constraint!r}")
     return route
 
 

@@ -6,13 +6,14 @@ conditional one (mean one within every (a, x) cell). This module holds the
 closed-form and pair-kernel routines: per-cell conditional-mean bounds,
 the doubly-robust pair kernel, parametric-curve bound fitting with
 U-statistic covariance, linear-curve bounds with the sign split, the two
-quantile-rule bounds for a coordinate of a linear fit, and the small-gamma
-local expansion.
+quantile-rule bounds for a coordinate of a fit, and the small-gamma local
+expansion.
 
 Every propensity coordinate bound here and in ``homotopy`` reweights one
 per-unit derivative, built on ``_leverage``, and places its weights by one
 rule: ``_ranks.rank_mask`` under the marginal constraint and
-``_conditional_mask`` under the conditional one. The (a, x) cells are one
+``_conditional_mask`` under the conditional one. Every linearized bound takes
+its values from one grid core, ``_rank_rule_grid``. The (a, x) cells are one
 label per unit (``nuisance.cell_labels``), so every per-cell rule is a sort
 or a ``bincount`` over that array.
 """
@@ -212,40 +213,58 @@ def _conditional_mask(cells, nuisances, d, c, g, gamma, upper):
     return d > q_d if upper else d <= q_d
 
 
-def _coordinate_transfer(data, model, weights, coord):
-    """T_i = c_i w_i, the per-unit leverage of Y_i on the coordinate."""
-    if not model.linear:
-        raise ValueError("coordinate bounds need a linear model")
-    w = np.asarray(weights, dtype=float).ravel()
-    return _leverage(model, data.a, w, coord) * w
+def _coordinate_transfer(data, model, w, coord):
+    """T_i = c_i w_i, the per-unit leverage of Y_i on the coordinate, and the offset
+    beta[coord] - mean(T g) at the point fit of the linearized value offset + mean(T Y v),
+    which is 0 for a linear model."""
+    if model.linear:
+        return _leverage(model, data.a, w, coord) * w, 0.0
+    beta = weighted_fit(model, data.a, data.y, w)
+    t = _leverage(model, data.a, w, coord, beta) * w
+    return t, float(beta[coord] - np.mean(t * model.predict(data.a, beta)))
+
+
+def _rank_rule_grid(data, model, w, nuisances, grid, coord, constraint, keep_weights=False,
+                    epsilon=1.0):
+    """Linearized coordinate bounds at every gamma of ``grid`` by the closed-form rank rule.
+
+    f_i = T_i Y_i depends on neither gamma nor v, so it is built once. At each
+    gamma, v is gamma on the units of ``_ranks.rank_masks`` (one sort of f,
+    marginal constraint) or of ``_conditional_mask`` (conditional) and 1/gamma
+    elsewhere, shrunk to (1 - epsilon) + epsilon v when ``epsilon`` != 1, and
+    the bound is offset + mean(f v). ``keep_weights`` keeps each v in the trace.
+    """
+    cells = _cells(data, nuisances) if constraint == "conditional" else None
+    t, offset = _coordinate_transfer(data, model, np.asarray(w, dtype=float).ravel(), coord)
+    f = t * data.y
+    if constraint == "marginal":
+        masks = rank_masks(f, grid)
+    else:
+        empty = np.zeros(f.size, dtype=bool)
+        masks = ([_conditional_mask(cells, nuisances, f, t, None, gamma, upper) if gamma > 1
+                  else empty for upper in (False, True)] for gamma in grid)
+    lower, upper, v_lower, v_upper = [], [], [], []
+    for gamma, sides in zip(grid, masks):
+        for bounds, kept, mask in zip((lower, upper), (v_lower, v_upper), sides):
+            v = np.where(mask, gamma, 1.0 / gamma)
+            if epsilon != 1.0:
+                v = (1.0 - epsilon) + epsilon * v
+            bounds.append(float(offset + np.mean(f * v)))
+            if keep_weights:
+                kept.append(v)
+    return HomotopyTrace(grid, lower, upper, f"beta[{coord}]",
+                         v_lower=v_lower if keep_weights else None,
+                         v_upper=v_upper if keep_weights else None)
 
 
 def marginal_quantile_grid_bounds(data, model, nuisances, grid, coord, keep_weights=False):
-    """Coordinate bounds under the marginal mean-one constraint at every gamma of ``grid``.
-
-    f_i = T_i Y_i does not depend on gamma, so it is built and sorted once;
-    at each gamma the extremal v puts gamma on the ranks of f strictly above
-    ceil(n tau_high) for the upper bound and mirrors for the lower, both
-    from ``_ranks.rank_masks``. ``keep_weights`` keeps each gamma's
-    (v_lower, v_upper) in the trace.
-    """
-    f = _coordinate_transfer(data, model, nuisances.weights, coord) * data.y
-    lower, upper, v_lower, v_upper = [], [], [], []
-    for gamma, masks in zip(grid, rank_masks(f, grid)):
-        for bounds, kept, mask in zip((lower, upper), (v_lower, v_upper), masks):
-            v = np.where(mask, gamma, 1.0 / gamma)
-            bounds.append(float(np.mean(f * v)))
-            if keep_weights:
-                kept.append(v)
-    return HomotopyTrace(
-        grid=grid,
-        lower=lower,
-        upper=upper,
-        target=f"beta[{coord}]",
-        v_lower=v_lower if keep_weights else None,
-        v_upper=v_upper if keep_weights else None,
-        diagnostics={"method": "marginal-quantile", "constraint": "marginal"},
-    )
+    """Coordinate bounds under the marginal mean-one constraint at every gamma of
+    ``grid``: ``_rank_rule_grid``, where v puts gamma on the ranks of f strictly
+    above ceil(n tau_high) for the upper bound and mirrors for the lower."""
+    trace = _rank_rule_grid(
+        data, model, nuisances.weights, nuisances, grid, coord, "marginal", keep_weights)
+    trace.diagnostics = {"method": "marginal-quantile", "constraint": "marginal"}
+    return trace
 
 
 def marginal_quantile_beta_bounds(data, model, nuisances, spec, coord, return_v=False):
@@ -260,24 +279,12 @@ def marginal_quantile_beta_bounds(data, model, nuisances, spec, coord, return_v=
 
 
 def conditional_quantile_beta_bounds(data, model, nuisances, spec, coord):
-    """Coordinate bounds under the conditional (per-cell) mean-one constraint.
-
-    The extremal v follows ``_conditional_mask`` on f_i = T_i Y_i, the
-    linearized derivative: the per-cell rank rule under empirical
-    quantiles, the sign-adjusted fitted conditional quantile otherwise.
-    """
-    t = _coordinate_transfer(data, model, nuisances.weights, coord)
-    f = t * data.y
-    gamma = spec.gamma
-    cells = _cells(data, nuisances)
-    if gamma == 1.0:
-        val = float(f.mean())
-        return val, val
-    v_lo, v_hi = (
-        np.where(_conditional_mask(cells, nuisances, f, t, None, gamma, upper), gamma, 1.0 / gamma)
-        for upper in (False, True)
-    )
-    return float(np.mean(f * v_lo)), float(np.mean(f * v_hi))
+    """Coordinate bounds under the conditional (per-cell) mean-one constraint:
+    ``_rank_rule_grid`` at the one gamma of ``spec``, where v follows
+    ``_conditional_mask`` on the linearized derivative f_i = T_i Y_i."""
+    trace = _rank_rule_grid(
+        data, model, nuisances.weights, nuisances, [spec.gamma], coord, "conditional")
+    return float(trace.lower[0]), float(trace.upper[0])
 
 
 def local_beta_bounds(data, model, nuisances, spec, coord):

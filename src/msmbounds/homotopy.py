@@ -1,8 +1,8 @@
 """Grid-continuation search for extremal confounding weights.
 
 Two families: the threshold fixed-point sweep (one rank-rule update of the
-weights per grid step, warm-started from the previous step, for either the
-exact refitted functional or its linearization), and box-only greedy
+weights per grid step, warm-started from the previous step; its linearized
+flavor is the closed form ``gamma._rank_rule_grid``), and box-only greedy
 coordinate ascent with rank-one inverse updates.
 
 Everything here consumes (treatment-object, y, w) through the model's own
@@ -17,7 +17,7 @@ import numpy as np
 
 from ._ranks import rank_mask
 from .errors import NoConvergence, SingularMoment
-from .gamma import _cells, _conditional_mask, _gamma_grid, _leverage
+from .gamma import _cells, _conditional_mask, _gamma_grid, _leverage, _rank_rule_grid
 from .msm import _solve, linear_weighted_beta, weighted_fit
 from .results import HomotopyTrace
 
@@ -119,14 +119,6 @@ def _solve_candidates(gram2, rhs2):
         return betas
 
 
-def _linearized_value(model, a_obj, h, y, w, beta, v, coord):
-    """Coordinate of the linearized functional at v: beta + M^-1 mean[h w (y v - g)]."""
-    grad = h if model.linear else model.grad(a_obj, beta)
-    m = (h * w[:, None]).T @ grad / y.size
-    gap = h.T @ (w * (y * v - model.predict(a_obj, beta))) / y.size
-    return float(beta[coord] + _solve(m, gap, "linearized functional")[coord])
-
-
 def homotopy_bounds(
     data,
     model,
@@ -155,6 +147,10 @@ def homotopy_bounds(
     A branch's first two failed steps keep its previous point, listed as
     (grid index, branch) in ``diagnostics["fallback_points"]``; from its
     third on, the point is invalid and listed in ``diagnostics["invalid_points"]``.
+
+    The linearized derivative is free of gamma and v, so that flavor is the
+    closed form ``gamma._rank_rule_grid`` with each branch keeping its best
+    point so far (and its weights); it has no failed steps.
     """
     if flavor not in ("exact", "linearized"):
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -168,6 +164,24 @@ def homotopy_bounds(
     w = np.asarray(weights, dtype=float).ravel()
     if constraint == "conditional" and nuisances is None:
         raise ValueError("the conditional constraint needs nuisance quantile fits")
+    diagnostics = {
+        "flavor": flavor,
+        "constraint": constraint,
+        "inner_iterations": int(inner_iterations),
+        "invalid_points": [],
+        "fallback_points": [],
+    }
+    if flavor == "linearized":
+        trace = _rank_rule_grid(data, model, w, nuisances, grid, coord, constraint, keep_weights)
+        for values, kept, sense in ((trace.lower, trace.v_lower, -1.0),
+                                    (trace.upper, trace.v_upper, 1.0)):
+            for j in range(1, grid.size):
+                if not sense * (values[j] - values[j - 1]) > 0:
+                    values[j] = values[j - 1]
+                    if keep_weights:
+                        kept[j] = kept[j - 1]
+        trace.diagnostics = diagnostics
+        return trace
     cells = _cells(data, nuisances) if constraint == "conditional" else None
 
     y = data.y
@@ -187,13 +201,6 @@ def homotopy_bounds(
         "upper": {"v": np.ones(n), "beta": beta_point.copy(), "val": point},
     }
     failures = {"lower": 0, "upper": 0}
-    diagnostics = {
-        "flavor": flavor,
-        "constraint": constraint,
-        "inner_iterations": int(inner_iterations),
-        "invalid_points": [],
-        "fallback_points": [],
-    }
 
     for j in range(1, grid.size):
         gamma = float(grid[j])
@@ -203,8 +210,7 @@ def homotopy_bounds(
             try:
                 v_new, beta_new, value = _one_step(
                     model, cells, nuisances, a_obj, h, y, w, st, gamma, box,
-                    branch, coord, flavor, constraint, inner_iterations,
-                    beta_point, swap_band,
+                    branch, coord, constraint, inner_iterations, swap_band,
                 )
             except (SingularMoment, NoConvergence):
                 failures[branch] += 1
@@ -243,8 +249,7 @@ def homotopy_bounds(
 
 def _one_step(
     model, cells, nuisances, a_obj, h, y, w, st, gamma, box,
-    branch, coord, flavor, constraint, inner_iterations, beta_point,
-    swap_band,
+    branch, coord, constraint, inner_iterations, swap_band,
 ):
     """One grid step: fixed-point iterates plus the carried-over weights.
 
@@ -257,23 +262,6 @@ def _one_step(
     sense = 1.0 if upper else -1.0
     v_prev = st["v"]
     beta_prev = st["beta"]
-
-    if flavor == "linearized":
-        # the linearized derivative is v- and beta-free, so one threshold
-        # pass is the whole fixed point
-        best_v = v_prev
-        best_val = st["val"]
-        c = _leverage(model, a_obj, w, coord, beta_point, h=h) * w
-        d = c * y
-        if constraint == "marginal":
-            mask = rank_mask(d, gamma, upper)
-        else:
-            mask = _conditional_mask(cells, nuisances, d, c, None, gamma, upper)
-        v_new = np.where(mask, box[1], box[0])
-        val = _linearized_value(model, a_obj, h, y, w, beta_point, v_new, coord)
-        if sense * (val - best_val) > 0:
-            best_v, best_val = v_new, val
-        return best_v, beta_point, best_val
 
     candidates = [(v_prev, beta_prev, float(beta_prev[coord]))]
     v_cur, beta_cur = v_prev, beta_prev

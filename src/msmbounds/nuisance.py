@@ -330,9 +330,19 @@ def _cell_rows(a, x):
     return np.round(_poly_design(a, x, 1)[:, 1:], 9)
 
 
+def _row_labels(rows):
+    """One integer label per distinct row, in the rows' lexicographic order: each
+    column's ``np.unique`` codes folded in and re-uniqued, so labels stay below n^2."""
+    labels = np.zeros(rows.shape[0], dtype=np.int64)
+    for column in rows.T:
+        values, codes = np.unique(column, return_inverse=True)
+        labels = np.unique(labels * values.size + codes, return_inverse=True)[1]
+    return labels
+
+
 def cell_labels(a, x):
     """The (a, x) cell of each row: one integer label per distinct value combination."""
-    return np.unique(_cell_rows(a, x), axis=0, return_inverse=True)[1]
+    return _row_labels(_cell_rows(a, x))
 
 
 class EmpiricalQuantileFit:
@@ -344,7 +354,9 @@ class EmpiricalQuantileFit:
 
     def __init__(self, a, x, y):
         y = np.asarray(y, dtype=float).ravel()
-        self._keys, labels = np.unique(_cell_rows(a, x), axis=0, return_inverse=True)
+        rows = _cell_rows(a, x)
+        labels = _row_labels(rows)
+        self._keys = rows[np.unique(labels, return_index=True)[1]]
         self._sorted = np.concatenate([y[np.lexsort((y, labels))], np.sort(y)])
         self._sizes = np.append(np.bincount(labels), y.size)
         self._starts = np.cumsum(self._sizes) - self._sizes
@@ -352,7 +364,7 @@ class EmpiricalQuantileFit:
     def evaluate_many(self, taus, a, x):
         k = len(self._keys)
         rows = np.concatenate([self._keys, _cell_rows(a, x)])
-        joint = np.unique(rows, axis=0, return_inverse=True)[1]
+        joint = _row_labels(rows)
         cell_of_joint = np.full(joint.max() + 1, k)
         cell_of_joint[joint[:k]] = np.arange(k)
         cell = cell_of_joint[joint[k:]]

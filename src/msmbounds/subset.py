@@ -12,11 +12,11 @@ import dataclasses
 
 import numpy as np
 
-from ._ranks import ceil_count, rank_masks, select_bottom_mask, select_top_mask
-from .gamma import GammaSpec, _coordinate_transfer, _gamma_grid, _leverage
+from ._ranks import ceil_count, select_bottom_mask, select_top_mask
+from .gamma import GammaSpec, _gamma_grid, _leverage, _rank_rule_grid
 from .msm import _pair_moment_sides, _solve
 from .outcome import DeltaSpec
-from .results import BetaEstimate, HomotopyTrace
+from .results import BetaEstimate
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,24 +140,12 @@ def subset_independent_bounds(data, model, nuisances, grid, coord, epsilon):
     """Marginal-constraint coordinate bounds when confounding hits an
     independent random subset: the confounding weight v is replaced by
     (1 - epsilon) + epsilon v, shrinking the box toward one. v follows the
-    marginal rank rule, from one sort of f for the whole grid.
+    marginal rank rule of ``gamma._rank_rule_grid``.
     """
-    grid = _gamma_grid(grid)
-    f = _coordinate_transfer(data, model, nuisances.weights, coord) * data.y
-    lower = np.empty(grid.size)
-    upper = np.empty(grid.size)
-    for j, (gamma, (mask_lo, mask_hi)) in enumerate(zip(grid, rank_masks(f, grid))):
-        v_hi = (1.0 - epsilon) + epsilon * np.where(mask_hi, gamma, 1.0 / gamma)
-        v_lo = (1.0 - epsilon) + epsilon * np.where(mask_lo, gamma, 1.0 / gamma)
-        lower[j] = float(np.mean(f * v_lo))
-        upper[j] = float(np.mean(f * v_hi))
-    return HomotopyTrace(
-        grid=grid,
-        lower=lower,
-        upper=upper,
-        target=f"beta[{coord}]",
-        diagnostics={"constraint": "marginal", "independent_subset": epsilon},
-    )
+    trace = _rank_rule_grid(data, model, nuisances.weights, nuisances, _gamma_grid(grid),
+                            coord, "marginal", epsilon=epsilon)
+    trace.diagnostics = {"constraint": "marginal", "independent_subset": epsilon}
+    return trace
 
 
 def subset_outcome_beta_bounds(data, model, nuisances, eps, coord):

@@ -1,5 +1,6 @@
 """The vectorised (a, x)-cell paths, checked against the per-unit and
-per-cell loops they replaced: the cell partition, the per-cell rank rule,
+per-cell loops they replaced: the cell partition (and the row-sorting
+``np.unique(axis=0)`` labels it replaced), the per-cell rank rule,
 the empirical cell quantiles and the cell plug-in of the conditional
 outcome bounds."""
 
@@ -15,7 +16,12 @@ from msmbounds.data import Dataset
 from msmbounds.datagen import DgpSpec, generate, registry
 from msmbounds.errors import BadTau
 from msmbounds.gamma import GammaSpec, conditional_outcome_bounds
-from msmbounds.nuisance import EmpiricalQuantileFit, cell_labels, clipped_pseudo_outcome
+from msmbounds.nuisance import (
+    EmpiricalQuantileFit,
+    _cell_rows,
+    cell_labels,
+    clipped_pseudo_outcome,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -92,6 +98,26 @@ def test_cell_labels_match_reference_partition_on_generators(name, seed):
 def test_cell_labels_match_reference_partition(cells):
     a, x = cells
     assert _same_partition(cell_labels(a, x), _reference_group_cells(a, x))
+
+
+# signed zeros and values a rounding step apart at the 9-decimal cell key
+EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1.4e-9, 1.5e-9, 2e-9, 0.3, -2.5]),
+    st.floats(-3, 3, allow_nan=False))
+
+
+@PROPERTY
+@given(st.data())
+def test_cell_labels_match_unique_rows(data):
+    # the per-column codes give the labels of the row-sorting np.unique(axis=0):
+    # the same partition, numbered in the same lexicographic order
+    n = data.draw(st.integers(1, 50))
+    k = data.draw(st.integers(0, 3))
+    a = np.array(data.draw(st.lists(EDGE_VALUES, min_size=n, max_size=n)))
+    x = np.array(data.draw(st.lists(
+        st.lists(EDGE_VALUES, min_size=k, max_size=k), min_size=n, max_size=n))).reshape(n, k)
+    want = np.unique(_cell_rows(a, x), axis=0, return_inverse=True)[1].ravel()
+    np.testing.assert_array_equal(cell_labels(a, x), want)
 
 
 @PROPERTY

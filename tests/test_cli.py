@@ -348,6 +348,22 @@ def test_panel_conditional_constraint_exits_2(tmp_path, capsys, method):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method,constraint", [
+    ("marginal-quantile", "conditional"),
+    ("local", "conditional"),
+    ("coordinate-ascent", "conditional"),
+    ("parametric", "conditional"),
+    ("conditional-quantile", "marginal"),
+])
+def test_constraint_that_the_route_does_not_run_exits_2(tmp_path, capsys, method, constraint):
+    # a route with one constraint would otherwise run it and record the other in the meta file
+    cfg = _write_config(tmp_path / "c.json", bounds_config(method=method, constraint=constraint))
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"constraint {constraint!r}" in err
+    assert not (tmp_path / "bounds_result.csv").exists()
+
+
 @pytest.mark.parametrize("sens,message", [
     ({"method": "conditional-quantile"},
      "unknown panel bounds method 'conditional-quantile'"),

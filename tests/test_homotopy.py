@@ -145,15 +145,16 @@ def test_linearized_flavor_matches_closed_form_rank_rule():
     grid = _grid(2.0)
     trace = homotopy_bounds(data, model, grid=grid, flavor="linearized",
                             coord=1, weights=nuis.weights)
-    for g, lo_t, hi_t in zip(grid[1:], trace.lower[1:], trace.upper[1:]):
+    # the same closed form, and here every step improves on the last
+    for g, lo_t, hi_t in zip(grid, trace.lower, trace.upper):
         lo, hi = marginal_quantile_beta_bounds(data, model, nuis, GammaSpec(g), 1)
-        assert hi_t == pytest.approx(hi, abs=1e-8)
-        assert lo_t == pytest.approx(lo, abs=1e-8)
+        assert (lo_t, hi_t) == (lo, hi)
 
 
 def test_linearized_flavor_matches_closed_form_conditional_rule():
-    # empirical quantiles only: under pinball quantiles the closed form's
-    # two sides can cross (ROADMAP item 5), so the routes are not compared there
+    # empirical quantiles here; under pinball quantiles the closed form's two
+    # sides can cross (ROADMAP item 5), where the homotopy's carry rule keeps
+    # the point (tests/test_linearized_homotopy.py)
     data = generate(DgpSpec("discrete-cells", seed=1))
     nuis = SelfFit(data, NuisanceConfig(propensity_method="discrete",
                                         quantile_method="empirical"))
@@ -162,8 +163,7 @@ def test_linearized_flavor_matches_closed_form_conditional_rule():
         trace = homotopy_bounds(data, model, nuisances=nuis, grid=[1.0, g],
                                 flavor="linearized", constraint="conditional", coord=1)
         lo, hi = conditional_quantile_beta_bounds(data, model, nuis, GammaSpec(g), 1)
-        assert trace.upper[-1] == pytest.approx(hi, abs=1e-10)
-        assert trace.lower[-1] == pytest.approx(lo, abs=1e-10)
+        assert (trace.lower[-1], trace.upper[-1]) == (lo, hi)
 
 
 def test_homotopy_exact_matches_exhaustive_oracle_small_n():
