@@ -7,9 +7,10 @@ are plot-ready CSV curves plus a JSON metadata sidecar; identical config
 and seed produce byte-identical files regardless of worker count.
 
 ``bounds`` looks its (family, method) up in one table, ``ROUTES``: each
-route's library call, the sensitivity keys it needs, its caveat flags,
-whether HulC around it is flagged "heuristic CI" and whether it takes panel
-data. ``FAMILIES`` holds each family's grid knob, grid start and spec.
+route's library call, the sensitivity keys it needs and the optional ones
+it reads (any other key is a config error), its caveat flags, whether HulC
+around it is flagged "heuristic CI" and whether it takes panel data.
+``FAMILIES`` holds each family's grid knob, grid start and spec.
 ``curve`` runs the a0 route of its family over an a0 grid; both commands
 share one body.
 
@@ -456,13 +457,14 @@ _Run = namedtuple("_Run", "data model nuis sens coord seed")
 # value's (lo, hi) or (lo, hi, (var_lo, var_hi)); with ``whole_grid``,
 # ``call(run, grid)`` gives a trace with ``lower`` and ``upper``. Each call
 # names its library routine inside a lambda, so the routine is looked up when
-# it runs, not bound at import. ``keys`` are the sensitivity keys it needs,
-# ``flags`` its caveats, ``heuristic_ci`` marks HulC intervals around it as
-# "heuristic CI", ``panel`` marks the routes that take panel data, and
-# ``constraints`` are the values of sensitivity.constraint that it runs.
+# it runs, not bound at import. ``keys`` are the sensitivity keys it needs and
+# ``optional`` the ones it reads when given; beside family, method, grid and
+# coord, any other key is a config error. ``flags`` are its caveats,
+# ``heuristic_ci`` marks HulC intervals around it as "heuristic CI", and
+# ``panel`` marks the routes that take panel data.
 _Route = namedtuple(
-    "_Route", "call keys flags heuristic_ci whole_grid panel constraints",
-    defaults=((), (), True, False, False, ("marginal",)),
+    "_Route", "call keys optional flags heuristic_ci whole_grid panel",
+    defaults=((), (), (), True, False, False),
 )
 
 
@@ -480,7 +482,7 @@ def _homotopy(flavor):
         r.data, r.model, nuisances=r.nuis, grid=grid, flavor=flavor,
         constraint=r.sens.get("constraint", "marginal"), coord=r.coord,
         inner_iterations=r.sens.get("inner_iterations", 1),
-    ), whole_grid=True, panel=True, constraints=("marginal", "conditional"))
+    ), optional=("constraint", "inner_iterations"), whole_grid=True, panel=True)
 
 
 _ASYMPTOTIC = ("asymptotic, rate-conditional",)
@@ -491,8 +493,7 @@ ROUTES = {
         lambda r, grid: marginal_quantile_grid_bounds(r.data, r.model, r.nuis, grid, r.coord),
         whole_grid=True, panel=True),
     ("propensity", "conditional-quantile"): _Route(
-        lambda r, spec: conditional_quantile_beta_bounds(r.data, r.model, r.nuis, spec, r.coord),
-        constraints=("conditional",)),
+        lambda r, spec: conditional_quantile_beta_bounds(r.data, r.model, r.nuis, spec, r.coord)),
     ("propensity", "local"): _Route(
         lambda r, spec: local_beta_bounds(r.data, r.model, r.nuis, spec, r.coord),
         panel=True),
@@ -509,7 +510,7 @@ ROUTES = {
         lambda r, grid: coordinate_ascent_bounds(
             r.data, r.model, r.nuis.weights, grid, coord=r.coord,
             n_orderings=r.sens.get("n_orderings", 3), seed=r.seed),
-        whole_grid=True),
+        optional=("n_orderings",), whole_grid=True),
     ("outcome", "linear"): _Route(
         lambda r, spec: outcome_beta_bounds_linear(r.data, r.model, r.nuis, spec, r.coord)),
     ("outcome", "parametric"): _Route(
@@ -523,7 +524,7 @@ ROUTES = {
         lambda r, spec: outcome_nonlinear_grid_bounds(
             r.data, r.model, r.nuis, spec, r.coord,
             grid_res=r.sens.get("grid_res", 7), lp_filter=r.sens.get("lp_filter", False)),
-        flags=("conservative box",)),
+        optional=("grid_res", "lp_filter"), flags=("conservative box",)),
     ("subset-propensity", "theta"): _Route(
         lambda r, eps: subset_theta_bounds(r.data, r.nuis, eps, r.sens["a0"]),
         keys=("gamma", "a0")),
@@ -545,7 +546,7 @@ ROUTES = {
 
 
 def _find_route(sens, panel):
-    """The route of the config's (family, method), with its keys and constraint checked."""
+    """The route of the config's (family, method), with its sensitivity keys checked."""
     family, method = sens["family"], sens["method"]
     if panel and family != "propensity":
         raise ConfigError("panel bounds support the propensity family only")
@@ -556,9 +557,11 @@ def _find_route(sens, panel):
     for key in route.keys:
         if key not in sens:
             raise ConfigError(f"{family} method {method!r} needs sensitivity.{key}")
-    constraint = sens.get("constraint")
-    if constraint is not None and constraint not in route.constraints:
-        raise ConfigError(f"{family} method {method!r} does not run constraint {constraint!r}")
+    read = {"family", "method", "grid", "coord", *route.keys, *route.optional}
+    unread = sorted(set(sens) - read)
+    if unread:
+        raise ConfigError(f"{family} method {method!r} does not read "
+                          + ", ".join(f"{key} {sens[key]!r}" for key in unread))
     return route
 
 

@@ -97,17 +97,8 @@ def conditional_outcome_bounds(data, spec, nuisances=None, probe_a=None, probe_x
         low = nuisances.kappa_units(spec.gamma, "lower")
         high = nuisances.kappa_units(spec.gamma, "upper")
     else:
-        probe_a = np.asarray(probe_a, dtype=float).ravel()
-        probe_x = np.asarray(probe_x, dtype=float)
-        if probe_x.ndim == 1 and data.x.shape[1] == 1:
-            probe_x = probe_x[:, None]
-        lows = []
-        highs = []
-        for bundle in nuisances.bundles:
-            lows.append(bundle.kappa_fit(spec.gamma, "lower")(probe_a, probe_x))
-            highs.append(bundle.kappa_fit(spec.gamma, "upper")(probe_a, probe_x))
-        low = np.mean(lows, axis=0)
-        high = np.mean(highs, axis=0)
+        low = nuisances.kappa_at(spec.gamma, "lower", probe_a, probe_x)
+        high = nuisances.kappa_at(spec.gamma, "upper", probe_a, probe_x)
     return np.minimum(low, high), np.maximum(low, high)
 
 

@@ -18,11 +18,13 @@ import numpy as np
 from ._ranks import rank_mask
 from .errors import NoConvergence, SingularMoment
 from .gamma import _cells, _conditional_mask, _gamma_grid, _leverage, _rank_rule_grid
-from .msm import _solve, linear_weighted_beta, weighted_fit
+from .msm import _solve, weighted_fit
 from .results import HomotopyTrace
 
 _CIRCULAR_TOL = 1e-6
 _CIRCULAR_CAP = 50
+# units on each side of the cut that the swap search considers
+_SWAP_BAND = 8
 
 
 def bound_derivative(data, model, beta, weights, coord, v=None, flavor="exact"):
@@ -38,20 +40,21 @@ def bound_derivative(data, model, beta, weights, coord, v=None, flavor="exact"):
     return c * (data.y - model.predict(data.a, beta))
 
 
-def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, band):
+def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord):
     """Greedy count-preserving swaps between the two weight levels.
 
     The threshold fixed point can settle in a poor basin; swapping one
     unit out of the high-weight set for one outside it (count fixed, so
     the feasibility certificate keeps the rank-rule shape) escapes it.
-    Candidates come from a derivative-ordered band so the search stays
-    cheap at large n; linear models only, where a swap is a rank-two
-    update of the weighted Gram system. ``h`` is the model's features
+    Candidates come from a derivative-ordered band of ``_SWAP_BAND`` units
+    on each side of the cut, so the search stays cheap at large n; linear
+    models only, where a swap is a rank-two update of the weighted Gram
+    system. ``h`` is the model's features
     (its basis) at ``a_obj``. Each iteration solves all band x band
     candidate systems in one batch and takes the first strict maximum in
     drop-major, add-minor order.
     """
-    if not model.linear or band <= 0:
+    if not model.linear:
         return []
     n = y.size
     lo, hi = box
@@ -71,8 +74,8 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, band):
         out_idx = np.flatnonzero(~mask)
         if in_idx.size == 0 or out_idx.size == 0:
             break
-        drop = in_idx[np.argsort(sense * d[in_idx])][:band]
-        add = out_idx[np.argsort(-sense * d[out_idx])][:band]
+        drop = in_idx[np.argsort(sense * d[in_idx])][:_SWAP_BAND]
+        add = out_idx[np.argsort(-sense * d[out_idx])][:_SWAP_BAND]
         # the rank-two update of every (drop i, add j) pair, with the
         # elementwise operations of one pair's update in the same order
         dw_i = w[drop] * (lo - hi)
@@ -129,7 +132,6 @@ def homotopy_bounds(
     coord=0,
     weights=None,
     inner_iterations=1,
-    swap_band=8,
     keep_weights=False,
 ):
     """Trace lower/upper bounds for one coordinate over an increasing gamma grid.
@@ -140,7 +142,7 @@ def homotopy_bounds(
     refits, and records the coordinate. ``inner_iterations`` > 1 repeats the
     threshold-refit cycle until the assignment stabilizes, then polishes the
     marginal-constraint result with count-preserving swaps among the
-    ``swap_band`` units nearest the cut (0 disables). The conditional
+    ``_SWAP_BAND`` units on each side of the cut. The conditional
     constraint applies the rule within (a, x) cells and iterates out the
     circular dependence of the threshold on the fit.
 
@@ -210,7 +212,7 @@ def homotopy_bounds(
             try:
                 v_new, beta_new, value = _one_step(
                     model, cells, nuisances, a_obj, h, y, w, st, gamma, box,
-                    branch, coord, constraint, inner_iterations, swap_band,
+                    branch, coord, constraint, inner_iterations,
                 )
             except (SingularMoment, NoConvergence):
                 failures[branch] += 1
@@ -249,7 +251,7 @@ def homotopy_bounds(
 
 def _one_step(
     model, cells, nuisances, a_obj, h, y, w, st, gamma, box,
-    branch, coord, constraint, inner_iterations, swap_band,
+    branch, coord, constraint, inner_iterations,
 ):
     """One grid step: fixed-point iterates plus the carried-over weights.
 
@@ -311,8 +313,7 @@ def _one_step(
         if seed_mask.any() and not seed_mask.all():
             candidates.extend(
                 _swap_phase(
-                    model, a_obj, h, y, w, box, seed_mask, seed_beta, sense,
-                    coord, swap_band,
+                    model, a_obj, h, y, w, box, seed_mask, seed_beta, sense, coord,
                 )
             )
     return max(candidates, key=lambda cand: sense * cand[2])
@@ -346,9 +347,9 @@ def coordinate_ascent_bounds(
     n = y.size
     rng = np.random.default_rng(seed)
     orders = [rng.permutation(n) for _ in range(max(int(n_orderings), 1))]
+    refit = (lambda v: weighted_fit(model, data.a, y, w * v)) if check_refits else None
 
-    beta_point, _ = linear_weighted_beta(b, w, y)
-    point = float(beta_point[coord])
+    point = float(weighted_fit(model, data.a, y, w)[coord])
     lower = np.full(grid.size, np.nan)
     upper = np.full(grid.size, np.nan)
     lower[0] = upper[0] = point
@@ -365,7 +366,7 @@ def coordinate_ascent_bounds(
             best_val = None
             for order in orders:
                 v, val, gap = _greedy_flips(
-                    b, y, w, start.copy(), hi, lo, coord, order, sense, check_refits
+                    b, y, w, start.copy(), hi, lo, coord, order, sense, refit
                 )
                 worst_refit_gap = max(worst_refit_gap, gap)
                 if best_val is None or sense * val > sense * best_val:
@@ -392,7 +393,8 @@ def coordinate_ascent_bounds(
     )
 
 
-def _greedy_flips(b, y, w, v, hi, lo, coord, order, sense, check_refits):
+def _greedy_flips(b, y, w, v, hi, lo, coord, order, sense, refit):
+    # refit(v), when given, refits from scratch after each accepted flip
     n, k = b.shape
     d = w * v
     gram = (b * d[:, None]).T @ b
@@ -419,9 +421,8 @@ def _greedy_flips(b, y, w, v, hi, lo, coord, order, sense, check_refits):
                 ginv, rhs, val = ginv_new, rhs_new, val_new
                 v[i] = new_vi
                 improved = True
-                if check_refits:
-                    beta_ref, _ = linear_weighted_beta(b, w * v, y)
-                    worst_gap = max(worst_gap, abs(float(beta_ref[coord]) - val))
+                if refit is not None:
+                    worst_gap = max(worst_gap, abs(float(refit(v)[coord]) - val))
         if not improved:
             break
     return v, val, worst_gap

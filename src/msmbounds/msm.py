@@ -147,17 +147,6 @@ def moment_matrix(model, a, w, beta=None):
     return (h * w[:, None]).T @ grad / w.size
 
 
-def linear_weighted_beta(basis_mat, w, y):
-    """Closed-form weighted moment solution for a linear curve."""
-    basis_mat = np.asarray(basis_mat, dtype=float)
-    w = _as_rows(w)
-    y = _as_rows(y)
-    n = y.size
-    m = (basis_mat * w[:, None]).T @ basis_mat / n
-    rhs = (basis_mat * w[:, None]).T @ y / n
-    return _solve(m, rhs, "linear moment matrix"), m
-
-
 def sandwich_variance(model, a, y, w, beta):
     """Asymptotic covariance of sqrt(n) (beta_hat - beta): M^-1 S M^-T.
 

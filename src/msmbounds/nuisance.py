@@ -29,6 +29,11 @@ PROPENSITY_CLIP = 1e-3
 _VAR_FLOOR = 1e-12
 
 
+def _gamma_key(value):
+    """The cache key of a knob value (gamma, or a quantile level): rounded to 12 decimals."""
+    return round(float(value), 12)
+
+
 @dataclasses.dataclass(frozen=True)
 class NuisanceConfig:
     """Choices for every nuisance fit; the defaults match the reference setups."""
@@ -63,16 +68,12 @@ class NuisanceConfig:
 
 
 def _poly_design(a, x, degree):
+    """The design [1, a, ..., a^degree, x], a 1-d x taken as one column."""
     a = np.asarray(a, dtype=float).ravel()
-    cols = [np.ones_like(a)]
-    for p in range(1, degree + 1):
-        cols.append(a ** p)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    for j in range(x.shape[1]):
-        cols.append(x[:, j])
-    return np.column_stack(cols)
+    return np.column_stack([np.ones_like(a), *(a ** p for p in range(1, degree + 1)), *x.T])
 
 
 def _lstsq(design, y):
@@ -100,11 +101,7 @@ class KernelOutcomeFit:
     """Nadaraya-Watson regression with a Gaussian product kernel."""
 
     def __init__(self, a, x, y, bandwidth_scale=1.0):
-        a = np.asarray(a, dtype=float).ravel()
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        self.train = np.column_stack([a, x]) if x.shape[1] else a[:, None]
+        self.train = _poly_design(a, x, 1)[:, 1:]
         self.y = np.asarray(y, dtype=float).ravel()
         n = self.train.shape[0]
         sd = self.train.std(axis=0)
@@ -112,11 +109,7 @@ class KernelOutcomeFit:
         self.bandwidth = 1.06 * sd * n ** (-0.2) * float(bandwidth_scale)
 
     def __call__(self, a, x):
-        a = np.asarray(a, dtype=float).ravel()
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        probe = np.column_stack([a, x]) if x.shape[1] else a[:, None]
+        probe = _poly_design(a, x, 1)[:, 1:]
         out = np.empty(probe.shape[0])
         for start in range(0, probe.shape[0], 512):
             block = probe[start:start + 512]
@@ -139,8 +132,7 @@ class GaussianPropensity:
 
     def __init__(self, a, x, clip=PROPENSITY_CLIP):
         a = np.asarray(a, dtype=float).ravel()
-        design = _poly_design(np.zeros_like(a), x, 1)  # [1, 0, X] -> drop the a column
-        design = np.delete(design, 1, axis=1)
+        design = _poly_design(a, x, 0)
         self.coef = _lstsq(design, a)
         resid = a - design @ self.coef
         self.sigma2 = float(np.mean(resid ** 2))
@@ -154,17 +146,9 @@ class GaussianPropensity:
             raise DegenerateVariance("treatment variance is numerically zero")
         self.clip = float(clip)
 
-    def _mean(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        n = x.shape[0]
-        design = np.column_stack([np.ones(n), x]) if x.shape[1] else np.ones((n, 1))
-        return design @ self.coef
-
     def conditional_density(self, a, x):
         a = np.asarray(a, dtype=float).ravel()
-        dens = np.exp(-0.5 * (a - self._mean(x)) ** 2 / self.sigma2)
+        dens = np.exp(-0.5 * (a - _poly_design(a, x, 0) @ self.coef) ** 2 / self.sigma2)
         dens /= math.sqrt(2.0 * math.pi * self.sigma2)
         return np.maximum(dens, self.clip)
 
@@ -230,18 +214,10 @@ class DiscretePropensity:
                 f"{self.levels.size} treatment levels exceed {self.MAX_LEVELS}"
             )
         labels = np.searchsorted(self.levels, a)
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        n = a.size
-        self.marg = np.bincount(labels, minlength=self.levels.size) / n
-        if x.shape[1] == 0:
-            self.theta = None
-            self._z_cols = 0
-        else:
-            z = np.column_stack([np.ones(n), x])
-            self._z_cols = z.shape[1]
-            self.theta = _fit_multinomial_logistic(z, labels, self.levels.size)
+        self.marg = np.bincount(labels, minlength=self.levels.size) / a.size
+        z = _poly_design(a, x, 0)
+        self.theta = (_fit_multinomial_logistic(z, labels, self.levels.size)
+                      if z.shape[1] > 1 else None)
         self.clip = float(clip)
 
     def _label_of(self, a):
@@ -257,14 +233,10 @@ class DiscretePropensity:
 
     def conditional_density(self, a, x):
         lab = self._label_of(a)
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
         if self.theta is None:
             probs = np.tile(self.marg, (lab.size, 1))
         else:
-            z = np.column_stack([np.ones(x.shape[0]), x])
-            probs = _logistic_probs(z, self.theta)
+            probs = _logistic_probs(_poly_design(a, x, 0), self.theta)
         return np.maximum(probs[np.arange(lab.size), lab], self.clip)
 
     def marginal_density(self, a):
@@ -311,7 +283,7 @@ class PinballQuantileFit:
         return res.x[:p]
 
     def coef(self, tau):
-        key = round(float(tau), 12)
+        key = _gamma_key(tau)
         if key not in self._coefs:
             self._coefs[key] = self._fit_one(key)
         return self._coefs[key]
@@ -455,9 +427,12 @@ class _Bundle:
         q = self.quantile.evaluate_many([tau_l, tau_u], a, x)
         return q[:, 0], q[:, 1]
 
-    def kappa_fit(self, gamma, side):
-        """Regression of the clipped pseudo-outcome on (A, X), cached per (gamma, side)."""
-        key = (round(float(gamma), 12), side)
+    def regression(self, gamma=None, side=None):
+        """The outcome regression mu-hat, or with (gamma, side) kappa-hat: the
+        regression of the clipped pseudo-outcome on (A, X), cached per (gamma, side)."""
+        if gamma is None:
+            return self.outcome
+        key = (_gamma_key(gamma), side)
         if key not in self._kappa:
             sub = self._train_data
             q_low, q_high = self.quantile_pair(gamma, sub.a, sub.x)
@@ -467,11 +442,23 @@ class _Bundle:
 
 
 class CrossFit:
-    """Out-of-fold nuisance evaluations for every unit, plus row evaluators.
+    """Out-of-fold nuisance evaluations: the nuisance protocol of the estimators.
 
     Unit i is always scored by the bundle trained on the folds that exclude
-    i. Row evaluators (mu_row, kappa_row, weight at foreign points) keep the
-    convention that the bundle is chosen by the unit owning the first slot.
+    i, and a pair-kernel row (a_i, X_j) by unit i's bundle. Who reads what:
+
+    - ``weights``: every estimator;
+    - ``quantile_units(gamma)``: the conditional weight rule of ``gamma``;
+    - ``s_units``, ``kappa_units`` and ``kappa_row``: the propensity and
+      subset-propensity pair kernels; ``kappa_at``, the bundle average at
+      probe points: ``gamma.conditional_outcome_bounds``;
+    - ``mu_units`` and ``mu_row``: the outcome and subset-propensity pair
+      kernels and the outcome-shift subset bounds; ``mu_at_units`` and
+      ``kappa_at_units``: the subset theta bounds.
+
+    mu-hat and kappa-hat are ``_Bundle.regression``, read at each unit's own
+    point by ``_own`` and along a row by ``_row``. ``_FixedNuisances`` is the
+    weights-only implementation.
     """
 
     def __init__(self, data, config=None, seed=0):
@@ -484,17 +471,18 @@ class CrossFit:
         for f, units in enumerate(self._scored):
             fold_of_unit[units] = f
         self.assignment = FoldAssignment(fold_of_unit, len(splits))
-        self._w = None
-        self._mu = None
-        self._q_cache = {}
-        self._s_cache = {}
-        self._kappa_units_cache = {}
+        self._cache = {}
 
     def _splits(self, seed):
         """(train, scored) unit indices per bundle: each fold is scored by
         the bundle trained on the other folds."""
         folds = split_folds(self.data.n, self.config.folds, seed)
         return [(folds.complement(f), folds.members(f)) for f in range(folds.k)]
+
+    def _cached(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     def bundle_for(self, i):
         return self.bundles[self.assignment.fold_of_unit[i]]
@@ -508,78 +496,66 @@ class CrossFit:
             out[units] = fn(bundle, units)
         return out
 
+    def _own(self, gamma=None, side=None, a0=None):
+        """A regression at each unit's (a_i, x_i), or (a0, x_i), from its own bundle."""
+        def evaluate(bundle, units):
+            a = self.data.a[units] if a0 is None else np.full(units.size, float(a0))
+            return bundle.regression(gamma, side)(a, self.data.x[units])
+
+        return self._per_unit(evaluate)
+
+    def _row(self, i, gamma=None, side=None):
+        """A regression at (a_i, X_j) for all j, from unit i's bundle."""
+        fit = self.bundle_for(i).regression(gamma, side)
+        return fit(np.full(self.data.n, self.data.a[i]), self.data.x)
+
     @property
     def weights(self):
-        if self._w is None:
-            self._w = self._per_unit(
-                lambda b, m: b.weight(self.data.a[m], self.data.x[m])
-            )
-        return self._w
+        return self._cached("weights", lambda: self._per_unit(
+            lambda b, m: b.weight(self.data.a[m], self.data.x[m])))
 
     @property
     def mu_units(self):
-        if self._mu is None:
-            self._mu = self._per_unit(
-                lambda b, m: b.outcome(self.data.a[m], self.data.x[m])
-            )
-        return self._mu
+        return self._cached("mu", self._own)
 
     def mu_row(self, i):
         """mu-hat(a_i, X_j) for all j, using unit i's out-of-fold bundle."""
-        b = self.bundle_for(i)
-        a_rep = np.full(self.data.n, self.data.a[i])
-        return b.outcome(a_rep, self.data.x)
+        return self._row(i)
 
     def mu_at_units(self, a0):
         """mu-hat(a0, X_i) for every unit i, each scored by its own bundle."""
-        return self._per_unit(
-            lambda b, m: b.outcome(np.full(m.size, float(a0)), self.data.x[m])
-        )
+        return self._own(a0=a0)
 
     def quantile_units(self, gamma):
         """(q_low, q_high) at each unit's own (a_i, x_i), out of fold."""
-        key = round(float(gamma), 12)
-        if key not in self._q_cache:
+        def compute():
             pairs = {
                 b: b.quantile_pair(gamma, self.data.a[m], self.data.x[m])
                 for b, m in zip(self.bundles, self._scored)
             }
-            self._q_cache[key] = tuple(
-                self._per_unit(lambda b, m, k=k: pairs[b][k]) for k in (0, 1)
-            )
-        return self._q_cache[key]
+            return tuple(self._per_unit(lambda b, m, k=k: pairs[b][k]) for k in (0, 1))
+
+        return self._cached(("quantile", _gamma_key(gamma)), compute)
 
     def s_units(self, gamma, side):
-        key = (round(float(gamma), 12), side)
-        if key not in self._s_cache:
-            q_low, q_high = self.quantile_units(gamma)
-            self._s_cache[key] = clipped_pseudo_outcome(
-                self.data.y, q_low, q_high, gamma, side
-            )
-        return self._s_cache[key]
+        return self._cached(("s", _gamma_key(gamma), side), lambda: clipped_pseudo_outcome(
+            self.data.y, *self.quantile_units(gamma), gamma, side))
 
     def kappa_units(self, gamma, side):
         """kappa-hat at each unit's own (a_i, x_i), out of fold."""
-        key = (round(float(gamma), 12), side)
-        if key not in self._kappa_units_cache:
-            self._kappa_units_cache[key] = self._per_unit(
-                lambda b, m: b.kappa_fit(gamma, side)(self.data.a[m], self.data.x[m])
-            )
-        return self._kappa_units_cache[key]
+        return self._cached(("kappa", _gamma_key(gamma), side), lambda: self._own(gamma, side))
 
     def kappa_row(self, gamma, side, i):
         """kappa-hat(a_i, X_j) for all j, using unit i's bundle."""
-        fit = self.bundle_for(i).kappa_fit(gamma, side)
-        a_rep = np.full(self.data.n, self.data.a[i])
-        return fit(a_rep, self.data.x)
+        return self._row(i, gamma, side)
 
     def kappa_at_units(self, gamma, side, a0):
         """kappa-hat(a0, X_i) for every unit, each scored by its own bundle."""
-        return self._per_unit(
-            lambda b, m: b.kappa_fit(gamma, side)(
-                np.full(m.size, float(a0)), self.data.x[m]
-            )
-        )
+        return self._own(gamma, side, a0)
+
+    def kappa_at(self, gamma, side, a, x):
+        """kappa-hat at probe points (a, x): the average over the bundles."""
+        return np.mean([b.regression(gamma, side)(a, x) for b in self.bundles], axis=0)
 
 
 class SelfFit(CrossFit):
@@ -612,10 +588,9 @@ def stabilized_weights(data, config=None, seed=0, crossfit_obj=None):
 
 
 class _FixedNuisances:
-    """Externally supplied weights exposed through the CrossFit surface.
-
-    Only the weights are available; everything that needs a fitted outcome,
-    quantile or pseudo-outcome model raises ConfigError.
+    """The weights-only implementation of the ``CrossFit`` protocol: externally
+    supplied weights. Everything that needs a fitted outcome, quantile or
+    pseudo-outcome model raises ConfigError.
     """
 
     in_sample = True
@@ -631,7 +606,7 @@ class _FixedNuisances:
         raise ConfigError("fixed weights carry no outcome, quantile or pseudo-outcome fits")
 
     mu_row = mu_at_units = quantile_units = s_units = _unfitted
-    kappa_units = kappa_row = kappa_at_units = _unfitted
+    kappa_units = kappa_row = kappa_at_units = kappa_at = _unfitted
     mu_units = bundles = property(_unfitted)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._ranks import ceil_count, select_bottom_mask, select_top_mask
 from .gamma import GammaSpec, _gamma_grid, _leverage, _rank_rule_grid
-from .msm import _pair_moment_sides, _solve
+from .msm import _pair_moment_sides, solve_moment
 from .outcome import DeltaSpec
 from .results import BetaEstimate
 
@@ -161,9 +161,8 @@ def subset_outcome_beta_bounds(data, model, nuisances, eps, coord):
         raise TypeError("subset_outcome_beta_bounds needs a DeltaSpec inner model")
     b = model.basis_matrix(data.a)
     w = nuisances.weights
-    omega = (b * w[:, None]).T @ b / data.n
     mixed_y = (1.0 - eps.epsilon) * data.y + eps.epsilon * nuisances.mu_units
-    beta_star = _solve(omega, b.T @ (w * mixed_y) / data.n, "weighted basis Gram")
+    beta_star = solve_moment(model, data.a, b.T @ (w * mixed_y) / data.n, w)
     f = _leverage(model, data.a, w, coord)
     half = float(eps.epsilon * eps.inner.delta * np.mean(np.abs(f)))
     center = float(beta_star[coord])

@@ -364,6 +364,26 @@ def test_constraint_that_the_route_does_not_run_exits_2(tmp_path, capsys, method
     assert not (tmp_path / "bounds_result.csv").exists()
 
 
+@pytest.mark.parametrize("sens,unread", [
+    ({"n_orderings": 3, "inner_iterations": 7, "lp_filter": True},
+     "inner_iterations 7, lp_filter True, n_orderings 3"),
+    ({"method": "conditional-quantile", "constraint": "conditional"}, "constraint 'conditional'"),
+    ({"method": "homotopy-exact", "n_orderings": 2}, "n_orderings 2"),
+    ({"method": "coordinate-ascent", "grid_res": 5}, "grid_res 5"),
+    ({"method": "parametric", "a0": 0.5}, "a0 0.5"),
+    ({"family": "outcome", "method": "linear", "grid": [0.0, 0.5], "epsilon": 0.5},
+     "epsilon 0.5"),
+], ids=["marginal-quantile", "conditional-quantile", "homotopy-exact", "coordinate-ascent",
+        "parametric", "outcome-linear"])
+def test_sensitivity_key_that_the_route_does_not_read_exits_2(tmp_path, capsys, sens, unread):
+    # an unread key would otherwise be ignored and still recorded in the meta file
+    cfg = _write_config(tmp_path / "c.json", bounds_config(**sens))
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"does not read {unread}" in err
+    assert not (tmp_path / "bounds_meta.json").exists()
+
+
 @pytest.mark.parametrize("sens,message", [
     ({"method": "conditional-quantile"},
      "unknown panel bounds method 'conditional-quantile'"),

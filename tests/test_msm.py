@@ -14,13 +14,13 @@ from msmbounds.msm import (
     fit_msm,
     intercept_msm,
     linear_msm,
-    linear_weighted_beta,
     moment_matrix,
     polynomial_msm,
     sandwich_variance,
     u_projection_variance,
     u_statistic,
     u_statistic_with_variance,
+    weighted_fit,
 )
 from msmbounds.nuisance import SelfFit, fixed_weight_nuisances
 from msmbounds.outcome import DeltaSpec, outcome_parametric_bounds
@@ -110,7 +110,8 @@ def test_moment_matrix_and_singular_design():
     B = np.column_stack([np.ones(50), data.a])
     np.testing.assert_allclose(m, B.T @ B / 50, atol=1e-12)
     with pytest.raises(SingularMoment):
-        linear_weighted_beta(np.zeros((10, 2)), np.ones(10), np.zeros(10))
+        # a constant dose makes the basis [1, a] rank one
+        weighted_fit(linear_msm(), np.zeros(10), np.zeros(10), np.ones(10))
 
 
 def test_polynomial_degree_validation():

@@ -24,7 +24,8 @@ STATIC = ("gauss-line", "confounded-line", "hidden-dose", "discrete-cells")
 GRID = [1.0, 1.1, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0]
 
 
-def _reference_swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, band):
+def _reference_swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord,
+                          band=homotopy._SWAP_BAND):
     """The swap search as a double loop: one rank-two Gram update and one
     ``_solve`` per (drop i, add j) pair, keeping the first strict maximum."""
     if not model.linear or band <= 0:
