@@ -459,9 +459,9 @@ _Run = namedtuple("_Run", "data model nuis sens coord seed")
 # names its library routine inside a lambda, so the routine is looked up when
 # it runs, not bound at import. ``keys`` are the sensitivity keys it needs and
 # ``optional`` the ones it reads when given; beside family, method, grid and
-# coord, any other key is a config error. ``flags`` are its caveats,
-# ``heuristic_ci`` marks HulC intervals around it as "heuristic CI", and
-# ``panel`` marks the routes that take panel data.
+# (unless ``keys`` holds a0) coord, any other key is a config error. ``flags``
+# are its caveats, ``heuristic_ci`` marks HulC intervals around it as
+# "heuristic CI", and ``panel`` marks the routes that take panel data.
 _Route = namedtuple(
     "_Route", "call keys optional flags heuristic_ci whole_grid panel",
     defaults=((), (), (), True, False, False),
@@ -557,12 +557,19 @@ def _find_route(sens, panel):
     for key in route.keys:
         if key not in sens:
             raise ConfigError(f"{family} method {method!r} needs sensitivity.{key}")
-    read = {"family", "method", "grid", "coord", *route.keys, *route.optional}
+    # a route that takes a0 bounds a curve point, not a coordinate
+    coord = () if "a0" in route.keys else ("coord",)
+    _reject_unread(sens, {"family", "method", "grid", *coord, *route.keys, *route.optional},
+                   f"{family} method {method!r}")
+    return route
+
+
+def _reject_unread(sens, read, what):
+    """ConfigError naming every sensitivity key outside ``read``, with its value."""
     unread = sorted(set(sens) - read)
     if unread:
-        raise ConfigError(f"{family} method {method!r} does not read "
+        raise ConfigError(f"{what} does not read "
                           + ", ".join(f"{key} {sens[key]!r}" for key in unread))
-    return route
 
 
 def _make_run(data, config, seed):
@@ -613,6 +620,7 @@ def _curve_on_dataset(data, config, seed):
         raise ConfigError("curve works on static datasets")
     sens = config["sensitivity"]
     family = FAMILIES[sens["family"]]
+    _reject_unread(sens, {"family", "a0_grid", family.knob}, f"{sens['family']} curve")
     route = ROUTES[sens["family"], "linear-curve" if sens["family"] == "propensity" else "curve"]
     a0_grid = _parse_grid(sens["a0_grid"])
     spec = family.spec(sens.get(family.knob, family.start), sens)

@@ -31,7 +31,7 @@ from .msm import (
     _solve,
     weighted_fit,
 )
-from .nuisance import EmpiricalQuantileFit, cell_labels, clipped_pseudo_outcome
+from .nuisance import EmpiricalQuantileFit, _pair_phi, cell_labels, clipped_pseudo_outcome
 from .results import BetaEstimate, HomotopyTrace
 
 
@@ -102,12 +102,12 @@ def conditional_outcome_bounds(data, spec, nuisances=None, probe_a=None, probe_x
     return np.minimum(low, high), np.maximum(low, high)
 
 
-def _phi_row(nuisances, gamma, side):
-    """Row function i -> w_i (s_i - kappa(a_i, x_i)) + kappa(a_i, X_j) over j."""
-    s = nuisances.s_units(gamma, side)
-    kappa_own = nuisances.kappa_units(gamma, side)
-    base = nuisances.weights * (s - kappa_own)
-    return lambda i: base[i] + nuisances.kappa_row(gamma, side, i)
+def _phi(nuisances, gamma, side):
+    """The kernel phi_ij = w_i (s_i - kappa(a_i, x_i)) + kappa(a_i, X_j), as
+    ``nuisance._pair_phi`` gives it: factors when kappa-hat is additive."""
+    base = nuisances.weights * (nuisances.s_units(gamma, side)
+                                - nuisances.kappa_units(gamma, side))
+    return _pair_phi(nuisances, base, gamma, side)
 
 
 def bound_kernel(data, nuisances, spec, side):
@@ -116,7 +116,11 @@ def bound_kernel(data, nuisances, spec, side):
     f(Z_i, Z_j) = w_i (s_i - kappa(a_i, x_i)) + kappa(a_i, x_j), with every
     hat-quantity for slot one taken from unit i's out-of-fold bundle.
     """
-    return PairKernel(data.n, 1, _phi_row(nuisances, spec.gamma, side))
+    phi = _phi(nuisances, spec.gamma, side)
+    if isinstance(phi, tuple):
+        left, right = phi
+        phi = lambda i: right @ left[i]
+    return PairKernel(data.n, 1, phi)
 
 
 def fit_parametric_bounds(data, model, nuisances, spec):
@@ -125,10 +129,18 @@ def fit_parametric_bounds(data, model, nuisances, spec):
     Each side solves the pair moment U_n[h(A_1)(phi-hat - g(A_1; beta))] = 0
     and carries the U-statistic projection covariance.
     """
-    phi_rows = (_phi_row(nuisances, spec.gamma, side) for side in ("lower", "upper"))
+    phis = (_phi(nuisances, spec.gamma, side) for side in ("lower", "upper"))
     low, high = (BetaEstimate(beta=beta, covariance=cov)
-                 for beta, cov in _pair_moment_sides(model, data.a, phi_rows))
+                 for beta, cov in _pair_moment_sides(model, data.a, phis))
     return low, high
+
+
+def _split(pos, phi_pos, phi_neg):
+    """The pair kernel whose row i is phi_pos's where pos[i] and phi_neg's elsewhere;
+    factor pairs share R, so only the rows of L are picked."""
+    if isinstance(phi_pos, tuple):
+        return np.where(pos[:, None], phi_pos[0], phi_neg[0]), phi_pos[1]
+    return lambda i: phi_pos(i) if pos[i] else phi_neg(i)
 
 
 def linear_curve_bounds(data, model, nuisances, spec, a0):
@@ -140,14 +152,13 @@ def linear_curve_bounds(data, model, nuisances, spec, a0):
     scale for the curve value at a0.
     """
     b0 = model.basis_matrix(np.array([float(a0)]))[0]
-    phi = {side: _phi_row(nuisances, spec.gamma, side) for side in ("lower", "upper")}
+    phi = {side: _phi(nuisances, spec.gamma, side) for side in ("lower", "upper")}
 
-    def mixed_rows(lev):
+    def mixed(lev):
         pos = lev >= 0.0
-        return [lambda i, same=same, other=other: phi[same if pos[i] else other](i)
-                for same, other in (("lower", "upper"), ("upper", "lower"))]
+        return [_split(pos, phi["lower"], phi["upper"]), _split(pos, phi["upper"], phi["lower"])]
 
-    results = _linear_functional_fits(model, data.a, b0, mixed_rows)
+    results = _linear_functional_fits(model, data.a, b0, mixed)
     (g_low, var_low), (g_high, var_high) = sorted(results, key=lambda r: r[0])
     return g_low, g_high, (var_low, var_high)
 

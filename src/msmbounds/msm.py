@@ -4,11 +4,16 @@ The moment condition is mean_n[ h(A) * w * (Y - g(A; beta)) ] = 0 with h the
 moment features, w the density-ratio weights, and g the working curve.
 Linear curves solve in closed form; anything else runs a damped Newton.
 
-Pair kernels are evaluated exactly over all ordered pairs in deterministic
-index order, one row at a time, so results never depend on chunking. One
-pass yields every row and column sum: the U-statistic, its Hajek-projection
+Every pair-kernel statistic comes from the kernel's row and column sums
+over all ordered pairs i != j: the U-statistic, its Hajek-projection
 variance and, in ``pair_moment_fit``, both the target of a pair moment and
-the covariance of its solution all come from those sums.
+the covariance of its solution. A ``PairKernel`` is walked one row at a
+time in index order (``_pair_sums``), so results never depend on chunking;
+that path serves the public U-statistics, the Nadaraya-Watson outcome
+regression and the subset kernel. A kernel given as factors
+phi_ij = L_i^T R_j, as the propensity and outcome kernels are under the
+linear outcome regression, has its sums in closed form in O(n)
+(``_factor_sums``).
 """
 
 import dataclasses
@@ -269,6 +274,17 @@ def _pair_sums(kernel):
     return row_sums, col_sums
 
 
+def _factor_sums(h, left, right):
+    """``_pair_sums`` of the kernel h_i L_i^T R_j in O(n r dim), r the width of L and R:
+    row i is h_i (L_i^T sum_j R_j - L_i^T R_i) and column j is R_j^T (L^T h) - h_j L_j^T R_j."""
+    if h.shape[0] < 2:
+        raise ValueError("need at least two units")
+    diag = np.einsum("ij,ij->i", left, right)
+    row_sums = h * (left @ right.sum(axis=0) - diag)[:, None]
+    col_sums = right @ (left.T @ h) - h * diag[:, None]
+    return row_sums, col_sums
+
+
 def _u_value(row_sums):
     n = row_sums.shape[0]
     return row_sums.sum(axis=0) / (n * (n - 1))
@@ -301,19 +317,24 @@ def u_statistic_with_variance(kernel):
     return _u_value(row_sums), _projection_variance(row_sums + col_sums)
 
 
-def pair_moment_fit(h, phi_row, solve):
+def pair_moment_fit(h, phi, solve):
     """Solve the pair moment U_n[h(A_1)(phi(Z_1, Z_2) - g(A_1; beta))] = 0.
 
-    One pass over the kernel rows h_i phi_i(.) gives the target U_n[h phi];
-    ``solve(target)`` returns (beta, the fitted g(A_i; beta), the bread M).
-    The covariance is 4 Cov of the Hajek projection of M^-1 h_i (phi_ij - g_i),
-    whose row and column sums come from the same pass: subtracting g only
-    removes (n-1) h_i g_i from row i and sum_{i != j} h_i g_i from column j.
-    Returns (beta, covariance of sqrt(n) beta-hat).
+    ``phi`` is a row function i -> phi_i(.), walked once over the kernel rows
+    h_i phi_i(.), or a factor pair (L, R) with phi_ij = L_i^T R_j, whose sums
+    ``_factor_sums`` gives in closed form. The row sums give the target
+    U_n[h phi]; ``solve(target)`` returns (beta, the fitted g(A_i; beta), the
+    bread M). The covariance is 4 Cov of the Hajek projection of
+    M^-1 h_i (phi_ij - g_i), whose row and column sums come from the same
+    sums: subtracting g only removes (n-1) h_i g_i from row i and
+    sum_{i != j} h_i g_i from column j. Returns (beta, covariance of sqrt(n) beta-hat).
     """
     n, dim = h.shape
-    kernel = PairKernel(n, dim, lambda i: h[i][None, :] * phi_row(i)[:, None])
-    row_sums, col_sums = _pair_sums(kernel)
+    if isinstance(phi, tuple):
+        row_sums, col_sums = _factor_sums(h, *phi)
+    else:
+        row_sums, col_sums = _pair_sums(
+            PairKernel(n, dim, lambda i: h[i][None, :] * phi(i)[:, None]))
     beta, fitted, bread = solve(_u_value(row_sums))
     hg = h * fitted[:, None]
     unit_sums = row_sums - (n - 1) * hg + col_sums - (hg.sum(axis=0) - hg)
@@ -323,11 +344,11 @@ def pair_moment_fit(h, phi_row, solve):
     return beta, _projection_variance(unit_sums)
 
 
-def _linear_functional_fits(model, a, direction, phi_rows):
+def _linear_functional_fits(model, a, direction, phis):
     """Pair-moment fits of direction^T beta for the least-squares projection onto b.
 
-    direction is e (a coordinate) or b(a0) (a curve point). ``phi_rows(lev)``
-    gives one row function per side from the leverage
+    direction is e (a coordinate) or b(a0) (a curve point). ``phis(lev)``
+    gives one ``pair_moment_fit`` kernel per side from the leverage
     lev_i = b(A_i)^T Q^-1 direction, Q = b^T b / n, whose sign splits the
     units. Returns (direction^T beta, direction^T cov direction) per side.
     """
@@ -341,13 +362,13 @@ def _linear_functional_fits(model, a, direction, phi_rows):
         beta = _solve(q_mat, target, "basis Gram matrix")
         return beta, b @ beta, q_mat
 
-    fits = [pair_moment_fit(b, phi_row, solve) for phi_row in phi_rows(lev)]
+    fits = [pair_moment_fit(b, phi, solve) for phi in phis(lev)]
     return [(float(direction @ beta), float(direction @ cov @ direction)) for beta, cov in fits]
 
 
-def _pair_moment_sides(model, a, phi_rows):
-    """(beta, covariance) of ``pair_moment_fit`` on the working model for each row
-    function that ``phi_rows`` yields, one per side."""
+def _pair_moment_sides(model, a, phis):
+    """(beta, covariance) of ``pair_moment_fit`` on the working model for each
+    kernel that ``phis`` yields, one per side."""
     h = model.features(a)
 
     def solve(target):
@@ -355,4 +376,4 @@ def _pair_moment_sides(model, a, phi_rows):
         grad = model.basis_matrix(a) if model.linear else model.grad(a, beta)
         return beta, model.predict(a, beta), h.T @ grad / a.size
 
-    return [pair_moment_fit(h, phi_row, solve) for phi_row in phi_rows]
+    return [pair_moment_fit(h, phi, solve) for phi in phis]

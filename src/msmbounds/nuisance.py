@@ -96,6 +96,12 @@ class LinearOutcomeFit:
     def __call__(self, a, x):
         return _poly_design(a, x, self.degree) @ self.coef
 
+    def additive_parts(self, a):
+        """(g, c) with fit(a_i, x) = g_i + x^T c: the treatment part of the design
+        at each a_i times its coefficients, and the covariate coefficients."""
+        k = self.degree + 1
+        return _poly_design(a, np.empty((len(a), 0)), self.degree) @ self.coef[:k], self.coef[k:]
+
 
 class KernelOutcomeFit:
     """Nadaraya-Watson regression with a Gaussian product kernel."""
@@ -454,7 +460,14 @@ class CrossFit:
       probe points: ``gamma.conditional_outcome_bounds``;
     - ``mu_units`` and ``mu_row``: the outcome and subset-propensity pair
       kernels and the outcome-shift subset bounds; ``mu_at_units`` and
-      ``kappa_at_units``: the subset theta bounds.
+      ``kappa_at_units``: the subset theta bounds;
+    - ``additive_parts(gamma, side)``, optional: (g, c) per unit with unit
+      i's regression at (a_i, X_j) equal to g_i + X_j^T c_i (mu-hat without
+      arguments, kappa-hat with them), or None. ``_pair_phi`` builds the
+      propensity and outcome pair kernels from it as factors, whose sums
+      ``msm.pair_moment_fit`` takes in O(n); only when it is None
+      (``outcome_method`` "kernel") do those kernels read ``kappa_row`` and
+      ``mu_row``. The subset kernel always reads the rows.
 
     mu-hat and kappa-hat are ``_Bundle.regression``, read at each unit's own
     point by ``_own`` and along a row by ``_row``. ``_FixedNuisances`` is the
@@ -557,6 +570,24 @@ class CrossFit:
         """kappa-hat at probe points (a, x): the average over the bundles."""
         return np.mean([b.regression(gamma, side)(a, x) for b in self.bundles], axis=0)
 
+    def additive_parts(self, gamma=None, side=None):
+        """(g, c) per unit with unit i's regression at (a_i, X_j) equal to
+        g_i + X_j^T c_i: mu-hat, or with (gamma, side) kappa-hat. None when the
+        outcome method is not additive in x ("kernel")."""
+        if self.config.outcome_method != "linear":
+            return None
+
+        def compute():
+            g = np.empty(self.data.n)
+            c = np.empty(self.data.x.shape)
+            for bundle, units in zip(self.bundles, self._scored):
+                g[units], c[units] = bundle.regression(gamma, side).additive_parts(
+                    self.data.a[units])
+            return g, c
+
+        key = None if gamma is None else _gamma_key(gamma)
+        return self._cached(("additive", key, side), compute)
+
 
 class SelfFit(CrossFit):
     """Single in-sample bundle exposed through the CrossFit interface.
@@ -606,8 +637,24 @@ class _FixedNuisances:
         raise ConfigError("fixed weights carry no outcome, quantile or pseudo-outcome fits")
 
     mu_row = mu_at_units = quantile_units = s_units = _unfitted
-    kappa_units = kappa_row = kappa_at_units = kappa_at = _unfitted
+    kappa_units = kappa_row = kappa_at_units = kappa_at = additive_parts = _unfitted
     mu_units = bundles = property(_unfitted)
+
+
+def _pair_phi(nuisances, u, gamma=None, side=None):
+    """The pair kernel phi_ij = u_i + unit i's regression at (a_i, X_j): mu-hat, or
+    with (gamma, side) kappa-hat.
+
+    With ``additive_parts`` (g, c) it is the factor pair (L, R), phi_ij = L_i^T R_j,
+    with L = [u + g, c] and R = [1, X]; otherwise the row function i -> phi_i.
+    """
+    parts = nuisances.additive_parts(gamma, side)
+    if parts is None:
+        if gamma is None:
+            return lambda i: u[i] + nuisances.mu_row(i)
+        return lambda i: u[i] + nuisances.kappa_row(gamma, side, i)
+    g, c = parts
+    return np.column_stack([u + g, c]), _poly_design(nuisances.data.a, nuisances.data.x, 0)
 
 
 def fixed_weight_nuisances(data, weights):

@@ -16,6 +16,7 @@ import scipy.optimize
 
 from .errors import GridFailure, NoConvergence, SingularMoment
 from .msm import _linear_functional_fits, _pair_moment_sides, solve_moment
+from .nuisance import _pair_phi
 from .results import BetaEstimate
 
 
@@ -30,10 +31,10 @@ class DeltaSpec:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
 
 
-def _shifted_phi_row(data, nuisances, shift):
-    """Row function i -> w_i (y_i - mu_ii) + mu(a_i, X_j) + shift_i over j."""
-    base = nuisances.weights * (data.y - nuisances.mu_units)
-    return lambda i: base[i] + nuisances.mu_row(i) + shift[i]
+def _shifted_phi(data, nuisances, shift):
+    """The kernel phi_ij = w_i (y_i - mu_ii) + shift_i + mu(a_i, X_j), as
+    ``nuisance._pair_phi`` gives it: factors when mu-hat is additive."""
+    return _pair_phi(nuisances, nuisances.weights * (data.y - nuisances.mu_units) + shift)
 
 
 def _linear_shift_bounds(data, model, nuisances, spec, direction):
@@ -42,12 +43,12 @@ def _linear_shift_bounds(data, model, nuisances, spec, direction):
     The shift enters as +/- delta times the sign of the leverage
     direction^T Q^-1 b(A_i).
     """
-    def shifted_rows(lev):
+    def shifted(lev):
         signs = np.sign(lev)
-        return [_shifted_phi_row(data, nuisances, sgn * spec.delta * signs) for sgn in (-1.0, 1.0)]
+        return [_shifted_phi(data, nuisances, sgn * spec.delta * signs) for sgn in (-1.0, 1.0)]
 
     (low, var_low), (high, var_high) = _linear_functional_fits(
-        model, data.a, direction, shifted_rows)
+        model, data.a, direction, shifted)
     return low, high, (var_low, var_high)
 
 
@@ -75,10 +76,10 @@ def outcome_parametric_bounds(data, model, nuisances, spec):
     Solves U_n[h(A_1)(f_mu +/- delta - g(A_1; beta))] = 0; weakly inside
     the per-direction linear bounds whenever the sign split is non-constant.
     """
-    phi_rows = (_shifted_phi_row(data, nuisances, np.full(data.n, sgn * spec.delta))
-                for sgn in (-1.0, 1.0))
+    phis = (_shifted_phi(data, nuisances, np.full(data.n, sgn * spec.delta))
+            for sgn in (-1.0, 1.0))
     low, high = (BetaEstimate(beta=beta, covariance=cov)
-                 for beta, cov in _pair_moment_sides(model, data.a, phi_rows))
+                 for beta, cov in _pair_moment_sides(model, data.a, phis))
     return low, high
 
 

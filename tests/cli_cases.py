@@ -19,8 +19,10 @@ def bounds_config(n=100, **sens_extra):
         "family": "propensity",
         "method": "marginal-quantile",
         "grid": {"start": 1.0, "stop": 2.0, "step": 0.5},
-        "coord": 1,
     }
+    if "a0" not in sens_extra:
+        # a route that takes a0 bounds a curve point and reads no coord
+        sens["coord"] = 1
     sens.update(sens_extra)
     return {
         "data": {"dgp": {"name": "gauss-line", "n": n, "seed": 1}},

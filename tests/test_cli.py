@@ -21,6 +21,7 @@ from cli_cases import (
     WALD,
     bounds_config,
     case,
+    curve_config,
     panel_config,
     route_config,
 )
@@ -373,8 +374,13 @@ def test_constraint_that_the_route_does_not_run_exits_2(tmp_path, capsys, method
     ({"method": "parametric", "a0": 0.5}, "a0 0.5"),
     ({"family": "outcome", "method": "linear", "grid": [0.0, 0.5], "epsilon": 0.5},
      "epsilon 0.5"),
+    ({"method": "linear-curve", "a0": 0.5, "coord": 0}, "coord 0"),
+    ({"family": "outcome", "method": "curve", "grid": [0.0, 0.5], "a0": 0.5, "coord": 1},
+     "coord 1"),
+    ({"family": "subset-propensity", "method": "theta", "grid": [0.0, 0.5], "gamma": 2.0,
+      "a0": 0.5, "coord": 1}, "coord 1"),
 ], ids=["marginal-quantile", "conditional-quantile", "homotopy-exact", "coordinate-ascent",
-        "parametric", "outcome-linear"])
+        "parametric", "outcome-linear", "linear-curve", "outcome-curve", "subset-theta"])
 def test_sensitivity_key_that_the_route_does_not_read_exits_2(tmp_path, capsys, sens, unread):
     # an unread key would otherwise be ignored and still recorded in the meta file
     cfg = _write_config(tmp_path / "c.json", bounds_config(**sens))
@@ -382,6 +388,17 @@ def test_sensitivity_key_that_the_route_does_not_read_exits_2(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "config error" in err and f"does not read {unread}" in err
     assert not (tmp_path / "bounds_meta.json").exists()
+
+
+@pytest.mark.parametrize("family,knob", [("propensity", "delta"), ("outcome", "gamma")])
+def test_curve_knob_of_the_other_family_exits_2(tmp_path, capsys, family, knob):
+    # each curve reads its own family's knob; the other would be recorded unread
+    sens = {"family": family, "gamma": 1.5, "delta": 0.7, "a0_grid": [0.0, 1.0]}
+    cfg = _write_config(tmp_path / "c.json", curve_config(sens))
+    assert main(["curve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{family} curve does not read {knob} {sens[knob]!r}" in err
+    assert not (tmp_path / "curve_meta.json").exists()
 
 
 @pytest.mark.parametrize("sens,message", [

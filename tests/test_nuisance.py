@@ -287,6 +287,8 @@ def test_fixed_weight_adapter_rejects_fitted_pieces():
         lambda: fixed.kappa_at_units(2.0, "lower", 0.5),
         lambda: fixed.bundles,
         lambda: fixed.mu_at_units(0.5),
+        lambda: fixed.additive_parts(),
+        lambda: fixed.additive_parts(2.0, "upper"),
         lambda: conditional_quantile_beta_bounds(
             data, intercept_msm(), fixed, GammaSpec(2.0), 0),
     ):

@@ -1,10 +1,12 @@
 """The nuisance protocol of ``CrossFit``, checked bit for bit against the
 per-method evaluators and per-class design builders it replaced.
 
-The references below are the earlier ``_poly_design``, the kernel outcome
-fit, both propensity models, the bundle's clipped-outcome regression, the
-``CrossFit`` evaluators (one method body per regression and shape) and the
-bundle loop that ``gamma.conditional_outcome_bounds`` ran at probe points.
+``additive_parts`` is checked against the pair-kernel rows it replaces in
+the linear case. The references below are the earlier ``_poly_design``, the
+kernel outcome fit, both propensity models, the bundle's clipped-outcome
+regression, the ``CrossFit`` evaluators (one method body per regression and
+shape) and the bundle loop that ``gamma.conditional_outcome_bounds`` ran at
+probe points.
 The reference fits run with ``nuisance._poly_design`` swapped for the
 earlier builder, so every design they use comes from the old code.
 """
@@ -290,6 +292,18 @@ def test_protocol_matches_the_per_method_evaluators(case):
     assert got.keys() == want.keys()
     for key, value in want.items():
         assert np.array_equal(got[key], value), key
+    # the additive split of each regression reproduces its pair-kernel rows
+    for gamma, side in [(None, None), *((g, s) for g in gammas for s in SIDES)]:
+        parts = cf.additive_parts(gamma, side)
+        if config.outcome_method == "kernel":
+            assert parts is None
+            continue
+        assert cf.additive_parts(gamma, side) is parts
+        g, c = parts
+        for i in rows:
+            name = "mu_row" if gamma is None else f"kappa_row {gamma} {side}"
+            np.testing.assert_allclose(g[i] + data.x @ c[i], want[f"{name} {i}"],
+                                       rtol=1e-12, atol=0, err_msg=f"{name} {i}")
 
 
 @PROPERTY

@@ -1,7 +1,10 @@
-"""One-pass pair moments: beta and covariance against a row-wise two-pass reference."""
+"""Pair moments: beta and covariance against a row-wise two-pass reference, for
+the one-pass row kernel and the additive factor sums alike."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msmbounds import datagen
 from msmbounds.data import Dataset
@@ -9,6 +12,8 @@ from msmbounds.datagen import DgpSpec, generate
 from msmbounds.gamma import GammaSpec, fit_parametric_bounds, linear_curve_bounds
 from msmbounds.msm import (
     PairKernel,
+    _factor_sums,
+    _pair_sums,
     pair_moment_fit,
     polynomial_msm,
     solve_moment,
@@ -79,20 +84,19 @@ def _leverage_sign(b, b0):
     return b @ np.linalg.solve(b.T @ b / b.shape[0], b0)
 
 
+FOLDS = {"self": 2, "crossfit": 2, "crossfit5": 5}
+
+
 def _nuisances(data, fit, method):
-    config = NuisanceConfig(outcome_method=method, folds=2)
+    config = NuisanceConfig(outcome_method=method, folds=FOLDS[fit])
     if fit == "self":
         return SelfFit(data, config)
     return CrossFit(data, config, seed=1)
 
 
-def _close(got, want):
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
-
-
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("method", ["linear", "kernel"])
-@pytest.mark.parametrize("fit", ["self", "crossfit"])
+@pytest.mark.parametrize("fit", sorted(FOLDS))
 @pytest.mark.parametrize("dgp", STATIC)
 def test_one_pass_matches_two_pass_reference(dgp, fit, method, degree):
     data = generate(DgpSpec(dgp, seed=3), N)
@@ -102,6 +106,13 @@ def test_one_pass_matches_two_pass_reference(dgp, fit, method, degree):
     h = model.features(a)
     b = model.basis_matrix(a)
     b0 = model.basis_matrix(np.array([A0]))[0]
+    # the additive path sums in another order than the row kernel, and a solve's
+    # forward error grows with the condition number of the bread (5.1e6 for
+    # the quadratic on hidden-dose, whose doses lie in [2, 2.5])
+    rtol = max(1e-10, 4 * np.finfo(float).eps * np.linalg.cond(h.T @ b / data.n))
+
+    def _close(got, want):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
 
     # fit_parametric_bounds: lower then upper side of the propensity kernel
     estimates = fit_parametric_bounds(data, model, nuis, GammaSpec(GAMMA))
@@ -168,25 +179,60 @@ def _counted(nuis, name):
     return calls
 
 
-@pytest.mark.parametrize("fit", ["self", "crossfit"])
-def test_one_kernel_pass_per_side(fit):
+def _row_counts(fit, method):
+    """(kappa_row calls, mu_row calls) of each pair-moment routine, and n."""
     data = generate(DgpSpec("confounded-line", seed=2), 40)
-    nuis = _nuisances(data, fit, "linear")
+    nuis = _nuisances(data, fit, method)
     model = polynomial_msm(1)
     kappa_calls = _counted(nuis, "kappa_row")
     mu_calls = _counted(nuis, "mu_row")
     routines = [
-        (lambda: fit_parametric_bounds(data, model, nuis, GammaSpec(GAMMA)), kappa_calls),
-        (lambda: linear_curve_bounds(data, model, nuis, GammaSpec(GAMMA), A0), kappa_calls),
-        (lambda: outcome_curve_bounds(data, model, nuis, DeltaSpec(DELTA), A0), mu_calls),
-        (lambda: outcome_beta_bounds_linear(data, model, nuis, DeltaSpec(DELTA), 1), mu_calls),
-        (lambda: outcome_parametric_bounds(data, model, nuis, DeltaSpec(DELTA)), mu_calls),
+        lambda: fit_parametric_bounds(data, model, nuis, GammaSpec(GAMMA)),
+        lambda: linear_curve_bounds(data, model, nuis, GammaSpec(GAMMA), A0),
+        lambda: outcome_curve_bounds(data, model, nuis, DeltaSpec(DELTA), A0),
+        lambda: outcome_beta_bounds_linear(data, model, nuis, DeltaSpec(DELTA), 1),
+        lambda: outcome_parametric_bounds(data, model, nuis, DeltaSpec(DELTA)),
     ]
-    for run, calls in routines:
+    counts = []
+    for run in routines:
         kappa_calls.clear()
         mu_calls.clear()
         run()
+        counts.append((list(kappa_calls), list(mu_calls)))
+    return counts, data.n
+
+
+@pytest.mark.parametrize("fit", ["self", "crossfit"])
+def test_one_kernel_pass_per_side(fit):
+    # the Nadaraya-Watson regression is not additive, so its kernels walk rows
+    counts, n = _row_counts(fit, "kernel")
+    # two propensity routines read kappa-hat rows, three outcome ones mu-hat rows
+    for (kappa_calls, mu_calls), reads in zip(counts, ["kappa"] * 2 + ["mu"] * 3):
+        calls = kappa_calls if reads == "kappa" else mu_calls
         # every row of each side's kernel is evaluated exactly once
-        assert len(calls) == 2 * data.n
-        assert sorted(c[-1] for c in calls) == sorted(2 * list(range(data.n)))
-        assert len(kappa_calls) + len(mu_calls) == 2 * data.n
+        assert len(calls) == 2 * n
+        assert sorted(c[-1] for c in calls) == sorted(2 * list(range(n)))
+        assert len(kappa_calls) + len(mu_calls) == 2 * n
+
+
+@pytest.mark.parametrize("fit", ["self", "crossfit"])
+def test_linear_outcome_reads_no_kernel_row(fit):
+    counts, _ = _row_counts(fit, "linear")
+    assert counts == [([], [])] * 5
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 9), r=st.integers(1, 4), dim=st.integers(1, 3), seed=st.integers(0, 9))
+def test_factor_sums_match_the_row_pass(n, r, dim, seed):
+    rng = np.random.default_rng(seed)
+    left, right = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+    h = rng.standard_normal((n, dim))
+    kernel = PairKernel(n, dim, lambda i: h[i][None, :] * (right @ left[i])[:, None])
+    if n < 2:
+        with pytest.raises(ValueError, match="need at least two units"):
+            _pair_sums(kernel)
+        with pytest.raises(ValueError, match="need at least two units"):
+            _factor_sums(h, left, right)
+        return
+    for got, want in zip(_factor_sums(h, left, right), _pair_sums(kernel), strict=True):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
