@@ -9,7 +9,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.stats
 
 from .errors import NegativeVariance, SubsampleTooSmall
 from .results import BoundCurve, ConfidenceInterval
@@ -65,6 +64,10 @@ def hulc_ci(data, estimator, spec=None):
 
 def wald_ci(estimate, variance, n, alpha=0.05):
     """estimate +/- z sqrt(variance / n); variance on the sqrt(n) scale."""
+    # slow to import, so only Wald intervals pay for it; statistics.NormalDist's
+    # inv_cdf differs from norm.ppf in the last bit, which would change outputs
+    import scipy.stats
+
     if variance < 0:
         raise NegativeVariance(f"variance {variance} is negative")
     z = float(scipy.stats.norm.ppf(1.0 - alpha / 2.0))

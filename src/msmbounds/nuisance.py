@@ -13,8 +13,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
 
 from .data import FoldAssignment, split_folds
 from .errors import (
@@ -258,11 +256,117 @@ def _uncrossed(raw, taus):
     return out
 
 
-class PinballQuantileFit:
-    """Linear-in-features conditional quantiles fit by pinball-loss LP.
+def _independent_columns(design):
+    """A maximal set of linearly independent columns, each kept unless the
+    columns before it already span it (``a**2 == a`` for binary a)."""
+    keep = []
+    for j in range(design.shape[1]):
+        if np.linalg.matrix_rank(design[:, keep + [j]]) > len(keep):
+            keep.append(j)
+    return keep
 
-    Fits are cached per tau; joint evaluation sorts across the tau axis so
-    requested quantile curves never cross.
+
+def _nonsingular_rows(design, order):
+    """p rows of the n x p full-rank ``design`` that form a nonsingular square
+    matrix, each the first row in ``order`` outside the span of those before it."""
+    p = design.shape[1]
+    rows = np.asarray(order)
+    basis, picked = np.empty((0, p)), []
+    while len(picked) < p:
+        cand = design[rows]
+        resid = cand - (cand @ basis.T) @ basis
+        norms = np.linalg.norm(resid, axis=1)
+        ok = np.flatnonzero(norms > 1e-9 * np.linalg.norm(cand, axis=1))
+        if ok.size == 0:
+            raise SingularDesign("quantile design has no nonsingular row basis")
+        j = ok[0]
+        picked.append(rows[j])
+        basis = np.vstack([basis, resid[j] / norms[j]])
+        rows = rows[j + 1:]
+    return np.array(picked)
+
+
+def _vertex_residuals(design, y, basis):
+    """beta = X_h^-1 y_h and its residuals, those of the basis rows and those
+    within rounding of 0 set to exactly 0."""
+    beta = np.linalg.solve(design[basis], y[basis])
+    r = y - design @ beta
+    r[basis] = 0.0
+    r[np.abs(r) <= 1e-12 * np.abs(y).max()] = 0.0
+    return beta, r
+
+
+def _quantile_vertex(design, y, tau):
+    """The exact tau-quantile regression of y on a full-rank n x p ``design``.
+
+    Returns beta = X_h^-1 y_h, which interpolates the p training rows h of its basis.
+    Descent along the edges of the piecewise-linear pinball loss (Barrodale &
+    Roberts 1973; Koenker 2005, section 6.2), which is the dual simplex on
+    max y^T a subject to X^T a = 0 and tau - 1 <= a <= tau. It starts from the
+    rows nearest the least-squares line shifted to the tau-quantile of its
+    residuals. ``above`` records which bound each off-basis row sits at, the
+    sign of its residual, and stays the record for zero residuals. At basis h
+    the duals d = -X_h^-T sum_{i not in h} a_i x_i certify optimality when every
+    d_k lies in [tau - 1, tau]. Otherwise the loss falls along one of the 2p
+    edges that free a basis row to either side, and the line search stops at
+    the weighted median of the kinks r_i / z_i, from one sort and a cumulative
+    sum; the kinks it passes change side. A step that does not move (a zero
+    residual off the basis enters) makes the next step follow Bland's rule: the
+    lowest-indexed basis row leaves, to the first kink, lowest index first. So
+    degenerate data (noiseless lines, tied y, discrete cells) cannot cycle.
+    """
+    p = design.shape[1]
+    ls = np.linalg.lstsq(design, y, rcond=None)[0]
+    resid = y - design @ ls
+    start = np.argsort(np.abs(resid - np.quantile(resid, tau)), kind="stable")
+    basis = _nonsingular_rows(design, start)
+    beta, r = _vertex_residuals(design, y, basis)
+    above = r > 0
+    bland = False
+    norms = np.linalg.norm(design, axis=1)
+    while True:
+        inv = np.linalg.inv(design[basis])
+        a = np.where(above, tau, tau - 1.0)
+        a[basis] = 0.0
+        u = inv.T @ (design.T @ a)
+        # the loss's slope along +/- column k of X_h^-1, which moves row h_k below / above
+        slopes = np.concatenate([(1.0 - tau) - u, tau + u])
+        descent = np.flatnonzero(slopes < -1e-10)
+        if not descent.size:
+            return beta
+        if bland:
+            edge = descent[np.argmin(basis[descent % p])]
+        else:
+            edge = descent[np.argmin(slopes[descent])]
+        k = edge % p
+        step = inv[:, k] if edge < p else -inv[:, k]
+        z = design @ step
+        # rows in the span of the other basis rows do not move: z is rounding there
+        z[np.abs(z) <= 1e-10 * norms * np.linalg.norm(step)] = 0.0
+        z[basis] = 0.0
+        kinks = np.flatnonzero(np.where(above, z > 0, z < 0))
+        t = np.maximum(r[kinks] / z[kinks], 0.0)
+        at = np.lexsort((kinks, t))
+        rising = slopes[edge] + np.cumsum(np.abs(z[kinks[at]]))
+        if not rising.size or rising[-1] < 0:
+            raise SingularDesign(f"quantile loss is unbounded at tau={tau}")
+        stop = 0 if bland else int(np.argmax(rising >= 0))
+        above[kinks[at[:stop]]] ^= True
+        above[basis[k]] = edge >= p
+        basis[k] = kinks[at[stop]]
+        bland = t[at[stop]] == 0.0
+        beta, r = _vertex_residuals(design, y, basis)
+        above = np.where(r != 0, r > 0, above)
+
+
+class PinballQuantileFit:
+    """Linear-in-features conditional quantiles: exact pinball-loss minimizers.
+
+    Each tau is fit by ``_quantile_vertex`` on a linearly independent subset of
+    the design's columns (the others get coefficient 0), so its fit
+    interpolates p training rows; evaluated at those rows it returns their y
+    up to rounding. Fits are cached per tau; joint evaluation sorts across the
+    tau axis so requested quantile curves never cross.
     """
 
     def __init__(self, a, x, y, degree=1):
@@ -274,19 +378,10 @@ class PinballQuantileFit:
     def _fit_one(self, tau):
         if not 0.0 < tau < 1.0:
             raise BadTau(f"tau must be in (0, 1), got {tau}")
-        n, p = self._design.shape
-        cost = np.concatenate([np.zeros(p), np.full(n, tau), np.full(n, 1.0 - tau)])
-        eye = scipy.sparse.eye(n, format="csc")
-        a_eq = scipy.sparse.hstack(
-            [scipy.sparse.csc_matrix(self._design), eye, -eye], format="csc"
-        )
-        bounds = [(None, None)] * p + [(0, None)] * (2 * n)
-        res = scipy.optimize.linprog(
-            cost, A_eq=a_eq, b_eq=self._y, bounds=bounds, method="highs"
-        )
-        if not res.success:
-            raise SingularDesign(f"quantile LP failed at tau={tau}: {res.message}")
-        return res.x[:p]
+        cols = _independent_columns(self._design)
+        coef = np.zeros(self._design.shape[1])
+        coef[cols] = _quantile_vertex(self._design[:, cols], self._y, tau)
+        return coef
 
     def coef(self, tau):
         key = _gamma_key(tau)

@@ -12,7 +12,6 @@ import itertools
 import warnings
 
 import numpy as np
-import scipy.optimize
 
 from .errors import GridFailure, NoConvergence, SingularMoment
 from .msm import _linear_functional_fits, _pair_moment_sides, solve_moment
@@ -85,6 +84,8 @@ def outcome_parametric_bounds(data, model, nuisances, spec):
 
 def _feasible_lp(h, t, delta):
     """Is t in the zonotope {mean_n[h_i xi_i] : |xi_i| <= delta}? LP feasibility."""
+    import scipy.optimize  # slow to import, and only the lp_filter route needs it
+
     n, k = h.shape
     res = scipy.optimize.linprog(
         np.zeros(n),

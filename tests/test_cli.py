@@ -570,3 +570,20 @@ def test_installed_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "simulated.csv").exists()
+
+
+def test_cli_import_loads_no_scipy_solver_or_stats():
+    # scipy.optimize, scipy.sparse and scipy.stats are most of a fresh
+    # interpreter's import time; only _feasible_lp and wald_ci need them, and
+    # they import them when called.
+    import msmbounds
+
+    src = str(Path(msmbounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, msmbounds.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'sparse'], "
+            "['scipy', 'stats'])))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"

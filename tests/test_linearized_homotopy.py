@@ -158,7 +158,7 @@ def test_carry_rule_hides_crossing_closed_form():
     np.testing.assert_array_equal(trace.lower, np.minimum.accumulate(closed[:, 0]))
     np.testing.assert_array_equal(trace.upper, np.maximum.accumulate(closed[:, 1]))
     assert trace.lower[2] == trace.lower[0] == pytest.approx(3.2861, abs=1e-4)
-    assert trace.upper[2] == trace.upper[4] == pytest.approx(3.4425, abs=1e-4)
+    assert trace.upper[2] == trace.upper[4] == pytest.approx(3.4309, abs=1e-4)
     want = _reference_linearized_homotopy(data, model, nuis, grid, 1, "conditional",
                                           nuis.weights)
     np.testing.assert_allclose(trace.lower, want["lower"][0], rtol=1e-12, atol=0)

@@ -25,13 +25,17 @@ own ``src/``, and the two stdouts are compared byte for byte. That covers
 the library calls the demos make, which no CLI case reaches.
 
 For every output file the report says "identical" or, for a result CSV,
-the largest relative difference per column. The exit status is 0 when
-every case and demo exits 0 in both trees, every case writes files and
-every file and demo stdout is identical, and 1 otherwise. Uses only the
-stdlib and numpy.
+the largest relative difference per column. Both trees run this checkout's
+config of each case, so the report also says "config differs" for each case
+whose config in one tree's ``tests/cli_cases.py`` differs from the other's,
+or is missing there. The exit status is 0 when every case and demo exits 0
+in both trees, every case writes files, no case config differs and every
+file and demo stdout is identical, and 1 otherwise. Uses only the stdlib
+and numpy.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -65,6 +69,22 @@ def write_cases(work):
             argv, _ = workloads.write_inputs(step, seed, 0, os.path.join(work, f"seed{seed}"))
             cases.append((f"{step}-seed{seed}", argv[:3]))
     return cases
+
+
+def tree_cases(tree):
+    """The CASES table of ``tree``'s ``tests/cli_cases.py``, each config as JSON text."""
+    spec = importlib.util.spec_from_file_location(
+        "cli_cases_of_tree", os.path.join(tree, "tests", "cli_cases.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: json.dumps(case, sort_keys=True) for name, case in module.CASES.items()}
+
+
+def config_differences(tree_a, tree_b):
+    """Names of the cases whose config differs between the two trees, or is in one only."""
+    cases_a, cases_b = tree_cases(tree_a), tree_cases(tree_b)
+    return sorted(name for name in cases_a.keys() | cases_b.keys()
+                  if cases_a.get(name) != cases_b.get(name))
 
 
 def run_case(tree, argv, out):
@@ -151,6 +171,9 @@ def main(argv=None):
     work = args.work or tempfile.mkdtemp(prefix="compare_cli_")
     os.makedirs(work, exist_ok=True)
     all_identical = True
+    for name in config_differences(args.tree_a, args.tree_b):
+        print(f"{name}: config differs")
+        all_identical = False
     for name, case_argv in write_cases(work):
         outs = []
         for label, tree in (("a", args.tree_a), ("b", args.tree_b)):
