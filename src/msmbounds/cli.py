@@ -276,6 +276,11 @@ SCHEMAS = {
 }
 
 
+def _non_finite(name):
+    """``parse_constant`` hook: NaN, Infinity and -Infinity are no config values."""
+    raise ConfigError(f"config holds the non-finite number {name}")
+
+
 def _apply_env_overrides(config):
     """MSMBOUNDS_SECTION__KEY=value sets config[section][key]; values parse as JSON."""
     for name, raw in sorted(os.environ.items()):
@@ -285,7 +290,7 @@ def _apply_env_overrides(config):
         if not path:
             continue
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_constant=_non_finite)
         except json.JSONDecodeError:
             value = raw
         node = config
@@ -302,7 +307,7 @@ def _load_config(command, path):
         raise UsageError(f"{command} requires --config PATH")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_non_finite)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -923,7 +928,7 @@ def _build_parser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
             "--workers", type=int, default=os.cpu_count() or 1,
-            help="worker processes for independent tasks",
+            help="worker processes for oracle-check; bounds, curve, fit and simulate ignore it",
         )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser

@@ -167,9 +167,8 @@ def _leverage(model, a, w, coord, beta=None, v=None, h=None):
     """c_i = e^T M^-1 h(a_i), M = mean[h (v w) grad^T] (v = 1 when None).
 
     grad is h for a linear model and grad g(a; beta) otherwise. Times w_i
-    it is unit i's leverage on the coordinate: the per-unit derivative of
-    every propensity coordinate bound is c_i w_i (y_i - g_i), or c_i w_i y_i
-    linearized. ``h`` is ``model.features(a)`` when the caller has built it.
+    it is unit i's leverage on the coordinate (see ``_derivative``). ``h``
+    is ``model.features(a)`` when the caller has built it.
     """
     if h is None:
         h = model.features(a)
@@ -179,6 +178,18 @@ def _leverage(model, a, w, coord, beta=None, v=None, h=None):
     e = np.zeros(model.dim)
     e[coord] = 1.0
     return h @ _solve(m.T, e, "coordinate leverage matrix")
+
+
+def _derivative(model, a, y, w, coord, beta, v=None, h=None):
+    """(c w, g, d): the leverage times w, the fit g(a; beta) and d = c w (y - g).
+
+    d_i is the derivative of the coordinate bound in unit i's confounding
+    weight at v, the one per-unit derivative of every propensity coordinate
+    bound; linearized it is c_i w_i y_i.
+    """
+    c = _leverage(model, a, w, coord, beta, v, h) * w
+    g = model.predict(a, beta)
+    return c, g, c * (y - g)
 
 
 def _cells(data, nuisances):
@@ -298,8 +309,7 @@ def local_beta_bounds(data, model, nuisances, spec, coord):
     """
     w = nuisances.weights
     beta = weighted_fit(model, data.a, data.y, w)
-    resid = data.y - model.predict(data.a, beta)
-    d = _leverage(model, data.a, w, coord, beta) * w * resid
+    d = _derivative(model, data.a, data.y, w, coord, beta)[2]
     center = float(beta[coord])
     spread = float(np.log(spec.gamma) * np.mean(np.abs(d)))
     return center - spread, center + spread

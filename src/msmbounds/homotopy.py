@@ -8,16 +8,19 @@ coordinate ascent with rank-one inverse updates.
 Everything here consumes (treatment-object, y, w) through the model's own
 feature callables, so panel wrappers can reuse the machinery unchanged.
 The threshold steps take their per-unit derivative from
-``gamma._leverage`` and their weights from ``_ranks.rank_mask`` (marginal
+``gamma._derivative`` and their weights from ``_ranks.rank_mask`` (marginal
 constraint) or ``gamma._conditional_mask`` (conditional constraint), the
 same derivative and rules as the closed-form quantile and local bounds.
+Every search here is one ``_continue`` over the grid with its own step.
 """
 
 import numpy as np
 
 from ._ranks import rank_mask
 from .errors import NoConvergence, SingularMoment
-from .gamma import _cells, _conditional_mask, _gamma_grid, _leverage, _rank_rule_grid
+from .gamma import (
+    _cells, _conditional_mask, _derivative, _gamma_grid, _leverage, _rank_rule_grid,
+)
 from .msm import _solve, weighted_fit
 from .results import HomotopyTrace
 
@@ -36,8 +39,7 @@ def bound_derivative(data, model, beta, weights, coord, v=None, flavor="exact"):
     if flavor == "linearized":
         return _leverage(model, data.a, w, coord, beta) * w * data.y
     v = np.ones_like(w) if v is None else np.asarray(v, dtype=float).ravel()
-    c = _leverage(model, data.a, w, coord, beta, v) * w
-    return c * (data.y - model.predict(data.a, beta))
+    return _derivative(model, data.a, data.y, w, coord, beta, v)[2]
 
 
 def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord):
@@ -66,10 +68,9 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord):
         gram = (h * wv[:, None]).T @ h / n
         rhs = h.T @ (wv * y) / n
         try:
-            c = _leverage(model, a_obj, w, coord, beta_cur, v, h) * w
+            d = _derivative(model, a_obj, y, w, coord, beta_cur, v, h)[2]
         except SingularMoment:
             break
-        d = c * (y - model.predict(a_obj, beta_cur))
         in_idx = np.flatnonzero(mask)
         out_idx = np.flatnonzero(~mask)
         if in_idx.size == 0 or out_idx.size == 0:
@@ -120,6 +121,35 @@ def _solve_candidates(gram2, rhs2):
             except SingularMoment:
                 pass
         return betas
+
+
+def _continue(grid, start, step, keep_weights):
+    """Run both branches from their ``start`` states (lower, upper) along ``grid``.
+
+    A state is a tuple with the weights v first (None when none are kept)
+    and the value last. At each grid point after the first, lower branch
+    first, ``step(j, gamma, sense, carried)`` gives the branch's next state
+    (sense -1 lower, +1 upper), or None for an invalid point, whose value
+    stays NaN with ``valid[j]`` False while the carried state goes on.
+    Returns the ``HomotopyTrace`` fields, the weights only under ``keep_weights``.
+    """
+    values = np.full((2, grid.size), np.nan)
+    values[:, 0] = [state[-1] for state in start]
+    valid = np.ones(grid.size, dtype=bool)
+    carried = list(start)
+    kept = [[state[0]] for state in start] if keep_weights else [None, None]
+    for j in range(1, grid.size):
+        for side, sense in enumerate((-1.0, 1.0)):
+            state = step(j, float(grid[j]), sense, carried[side])
+            if state is None:
+                valid[j] = False
+            else:
+                carried[side] = state
+                values[side, j] = state[-1]
+            if keep_weights:
+                kept[side].append(carried[side][0])
+    return {"lower": values[0], "upper": values[1], "valid": valid,
+            "v_lower": kept[0], "v_upper": kept[1]}
 
 
 def homotopy_bounds(
@@ -175,98 +205,52 @@ def homotopy_bounds(
     }
     if flavor == "linearized":
         trace = _rank_rule_grid(data, model, w, nuisances, grid, coord, constraint, keep_weights)
-        for values, kept, sense in ((trace.lower, trace.v_lower, -1.0),
-                                    (trace.upper, trace.v_upper, 1.0)):
-            for j in range(1, grid.size):
-                if not sense * (values[j] - values[j - 1]) > 0:
-                    values[j] = values[j - 1]
-                    if keep_weights:
-                        kept[j] = kept[j - 1]
-        trace.diagnostics = diagnostics
-        return trace
-    cells = _cells(data, nuisances) if constraint == "conditional" else None
+        sides = [list(zip(kept or [None] * grid.size, values)) for kept, values in
+                 ((trace.v_lower, trace.lower), (trace.v_upper, trace.upper))]
+        start = (sides[0][0], sides[1][0])
 
-    y = data.y
-    a_obj = data.a
-    h = model.features(a_obj)
-    n = y.size
-    beta_point = weighted_fit(model, a_obj, y, w)
-    point = float(beta_point[coord])
+        def step(j, gamma, sense, carried):
+            # each branch keeps its best point so far, the carried one on ties
+            return max((carried, sides[sense > 0][j]), key=lambda point: sense * point[-1])
+    else:
+        cells = _cells(data, nuisances) if constraint == "conditional" else None
+        h = model.features(data.a)
+        beta_point = weighted_fit(model, data.a, data.y, w)
+        start = ((np.ones(data.y.size), beta_point, float(beta_point[coord])),) * 2
 
-    lower = np.full(grid.size, np.nan)
-    upper = np.full(grid.size, np.nan)
-    valid = np.ones(grid.size, dtype=bool)
-    lower[0] = upper[0] = point
-    snaps = {"lower": [np.ones(n)], "upper": [np.ones(n)]} if keep_weights else None
-    state = {
-        "lower": {"v": np.ones(n), "beta": beta_point.copy(), "val": point},
-        "upper": {"v": np.ones(n), "beta": beta_point.copy(), "val": point},
-    }
-    failures = {"lower": 0, "upper": 0}
-
-    for j in range(1, grid.size):
-        gamma = float(grid[j])
-        box = (1.0 / gamma, gamma)
-        for branch in ("lower", "upper"):
-            st = state[branch]
+        def step(j, gamma, sense, carried):
             try:
-                v_new, beta_new, value = _one_step(
-                    model, cells, nuisances, a_obj, h, y, w, st, gamma, box,
-                    branch, coord, constraint, inner_iterations,
-                )
+                return _one_step(model, cells, nuisances, data.a, h, data.y, w, carried,
+                                 gamma, sense, coord, constraint, inner_iterations)
             except (SingularMoment, NoConvergence):
-                failures[branch] += 1
-                if failures[branch] >= 3:
-                    valid[j] = False
-                    diagnostics["invalid_points"].append((j, branch))
-                    if keep_weights:
-                        snaps[branch].append(st["v"].copy())
-                    continue
+                point = (j, "upper" if sense > 0 else "lower")
+                if [b for _, b in diagnostics["fallback_points"]].count(point[1]) >= 2:
+                    diagnostics["invalid_points"].append(point)
+                    return None
                 # the carried weights stay feasible in the wider box, so the
                 # previous value stands at this grid point
-                diagnostics["fallback_points"].append((j, branch))
-                v_new, beta_new, value = st["v"], st["beta"], st["val"]
-            st["v"] = v_new
-            st["beta"] = beta_new
-            st["val"] = value
-            if branch == "lower":
-                lower[j] = value
-            else:
-                upper[j] = value
-            if keep_weights:
-                snaps[branch].append(v_new.copy())
+                diagnostics["fallback_points"].append(point)
+                return carried
 
-    trace = HomotopyTrace(
-        grid=grid,
-        lower=lower,
-        upper=upper,
-        target=f"beta[{coord}]",
-        valid=valid,
-        v_lower=snaps["lower"] if keep_weights else None,
-        v_upper=snaps["upper"] if keep_weights else None,
-        diagnostics=diagnostics,
-    )
-    return trace
+    return HomotopyTrace(grid=grid, target=f"beta[{coord}]", diagnostics=diagnostics,
+                         **_continue(grid, start, step, keep_weights))
 
 
 def _one_step(
-    model, cells, nuisances, a_obj, h, y, w, st, gamma, box,
-    branch, coord, constraint, inner_iterations,
+    model, cells, nuisances, a_obj, h, y, w, carried, gamma, sense,
+    coord, constraint, inner_iterations,
 ):
-    """One grid step: fixed-point iterates plus the carried-over weights.
+    """One grid step: fixed-point iterates plus the carried (v, beta, value).
 
     The weight box widens with gamma, so the previous step's v stays
     feasible verbatim; keeping the best candidate for the branch sense
     makes the upper trace nondecreasing and the lower nonincreasing by
     construction while every recorded v remains a feasibility certificate.
     """
-    upper = branch == "upper"
-    sense = 1.0 if upper else -1.0
-    v_prev = st["v"]
-    beta_prev = st["beta"]
-
-    candidates = [(v_prev, beta_prev, float(beta_prev[coord]))]
-    v_cur, beta_cur = v_prev, beta_prev
+    upper = sense > 0
+    box = (1.0 / gamma, gamma)
+    candidates = [carried]
+    v_cur, beta_cur, _ = carried
     iters = max(int(inner_iterations), 1)
     if constraint == "conditional":
         iters = max(iters, _CIRCULAR_CAP)
@@ -274,9 +258,7 @@ def _one_step(
     damps = 0
     last_coord = None
     for it in range(iters):
-        c = _leverage(model, a_obj, w, coord, beta_cur, v_cur, h) * w
-        g = model.predict(a_obj, beta_cur)
-        d = c * (y - g)
+        c, g, d = _derivative(model, a_obj, y, w, coord, beta_cur, v_cur, h)
         if constraint == "marginal":
             mask = rank_mask(d, gamma, upper)
             if seen_masks and np.array_equal(mask, seen_masks[-1]):
@@ -350,47 +332,23 @@ def coordinate_ascent_bounds(
     refit = (lambda v: weighted_fit(model, data.a, y, w * v)) if check_refits else None
 
     point = float(weighted_fit(model, data.a, y, w)[coord])
-    lower = np.full(grid.size, np.nan)
-    upper = np.full(grid.size, np.nan)
-    lower[0] = upper[0] = point
-    snaps = {"lower": [np.ones(n)], "upper": [np.ones(n)]} if keep_weights else None
-    warm = {"lower": np.ones(n), "upper": np.ones(n)}
     worst_refit_gap = 0.0
 
-    for j in range(1, grid.size):
-        gamma = float(grid[j])
-        hi, lo = gamma, 1.0 / gamma
-        for branch, sense in (("lower", -1.0), ("upper", 1.0)):
-            start = np.where(warm[branch] >= 1.0, hi, lo)
-            best_v = None
-            best_val = None
-            for order in orders:
-                v, val, gap = _greedy_flips(
-                    b, y, w, start.copy(), hi, lo, coord, order, sense, refit
-                )
-                worst_refit_gap = max(worst_refit_gap, gap)
-                if best_val is None or sense * val > sense * best_val:
-                    best_val, best_v = val, v
-            warm[branch] = best_v
-            if branch == "lower":
-                lower[j] = best_val
-            else:
-                upper[j] = best_val
-            if keep_weights:
-                snaps[branch].append(best_v.copy())
+    def step(j, gamma, sense, carried):
+        nonlocal worst_refit_gap
+        start = np.where(carried[0] >= 1.0, gamma, 1.0 / gamma)
+        flips = [_greedy_flips(b, y, w, start.copy(), gamma, 1.0 / gamma, coord, order, sense,
+                               refit) for order in orders]
+        for _, _, gap in flips:
+            worst_refit_gap = max(worst_refit_gap, gap)
+        # the first ordering wins ties
+        return max(flips, key=lambda flip: sense * flip[1])[:2]
 
+    trace = _continue(grid, ((np.ones(n), point),) * 2, step, keep_weights)
     diagnostics = {"constraint": "box-only", "n_orderings": len(orders)}
     if check_refits:
         diagnostics["worst_refit_gap"] = worst_refit_gap
-    return HomotopyTrace(
-        grid=grid,
-        lower=lower,
-        upper=upper,
-        target=f"beta[{coord}]",
-        v_lower=snaps["lower"] if keep_weights else None,
-        v_upper=snaps["upper"] if keep_weights else None,
-        diagnostics=diagnostics,
-    )
+    return HomotopyTrace(grid=grid, target=f"beta[{coord}]", diagnostics=diagnostics, **trace)
 
 
 def _greedy_flips(b, y, w, v, hi, lo, coord, order, sense, refit):

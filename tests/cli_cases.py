@@ -1,13 +1,13 @@
-"""The ``bounds``, ``curve`` and ``fit`` configs that the CLI tests run.
+"""The ``bounds``, ``curve``, ``fit`` and ``oracle-check`` configs that the CLI tests run.
 
 ``tests/test_cli.py`` runs each case, and ``tools/compare_cli_outputs.py``
 runs the same cases on two source trees, so both read them from here.
 The cases are the configs of the named tests in ``tests/test_cli.py``, a
 few more that reach every pair-kernel routine with a Wald variance, one
 HulC case per static (family, method) route of ``bounds``, one HulC case per
-route that takes panel data, a panel ``fit``, and the rank-rule cases that
-reach the conditional weight rule, the local expansion on a quadratic and
-cross-fitted empirical quantiles.
+route that takes panel data, a panel ``fit``, an ``oracle-check`` report,
+and the rank-rule cases that reach the conditional weight rule, the local
+expansion on a quadratic and cross-fitted empirical quantiles.
 This module imports nothing from ``msmbounds``.
 """
 
@@ -103,6 +103,11 @@ PAIR_KERNEL_CASES = {
     "curve-propensity-poly2-wald": ("curve", curve_config(
         {"family": "propensity", "gamma": 2.0, "a0_grid": [-1.0, 0.0, 1.0]},
         model={"kind": "polynomial", "degree": 2}, nuisance=FOLDS, inference=WALD)),
+    # the Nadaraya-Watson outcome regression walks its pair-kernel rows one by one
+    "bounds-parametric-kernel-wald": ("bounds", {
+        **bounds_config(80, method="parametric", grid=[1.0, 1.5]),
+        "nuisance": {**FOLDS, "outcome_method": "kernel"}, "inference": WALD,
+    }),
 }
 CASES.update(PAIR_KERNEL_CASES)
 
@@ -153,6 +158,9 @@ CASES.update(
     for method in PANEL_METHODS
 )
 CASES["fit-panel"] = ("fit", {key: panel_config()[key] for key in ("data", "model")})
+# The oracle report: the exact homotopy's gaps against the exhaustive oracle,
+# with explicit weights and inner_iterations=8.
+CASES["oracle-check"] = ("oracle-check", {"seed": 7, "instances": 12, "tiny_instances": 2})
 
 
 # In-sample nuisances with per-cell empirical quantiles on discrete data.

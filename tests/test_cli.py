@@ -509,12 +509,34 @@ def test_env_override_bad_descent_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def _outcome_shift_config(delta):
+    sens = {**ROUTE_SENSITIVITY["subset-outcome", "outcome-shift"], "delta": delta}
+    return bounds_config(family="subset-outcome", method="outcome-shift", **sens)
+
+
+@pytest.mark.parametrize("delta", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_number_in_config_exits_2(tmp_path, capsys, delta):
+    # json reads NaN and +-Infinity, and a schema minimum lets NaN and Infinity
+    # through; delta = Infinity ran and wrote an empty cell for every bound
+    cfg = _write_config(tmp_path / "c.json", _outcome_shift_config(delta))
+    constant = json.dumps(delta)
+    assert constant in Path(cfg).read_text()
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"non-finite number {constant}" in capsys.readouterr().err
+
+
+def test_non_finite_env_override_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MSMBOUNDS_SENSITIVITY__DELTA", "Infinity")
+    cfg = _write_config(tmp_path / "c.json", _outcome_shift_config(0.5))
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "non-finite number Infinity" in capsys.readouterr().err
+
+
 def test_oracle_check_deterministic_across_workers(tmp_path, capsys):
-    config = {"instances": 12, "tiny_instances": 2}
-    cfg = _write_config(tmp_path / "c.json", config)
+    cfg = _write_config(tmp_path / "c.json", case("oracle-check"))
     out1, out2, out3 = tmp_path / "w1", tmp_path / "w2", tmp_path / "w1b"
     for out, workers in ((out1, "1"), (out2, "2"), (out3, "1")):
-        code = main(["oracle-check", "--config", cfg, "--seed", "7",
+        code = main(["oracle-check", "--config", cfg,
                      "--out", str(out), "--workers", workers])
         assert code == 0
     r1 = (out1 / "oracle_report.json").read_bytes()

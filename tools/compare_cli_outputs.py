@@ -9,12 +9,15 @@ once per tree as ``python -m msmbounds <command> --config ... --out ...
 --workers 1`` with ``PYTHONPATH=<tree>/src``, on the same config file and
 input data. The cases are
 
-- the ``bounds``, ``curve`` and ``fit`` cases of ``tests/cli_cases.py``,
-  which ``tests/test_cli.py`` runs too: the configs of its named tests,
-  more configs that reach every pair-kernel routine with a variance, one
-  HulC case per static (family, method) route of ``bounds``, one HulC case
-  per route that takes panel data, a panel ``fit``, and the rank-rule
-  cases;
+- the ``bounds``, ``curve``, ``fit`` and ``oracle-check`` cases of
+  ``tests/cli_cases.py``, which ``tests/test_cli.py`` runs too: the configs
+  of its named tests, more configs that reach every pair-kernel routine
+  with a variance (among them a cross-fitted ``outcome_method: "kernel"``
+  parametric Wald case, the one run of the row-wise Nadaraya-Watson pair
+  kernel), one HulC case per static (family, method) route of ``bounds``,
+  one HulC case per route that takes panel data, a panel ``fit``, the
+  ``oracle-check`` report (the exact homotopy's gaps against the oracles,
+  seed 7) and the rank-rule cases;
 - the step configs of every benchmark workload (``pair-kernel-lp`` and
   ``rank-rule-homotopy``), written by ``perfbench/workloads.write_inputs``
   at full n for seeds 0 and 1.
