@@ -5,16 +5,38 @@ broken toward the lower index, and the strict-above / inclusive-below
 split that makes rank-based weight assignments hit the LP vertex exactly
 when n*tau is integral. ``rank_mask`` is the one marginal rank rule behind
 every propensity coordinate bound; ``rank_masks`` applies it over a whole
-gamma grid and ``cell_rank_mask`` inside every (a, x) cell, each from one sort.
+gamma grid and ``cell_rank_mask`` inside every (a, x) cell.
+
+Every rule follows the ascending (value, index) order of ``np.lexsort``,
+but only ``rank_masks`` and ``cell_rank_mask`` sort, because a whole grid
+or every cell needs that order. ``rank_mask``, the ``select_*_mask`` pair
+and the homotopy's swap band need one cut of it: they take the threshold
+from ``np.partition``, mark every value strictly past it, and fill the
+remaining count from the values tied with it in index order, the highest
+indices for the top side and the lowest for the bottom side, which is
+where lexsort puts them. ±inf rank like any other value and -0.0 ties
+with 0.0. A NaN has no rank (lexsort would put it past +inf), so every
+rule here raises ``NaNRank`` (a ``NumericalError``, CLI exit 4) naming
+the count of NaN values instead of placing them.
 """
 
 import math
 
 import numpy as np
 
+from .errors import NaNRank
+
+
+def _ranked(values):
+    """``values`` as a flat float array; ``NaNRank`` when any of them is NaN."""
+    values = np.asarray(values, dtype=float).ravel()
+    nans = np.count_nonzero(np.isnan(values))
+    if nans:
+        raise NaNRank(f"cannot rank {nans} NaN value(s) among {values.size}")
+    return values
+
 
 def _ascending_order(values):
-    values = np.asarray(values, dtype=float)
     return np.lexsort((np.arange(values.size), values))
 
 
@@ -26,13 +48,27 @@ def _cut(order, count, top):
 
 
 def _select(values, count, top):
-    values = np.asarray(values, dtype=float).ravel()
+    """``_cut(_ascending_order(values), count, top)`` without the sort.
+
+    The threshold is the value at the cut's inner end; the values strictly
+    past it are in, and the rest of ``count`` comes from the values equal
+    to it, the highest indices for the top side and the lowest for the
+    bottom side.
+    """
+    values = _ranked(values)
     count = int(count)
-    if not 0 <= count <= values.size:
+    n = values.size
+    if not 0 <= count <= n:
         raise ValueError("count out of range")
     if not count:
-        return np.zeros(values.size, dtype=bool)
-    return _cut(_ascending_order(values), count, top)
+        return np.zeros(n, dtype=bool)
+    kth = n - count if top else count - 1
+    threshold = np.partition(values, kth)[kth]
+    mask = values > threshold if top else values < threshold
+    ties = np.flatnonzero(values == threshold)
+    fill = count - np.count_nonzero(mask)
+    mask[ties[ties.size - fill:] if top else ties[:fill]] = True
+    return mask
 
 
 def select_top_mask(values, count):
@@ -90,7 +126,7 @@ def rank_masks(values, gammas):
     """
     if any(gamma < 1 for gamma in gammas):
         raise ValueError("gamma must be >= 1")
-    values = np.asarray(values, dtype=float).ravel()
+    values = _ranked(values)
     order = _ascending_order(values)
     counts = [gamma_count(values.size, gamma) for gamma in gammas]
     return [(_cut(order, count, False), _cut(order, count, True)) for count in counts]
@@ -101,7 +137,7 @@ def cell_rank_mask(values, labels, gamma, upper):
     cell's ``gamma_count`` first or last entries of the (cell, value, index) order."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    values = np.asarray(values, dtype=float).ravel()
+    values = _ranked(values)
     order = np.lexsort((np.arange(values.size), values, labels))
     sizes = np.bincount(labels)
     distinct, size_at = np.unique(sizes, return_inverse=True)

@@ -76,6 +76,10 @@ class NoConvergence(NumericalError):
     pass
 
 
+class NaNRank(NumericalError):
+    """A rank rule met NaN values, which have no place in the order."""
+
+
 class SubsampleTooSmall(ConfigError):
     pass
 

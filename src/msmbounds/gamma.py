@@ -185,10 +185,13 @@ def _derivative(model, a, y, w, coord, beta, v=None, h=None):
 
     d_i is the derivative of the coordinate bound in unit i's confounding
     weight at v, the one per-unit derivative of every propensity coordinate
-    bound; linearized it is c_i w_i y_i.
+    bound; linearized it is c_i w_i y_i. ``h`` is ``model.features(a)`` when
+    the caller has built it; a linear model's fit is then h @ beta.
     """
+    if h is None:
+        h = model.features(a)
     c = _leverage(model, a, w, coord, beta, v, h) * w
-    g = model.predict(a, beta)
+    g = h @ beta if model.linear else model.predict(a, beta)
     return c, g, c * (y - g)
 
 

@@ -16,7 +16,7 @@ Every search here is one ``_continue`` over the grid with its own step.
 
 import numpy as np
 
-from ._ranks import rank_mask
+from ._ranks import _select, rank_mask
 from .errors import NoConvergence, SingularMoment
 from .gamma import (
     _cells, _conditional_mask, _derivative, _gamma_grid, _leverage, _rank_rule_grid,
@@ -49,7 +49,8 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord):
     unit out of the high-weight set for one outside it (count fixed, so
     the feasibility certificate keeps the rank-rule shape) escapes it.
     Candidates come from a derivative-ordered band of ``_SWAP_BAND`` units
-    on each side of the cut, so the search stays cheap at large n; linear
+    on each side of the cut (``_band``: among tied derivatives the lower
+    index enters first), so the search stays cheap at large n; linear
     models only, where a swap is a rank-two update of the weighted Gram
     system. ``h`` is the model's features
     (its basis) at ``a_obj``. Each iteration solves all band x band
@@ -75,8 +76,8 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord):
         out_idx = np.flatnonzero(~mask)
         if in_idx.size == 0 or out_idx.size == 0:
             break
-        drop = in_idx[np.argsort(sense * d[in_idx])][:_SWAP_BAND]
-        add = out_idx[np.argsort(-sense * d[out_idx])][:_SWAP_BAND]
+        drop = _band(in_idx, sense * d[in_idx])
+        add = _band(out_idx, -sense * d[out_idx])
         # the rank-two update of every (drop i, add j) pair, with the
         # elementwise operations of one pair's update in the same order
         dw_i = w[drop] * (lo - hi)
@@ -103,6 +104,14 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord):
         mask[add[j]] = True
         visited.append((np.where(mask, hi, lo), beta_cur.copy(), cur_val))
     return visited
+
+
+def _band(idx, key):
+    """The ``_SWAP_BAND`` entries of ``idx`` (ascending) with the smallest ``key``,
+    in ascending key order, the lower index first among ties: the bottom
+    side's ``_ranks._select``, then a stable sort of the few it keeps."""
+    near = _select(key, min(_SWAP_BAND, key.size), False)
+    return idx[near][np.argsort(key[near], kind="stable")]
 
 
 def _solve_candidates(gram2, rhs2):
@@ -215,7 +224,7 @@ def homotopy_bounds(
     else:
         cells = _cells(data, nuisances) if constraint == "conditional" else None
         h = model.features(data.a)
-        beta_point = weighted_fit(model, data.a, data.y, w)
+        beta_point = weighted_fit(model, data.a, data.y, w, h=h)
         start = ((np.ones(data.y.size), beta_point, float(beta_point[coord])),) * 2
 
         def step(j, gamma, sense, carried):
@@ -272,16 +281,16 @@ def _one_step(
                     break
                 damps += 1
                 v_cur = 0.5 * (v_cur + v_vertex)
-                beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur)
+                beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur, h=h)
                 continue
             v_cur = v_vertex
-            beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur)
+            beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur, h=h)
             candidates.append((v_cur, beta_cur, float(beta_cur[coord])))
             seen_masks.append(mask)
         else:
             mask = _conditional_mask(cells, nuisances, d, c, g, gamma, upper)
             v_cur = np.where(mask, box[1], box[0])
-            beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur)
+            beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur, h=h)
             val = float(beta_cur[coord])
             candidates.append((v_cur, beta_cur, val))
             if last_coord is not None and abs(val - last_coord) <= _CIRCULAR_TOL:
@@ -329,9 +338,9 @@ def coordinate_ascent_bounds(
     n = y.size
     rng = np.random.default_rng(seed)
     orders = [rng.permutation(n) for _ in range(max(int(n_orderings), 1))]
-    refit = (lambda v: weighted_fit(model, data.a, y, w * v)) if check_refits else None
+    refit = (lambda v: weighted_fit(model, data.a, y, w * v, h=b)) if check_refits else None
 
-    point = float(weighted_fit(model, data.a, y, w)[coord])
+    point = float(weighted_fit(model, data.a, y, w, h=b)[coord])
     worst_refit_gap = 0.0
 
     def step(j, gamma, sense, carried):

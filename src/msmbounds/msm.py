@@ -169,20 +169,23 @@ def sandwich_variance(model, a, y, w, beta):
     return _solve(m, minv_s.T, "sandwich bread").T
 
 
-def solve_moment(model, a, target, w=None, beta0=None, max_iter=100):
+def solve_moment(model, a, target, w=None, beta0=None, max_iter=100, h=None):
     """Solve mean_n[ h(A) w g(A; beta) ] = target for beta.
 
     ``w`` defaults to one. A linear model solves (h w)^T b / n beta =
     target in closed form; any other model runs a damped Newton from
     ``beta0`` (zero by default) until the residual drops below 1e-9.
+    ``h`` is ``model.features(a)`` when the caller has built it; for a
+    linear model it is also the basis.
     """
     if model.linear:
         # the moment features are the basis (MsmModel checks); h^T b is kept
         # a product of two arrays, which numpy rounds unlike b^T b
-        b = model.basis_matrix(a)
+        b = model.basis_matrix(a) if h is None else h
         hw = model.features(a) if w is None else b * w[:, None]
         return _solve(hw.T @ b / b.shape[0], target, "moment matrix")
-    h = model.features(a)
+    if h is None:
+        h = model.features(a)
     hw = h if w is None else h * w[:, None]
     n = h.shape[0]
     beta = np.zeros(model.dim) if beta0 is None else np.asarray(beta0, dtype=float).copy()
@@ -213,10 +216,15 @@ def solve_moment(model, a, target, w=None, beta0=None, max_iter=100):
     )
 
 
-def weighted_fit(model, a, y, w, beta0=None, max_iter=100):
-    """beta solving the weighted moment condition mean_n[ h w (y - g(A; beta)) ] = 0."""
-    hw = model.features(a) * w[:, None]
-    return solve_moment(model, a, hw.T @ y / y.size, w, beta0, max_iter)
+def weighted_fit(model, a, y, w, beta0=None, max_iter=100, h=None):
+    """beta solving the weighted moment condition mean_n[ h w (y - g(A; beta)) ] = 0.
+
+    ``h`` is ``model.features(a)`` when the caller has built it.
+    """
+    if h is None:
+        h = model.features(a)
+    hw = h * w[:, None]
+    return solve_moment(model, a, hw.T @ y / y.size, w, beta0, max_iter, h)
 
 
 def fit_msm(data, model, nuisances=None, weights=None, beta0=None, max_iter=100):

@@ -17,7 +17,7 @@ from msmbounds.homotopy import (
     coordinate_ascent_bounds,
     homotopy_bounds,
 )
-from msmbounds.msm import intercept_msm, linear_msm
+from msmbounds.msm import custom_msm, intercept_msm, linear_msm
 from msmbounds.nuisance import NuisanceConfig, SelfFit
 from msmbounds.oracles import oracle_exhaustive_beta_bound
 
@@ -237,8 +237,6 @@ def test_coordinate_ascent_deterministic_and_contains_threshold_vertices():
 
 
 def test_coordinate_ascent_needs_linear_model():
-    from msmbounds.msm import custom_msm
-
     data = _data(n=20)
     nl = custom_msm(
         dim=1,
@@ -273,3 +271,39 @@ def test_homotopy_records_fallbacks_and_invalid_points(monkeypatch):
     assert list(trace.valid) == [True, True, True, False, False]
     for j in (1, 2):
         assert trace.lower[j] == trace.upper[j] == trace.lower[0]
+
+
+def _counting_line():
+    """A linear model whose basis counts its builds; its curve and gradient do not."""
+    builds = []
+
+    def line(a):
+        return np.column_stack([np.ones_like(a), a])
+
+    def basis(a):
+        builds.append(a.size)
+        return line(a)
+
+    model = custom_msm(2, curve=lambda a, b: line(a) @ b, gradient=lambda a, b: line(a),
+                       moment_features=basis, basis=basis)
+    return model, builds
+
+
+@pytest.mark.parametrize("grid", [[1.0, 2.0], [1.0, 1.25, 1.5, 2.0, 2.5, 3.0]])
+def test_exact_homotopy_builds_one_feature_matrix(grid):
+    # every threshold step, refit and swap reuses the call's one feature matrix
+    model, builds = _counting_line()
+    data = _data(seed=2, n=80)
+    trace = homotopy_bounds(data, model, weights=np.ones(data.n), grid=grid,
+                            flavor="exact", coord=1, inner_iterations=5)
+    assert np.all(np.isfinite(trace.upper))
+    assert builds == [data.n]
+
+
+def test_coordinate_ascent_refits_from_its_own_basis():
+    model, builds = _counting_line()
+    data = _data(n=50)
+    trace = coordinate_ascent_bounds(data, model, SelfFit(data).weights, _grid(2.0, 0.25),
+                                     coord=1, n_orderings=3, seed=7, check_refits=True)
+    assert trace.diagnostics["worst_refit_gap"] <= 1e-10
+    assert builds == [data.n]
