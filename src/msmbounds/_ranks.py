@@ -5,16 +5,17 @@ broken toward the lower index, and the strict-above / inclusive-below
 split that makes rank-based weight assignments hit the LP vertex exactly
 when n*tau is integral. ``rank_mask`` is the one marginal rank rule behind
 every propensity coordinate bound; ``rank_masks`` applies it over a whole
-gamma grid and ``cell_rank_mask`` inside every (a, x) cell.
+gamma grid, ``rank_sums`` gives the sums of the values it marks there, and
+``cell_rank_mask`` applies it inside every (a, x) cell.
 
 Every rule follows the ascending (value, index) order of ``np.lexsort``,
-but only ``rank_masks`` and ``cell_rank_mask`` sort, because a whole grid
-or every cell needs that order. ``rank_mask``, the ``select_*_mask`` pair
-and the homotopy's swap band need one cut of it: they take the threshold
-from ``np.partition``, mark every value strictly past it, and fill the
-remaining count from the values tied with it in index order, the highest
-indices for the top side and the lowest for the bottom side, which is
-where lexsort puts them. ±inf rank like any other value and -0.0 ties
+but only ``rank_masks``, ``rank_sums`` and ``cell_rank_mask`` sort, because
+a whole grid or every cell needs that order. ``rank_mask``, the
+``select_*_mask`` pair and the homotopy's swap band need one cut of it:
+they take the threshold from ``np.partition``, mark every value strictly
+past it, and fill the remaining count from the values tied with it in
+index order, the highest indices for the top side and the lowest for the
+bottom side, which is where lexsort puts them. ±inf rank like any other value and -0.0 ties
 with 0.0. A NaN has no rank (lexsort would put it past +inf), so every
 rule here raises ``NaNRank`` (a ``NumericalError``, CLI exit 4) naming
 the count of NaN values instead of placing them.
@@ -130,6 +131,21 @@ def rank_masks(values, gammas):
     order = _ascending_order(values)
     counts = [gamma_count(values.size, gamma) for gamma in gammas]
     return [(_cut(order, count, False), _cut(order, count, True)) for count in counts]
+
+
+def rank_sums(values, gammas):
+    """The sums of the values that ``rank_masks`` marks, from one sort of ``values``.
+
+    Returns one (lower sum, upper sum) pair per gamma: the sums of the first
+    and the last ``gamma_count(n, gamma)`` entries of the ascending order.
+    Tied values are equal, so the sums need no index tie-break.
+    """
+    if any(gamma < 1 for gamma in gammas):
+        raise ValueError("gamma must be >= 1")
+    ranked = np.sort(_ranked(values))
+    n = ranked.size
+    counts = [gamma_count(n, gamma) for gamma in gammas]
+    return [(np.sum(ranked[:count]), np.sum(ranked[n - count:])) for count in counts]
 
 
 def cell_rank_mask(values, labels, gamma, upper):

@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from ._ranks import cell_rank_mask, rank_masks
+from ._ranks import cell_rank_mask, rank_masks, rank_sums
 from .errors import ConfigError
 from .msm import (
     PairKernel,
@@ -163,34 +163,37 @@ def linear_curve_bounds(data, model, nuisances, spec, a0):
     return g_low, g_high, (var_low, var_high)
 
 
-def _leverage(model, a, w, coord, beta=None, v=None, h=None):
+def _leverage(model, a, w, coord, beta=None, v=None, h=None, m=None):
     """c_i = e^T M^-1 h(a_i), M = mean[h (v w) grad^T] (v = 1 when None).
 
     grad is h for a linear model and grad g(a; beta) otherwise. Times w_i
     it is unit i's leverage on the coordinate (see ``_derivative``). ``h``
-    is ``model.features(a)`` when the caller has built it.
+    is ``model.features(a)`` and ``m`` is M when the caller has built them,
+    as a linear refit at the same weights has (``msm._linear_fit``).
     """
     if h is None:
         h = model.features(a)
-    grad = h if model.linear else model.grad(a, beta)
-    vw = w if v is None else v * w
-    m = (h * vw[:, None]).T @ grad / h.shape[0]
+    if m is None:
+        grad = h if model.linear else model.grad(a, beta)
+        vw = w if v is None else v * w
+        m = (h * vw[:, None]).T @ grad / h.shape[0]
     e = np.zeros(model.dim)
     e[coord] = 1.0
     return h @ _solve(m.T, e, "coordinate leverage matrix")
 
 
-def _derivative(model, a, y, w, coord, beta, v=None, h=None):
+def _derivative(model, a, y, w, coord, beta, v=None, h=None, m=None):
     """(c w, g, d): the leverage times w, the fit g(a; beta) and d = c w (y - g).
 
     d_i is the derivative of the coordinate bound in unit i's confounding
     weight at v, the one per-unit derivative of every propensity coordinate
     bound; linearized it is c_i w_i y_i. ``h`` is ``model.features(a)`` when
-    the caller has built it; a linear model's fit is then h @ beta.
+    the caller has built it; a linear model's fit is then h @ beta. ``m`` is
+    ``_leverage``'s M when the caller has it.
     """
     if h is None:
         h = model.features(a)
-    c = _leverage(model, a, w, coord, beta, v, h) * w
+    c = _leverage(model, a, w, coord, beta, v, h, m) * w
     g = h @ beta if model.linear else model.predict(a, beta)
     return c, g, c * (y - g)
 
@@ -240,34 +243,50 @@ def _coordinate_transfer(data, model, w, coord):
     return t, float(beta[coord] - np.mean(t * model.predict(data.a, beta)))
 
 
+def _weights(mask, gamma, epsilon):
+    """v = gamma on ``mask`` and 1/gamma elsewhere, shrunk to (1 - epsilon) + epsilon v."""
+    v = np.where(mask, gamma, 1.0 / gamma)
+    return v if epsilon == 1.0 else (1.0 - epsilon) + epsilon * v
+
+
 def _rank_rule_grid(data, model, w, nuisances, grid, coord, constraint, keep_weights=False,
                     epsilon=1.0):
     """Linearized coordinate bounds at every gamma of ``grid`` by the closed-form rank rule.
 
     f_i = T_i Y_i depends on neither gamma nor v, so it is built once. At each
-    gamma, v is gamma on the units of ``_ranks.rank_masks`` (one sort of f,
-    marginal constraint) or of ``_conditional_mask`` (conditional) and 1/gamma
+    gamma, v is gamma on the units of ``_ranks.rank_masks`` (marginal
+    constraint) or of ``_conditional_mask`` (conditional) and 1/gamma
     elsewhere, shrunk to (1 - epsilon) + epsilon v when ``epsilon`` != 1, and
-    the bound is offset + mean(f v). ``keep_weights`` keeps each v in the trace.
+    the bound is offset + mean(f v). Under the marginal constraint that mean
+    is mean(f)/gamma + (gamma - 1/gamma) S/n, S the ``_ranks.rank_sums`` of
+    f (one sort), and the masks are built only for ``keep_weights``, which
+    keeps each v in the trace.
     """
     cells = _cells(data, nuisances) if constraint == "conditional" else None
     t, offset = _coordinate_transfer(data, model, np.asarray(w, dtype=float).ravel(), coord)
     f = t * data.y
     if constraint == "marginal":
-        masks = rank_masks(f, grid)
+        mean_f = np.mean(f)
+        values = [[mean_f / gamma + (gamma - 1.0 / gamma) * total / f.size for total in sums]
+                  for gamma, sums in zip(grid, rank_sums(f, grid))]
+        if epsilon != 1.0:
+            values = [[(1.0 - epsilon) * mean_f + epsilon * side for side in sides]
+                      for sides in values]
+        masks = rank_masks(f, grid) if keep_weights else []
     else:
         empty = np.zeros(f.size, dtype=bool)
         masks = ([_conditional_mask(cells, nuisances, f, t, None, gamma, upper) if gamma > 1
                   else empty for upper in (False, True)] for gamma in grid)
-    lower, upper, v_lower, v_upper = [], [], [], []
+        values = []
+    v_lower, v_upper = [], []
     for gamma, sides in zip(grid, masks):
-        for bounds, kept, mask in zip((lower, upper), (v_lower, v_upper), sides):
-            v = np.where(mask, gamma, 1.0 / gamma)
-            if epsilon != 1.0:
-                v = (1.0 - epsilon) + epsilon * v
-            bounds.append(float(offset + np.mean(f * v)))
-            if keep_weights:
-                kept.append(v)
+        weights = [_weights(mask, gamma, epsilon) for mask in sides]
+        if constraint != "marginal":
+            values.append([np.mean(f * v) for v in weights])
+        if keep_weights:
+            v_lower.append(weights[0])
+            v_upper.append(weights[1])
+    lower, upper = ([float(offset + sides[k]) for sides in values] for k in (0, 1))
     return HomotopyTrace(grid, lower, upper, f"beta[{coord}]",
                          v_lower=v_lower if keep_weights else None,
                          v_upper=v_upper if keep_weights else None)

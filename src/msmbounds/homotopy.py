@@ -21,7 +21,7 @@ from .errors import NoConvergence, SingularMoment
 from .gamma import (
     _cells, _conditional_mask, _derivative, _gamma_grid, _leverage, _rank_rule_grid,
 )
-from .msm import _solve, weighted_fit
+from .msm import _linear_fit, _solve, weighted_fit
 from .results import HomotopyTrace
 
 _CIRCULAR_TOL = 1e-6
@@ -42,7 +42,7 @@ def bound_derivative(data, model, beta, weights, coord, v=None, flavor="exact"):
     return _derivative(model, data.a, data.y, w, coord, beta, v)[2]
 
 
-def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord):
+def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, gram=None):
     """Greedy count-preserving swaps between the two weight levels.
 
     The threshold fixed point can settle in a poor basin; swapping one
@@ -53,9 +53,11 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord):
     index enters first), so the search stays cheap at large n; linear
     models only, where a swap is a rank-two update of the weighted Gram
     system. ``h`` is the model's features
-    (its basis) at ``a_obj``. Each iteration solves all band x band
-    candidate systems in one batch and takes the first strict maximum in
-    drop-major, add-minor order.
+    (its basis) at ``a_obj``, and ``gram``, when given, the weighted Gram
+    matrix at ``mask``'s weights, as the seed's refit formed it. Each
+    iteration's derivative takes that iteration's Gram matrix; the
+    iteration solves all band x band candidate systems in one batch and
+    takes the first strict maximum in drop-major, add-minor order.
     """
     if not model.linear:
         return []
@@ -66,10 +68,11 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord):
     for _ in range(2 * n):
         v = np.where(mask, hi, lo)
         wv = w * v
-        gram = (h * wv[:, None]).T @ h / n
+        if gram is None:
+            gram = (h * wv[:, None]).T @ h / n
         rhs = h.T @ (wv * y) / n
         try:
-            d = _derivative(model, a_obj, y, w, coord, beta_cur, v, h)[2]
+            d = _derivative(model, a_obj, y, w, coord, beta_cur, v, h, gram)[2]
         except SingularMoment:
             break
         in_idx = np.flatnonzero(mask)
@@ -102,6 +105,7 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord):
         mask = mask.copy()
         mask[drop[i]] = False
         mask[add[j]] = True
+        gram = None
         visited.append((np.where(mask, hi, lo), beta_cur.copy(), cur_val))
     return visited
 
@@ -245,6 +249,14 @@ def homotopy_bounds(
                          **_continue(grid, start, step, keep_weights))
 
 
+def _refit(model, a_obj, h, y, w, beta0):
+    """(beta, Gram) of the weighted refit at weights ``w``: ``msm._linear_fit`` for
+    a linear model; otherwise ``weighted_fit`` from ``beta0`` and no Gram."""
+    if model.linear:
+        return _linear_fit(h, y, w)
+    return weighted_fit(model, a_obj, y, w, beta0, h=h), None
+
+
 def _one_step(
     model, cells, nuisances, a_obj, h, y, w, carried, gamma, sense,
     coord, constraint, inner_iterations,
@@ -255,11 +267,15 @@ def _one_step(
     feasible verbatim; keeping the best candidate for the branch sense
     makes the upper trace nondecreasing and the lower nonincreasing by
     construction while every recorded v remains a feasibility certificate.
+    Each refit's Gram matrix goes to the next derivative, taken at the same
+    weights, so only the first derivative of a step builds its own.
     """
     upper = sense > 0
     box = (1.0 / gamma, gamma)
     candidates = [carried]
+    vertices = []  # (candidate, its Gram) of each vertex refit at this gamma
     v_cur, beta_cur, _ = carried
+    gram = None  # the Gram matrix at v_cur, once a refit has formed it
     iters = max(int(inner_iterations), 1)
     if constraint == "conditional":
         iters = max(iters, _CIRCULAR_CAP)
@@ -267,7 +283,7 @@ def _one_step(
     damps = 0
     last_coord = None
     for it in range(iters):
-        c, g, d = _derivative(model, a_obj, y, w, coord, beta_cur, v_cur, h)
+        c, g, d = _derivative(model, a_obj, y, w, coord, beta_cur, v_cur, h, gram)
         if constraint == "marginal":
             mask = rank_mask(d, gamma, upper)
             if seen_masks and np.array_equal(mask, seen_masks[-1]):
@@ -281,30 +297,31 @@ def _one_step(
                     break
                 damps += 1
                 v_cur = 0.5 * (v_cur + v_vertex)
-                beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur, h=h)
+                beta_cur, gram = _refit(model, a_obj, h, y, w * v_cur, beta_cur)
                 continue
             v_cur = v_vertex
-            beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur, h=h)
+            beta_cur, gram = _refit(model, a_obj, h, y, w * v_cur, beta_cur)
             candidates.append((v_cur, beta_cur, float(beta_cur[coord])))
+            vertices.append((candidates[-1], gram))
             seen_masks.append(mask)
         else:
             mask = _conditional_mask(cells, nuisances, d, c, g, gamma, upper)
             v_cur = np.where(mask, box[1], box[0])
-            beta_cur = weighted_fit(model, a_obj, y, w * v_cur, beta_cur, h=h)
+            beta_cur, gram = _refit(model, a_obj, h, y, w * v_cur, beta_cur)
             val = float(beta_cur[coord])
             candidates.append((v_cur, beta_cur, val))
             if last_coord is not None and abs(val - last_coord) <= _CIRCULAR_TOL:
                 break
             last_coord = val
-    if constraint == "marginal" and inner_iterations > 1 and len(candidates) > 1:
+    if constraint == "marginal" and inner_iterations > 1 and vertices:
         # seed swaps from the best vertex built at THIS gamma's levels; the
         # carried candidate has old atom levels, so its count is wrong here
-        seed_v, seed_beta, _ = max(candidates[1:], key=lambda cand: sense * cand[2])
+        (seed_v, seed_beta, _), seed_gram = max(vertices, key=lambda fit: sense * fit[0][2])
         seed_mask = seed_v >= 1.0 + 1e-12
         if seed_mask.any() and not seed_mask.all():
             candidates.extend(
                 _swap_phase(
-                    model, a_obj, h, y, w, box, seed_mask, seed_beta, sense, coord,
+                    model, a_obj, h, y, w, box, seed_mask, seed_beta, sense, coord, seed_gram,
                 )
             )
     return max(candidates, key=lambda cand: sense * cand[2])

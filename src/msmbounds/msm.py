@@ -216,13 +216,24 @@ def solve_moment(model, a, target, w=None, beta0=None, max_iter=100, h=None):
     )
 
 
+def _linear_fit(h, y, w):
+    """(beta, M) of a linear model's weighted fit on its basis h: M = mean[h w h^T]
+    is the Gram matrix, and beta solves M beta = mean[h w y]. h w is formed once."""
+    hw = h * w[:, None]
+    gram = hw.T @ h / y.size
+    return _solve(gram, hw.T @ y / y.size, "moment matrix"), gram
+
+
 def weighted_fit(model, a, y, w, beta0=None, max_iter=100, h=None):
     """beta solving the weighted moment condition mean_n[ h w (y - g(A; beta)) ] = 0.
 
-    ``h`` is ``model.features(a)`` when the caller has built it.
+    ``h`` is ``model.features(a)`` when the caller has built it. A linear
+    model is ``_linear_fit``; any other runs ``solve_moment``'s Newton.
     """
     if h is None:
         h = model.features(a)
+    if model.linear:
+        return _linear_fit(h, y, w)[0]
     hw = h * w[:, None]
     return solve_moment(model, a, hw.T @ y / y.size, w, beta0, max_iter, h)
 

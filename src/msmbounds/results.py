@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DegenerateVariance
+
 
 @dataclass(frozen=True)
 class BetaEstimate:
@@ -25,7 +27,8 @@ class BetaEstimate:
             if cov.shape != (beta.size, beta.size):
                 raise ValueError("covariance shape mismatch")
             if not np.allclose(cov, cov.T, atol=1e-8):
-                raise ValueError("covariance must be symmetric")
+                # a shape is the caller's error; an asymmetric estimate is the fit's
+                raise DegenerateVariance("covariance must be symmetric")
             object.__setattr__(self, "covariance", cov)
 
     @property

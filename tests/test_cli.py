@@ -491,6 +491,18 @@ def test_degenerate_data_exits_4(tmp_path, capsys):
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 4
 
 
+def test_asymmetric_covariance_is_a_numerical_error(tmp_path, capsys):
+    # a degree-5 fit on doses in [2.0, 2.5] is so ill-conditioned that its
+    # sandwich covariance comes out asymmetric: a numerical failure, not a config error
+    config = {"data": {"dgp": {"name": "hidden-dose", "n": 300, "seed": 0}},
+              "model": {"kind": "polynomial", "degree": 5},
+              "nuisance": {"in_sample": True}}
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "covariance must be symmetric" in err
+
+
 def test_missing_config_flag_exits_2(tmp_path, capsys):
     assert main(["bounds", "--out", str(tmp_path)]) == 2
 

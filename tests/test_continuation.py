@@ -167,19 +167,22 @@ def _reference_ascent(data, model, w, grid, coord, n_orderings, seed, keep_weigh
 
 @contextlib.contextmanager
 def _refits_failing_from(k, error):
-    """``homotopy.weighted_fit`` raises ``error`` from its k-th call on (never when k is None)."""
+    """The fits of ``homotopy``, the point fit (``weighted_fit``) then the refits
+    (``_refit``), raise ``error`` from their k-th call on (never when k is None)."""
     if k is None:
         yield
         return
     calls = itertools.count(1)
-    fit = homotopy.weighted_fit
 
-    def failing(*args, **kwargs):
-        if next(calls) >= k:
-            raise error("forced refit failure")
-        return fit(*args, **kwargs)
+    def failing(fit):
+        def call(*args, **kwargs):
+            if next(calls) >= k:
+                raise error("forced refit failure")
+            return fit(*args, **kwargs)
+        return call
 
-    with mock.patch.object(homotopy, "weighted_fit", failing):
+    with mock.patch.object(homotopy, "weighted_fit", failing(homotopy.weighted_fit)), \
+            mock.patch.object(homotopy, "_refit", failing(homotopy._refit)):
         yield
 
 

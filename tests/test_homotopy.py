@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from msmbounds import gamma as gamma_module
 from msmbounds import homotopy
 from msmbounds.data import Dataset
 from msmbounds.datagen import DgpSpec, generate
@@ -251,16 +252,10 @@ def test_coordinate_ascent_needs_linear_model():
 def test_homotopy_records_fallbacks_and_invalid_points(monkeypatch):
     # every refit after the point estimate fails: each branch keeps its
     # previous point at its first two failed steps, then turns invalid
-    real_fit = homotopy.weighted_fit
-    calls = []
-
-    def failing_fit(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            return real_fit(*args, **kwargs)
+    def failing_refit(*args, **kwargs):
         raise SingularMoment("forced")
 
-    monkeypatch.setattr(homotopy, "weighted_fit", failing_fit)
+    monkeypatch.setattr(homotopy, "_refit", failing_refit)
     data = _data()
     trace = homotopy_bounds(data, linear_msm(), weights=np.ones(data.n),
                             grid=[1.0, 1.5, 2.0, 2.5, 3.0], coord=1)
@@ -298,6 +293,30 @@ def test_exact_homotopy_builds_one_feature_matrix(grid):
                             flavor="exact", coord=1, inner_iterations=5)
     assert np.all(np.isfinite(trace.upper))
     assert builds == [data.n]
+
+
+@pytest.mark.parametrize("constraint", ["marginal", "conditional"])
+def test_exact_homotopy_builds_one_gram_per_weight_vector(monkeypatch, constraint):
+    # each refit hands its Gram matrix to the next derivative and the seed's
+    # to the swaps, so only a step's first derivative, at the carried
+    # weights, builds its own: one per branch and grid step
+    own_builds = []
+    leverage = gamma_module._leverage
+
+    def spy(*args, **kwargs):
+        m = args[7] if len(args) > 7 else kwargs.get("m")
+        own_builds.append(m is None)
+        return leverage(*args, **kwargs)
+
+    monkeypatch.setattr(gamma_module, "_leverage", spy)
+    data = generate(DgpSpec("confounded-line", seed=2), 300)
+    grid = [1.0, 1.25, 1.5, 2.0, 3.0]
+    trace = homotopy_bounds(data, linear_msm(), nuisances=SelfFit(data), grid=grid,
+                            flavor="exact", constraint=constraint, coord=1,
+                            inner_iterations=5)
+    assert np.all(trace.valid)
+    assert len(own_builds) > 2 * (len(grid) - 1)
+    assert sum(own_builds) == 2 * (len(grid) - 1)
 
 
 def test_coordinate_ascent_refits_from_its_own_basis():

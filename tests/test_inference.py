@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from msmbounds.datagen import DgpSpec, generate
-from msmbounds.errors import NegativeVariance, SubsampleTooSmall
+from msmbounds.errors import DegenerateVariance, NegativeVariance, SubsampleTooSmall
 from msmbounds.inference import (
     HulcSpec,
     band_over_grid,
@@ -94,7 +94,7 @@ def test_beta_estimate_validation():
     assert est.k == 2
     with pytest.raises(ValueError):
         BetaEstimate(beta=[1.0, 2.0], covariance=np.eye(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateVariance):
         BetaEstimate(beta=[1.0, 2.0], covariance=[[1.0, 0.5], [0.0, 1.0]])
 
 

@@ -1,17 +1,24 @@
 """The sort-once marginal rank rule and the batched homotopy swap search,
-each checked bit for bit against the per-gamma and per-pair code it replaced."""
+checked against the per-gamma and per-pair code they replaced: the weights
+and the swaps bit for bit, the rank-grid values (slice sums of one sort)
+within a stated summation-error bound."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msmbounds import homotopy
-from msmbounds._ranks import gamma_count, select_bottom_mask, select_top_mask
+from msmbounds._ranks import gamma_count, rank_masks, select_bottom_mask, select_top_mask
 from msmbounds.data import Dataset
 from msmbounds.datagen import DgpSpec, generate
-from msmbounds.errors import SingularMoment
+from msmbounds.errors import NaNRank, SingularMoment
 from msmbounds.gamma import (
     GammaSpec,
     _leverage,
+    _rank_rule_grid,
     marginal_quantile_beta_bounds,
     marginal_quantile_grid_bounds,
 )
@@ -25,9 +32,10 @@ GRID = [1.0, 1.1, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0]
 
 
 def _reference_swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord,
-                          band=homotopy._SWAP_BAND):
+                          gram=None, band=homotopy._SWAP_BAND):
     """The swap search as a double loop: one rank-two Gram update and one
-    ``_solve`` per (drop i, add j) pair, keeping the first strict maximum."""
+    ``_solve`` per (drop i, add j) pair, keeping the first strict maximum.
+    It ignores the seed's ``gram`` and builds every Gram matrix from scratch."""
     if not model.linear or band <= 0:
         return []
     b_mat = model.basis_matrix(a_obj)
@@ -148,13 +156,18 @@ def test_singular_candidate_falls_back_to_one_by_one_solves(monkeypatch):
     assert np.all(np.isfinite(trace.lower)) and np.all(np.isfinite(trace.upper))
 
 
+def _f(data, model, nuis, coord):
+    """f = T Y of a linear model, whose linearized bound has no offset."""
+    w = nuis.weights
+    return _leverage(model, data.a, w, coord) * w * data.y
+
+
 def _per_gamma(data, model, nuis, grid, coord):
     """The bounds and weights of each gamma as the per-gamma route built them:
-    f rebuilt, and sorted once per side, at every gamma."""
+    f rebuilt, sorted once per side, and mean(f v) summed, at every gamma."""
     out = []
     for g in grid:
-        w = nuis.weights
-        f = _leverage(model, data.a, w, coord) * w * data.y
+        f = _f(data, model, nuis, coord)
         count = gamma_count(f.size, g)
         v_lo = np.where(select_bottom_mask(f, count), g, 1.0 / g)
         v_hi = np.where(select_top_mask(f, count), g, 1.0 / g)
@@ -162,9 +175,26 @@ def _per_gamma(data, model, nuis, grid, coord):
     return out
 
 
-def _same_as_per_gamma(trace, want):
-    _same_bits(trace.lower, [r[0] for r in want])
-    _same_bits(trace.upper, [r[1] for r in want])
+def _summation_bound(f, gamma):
+    """How far two summation orders of the same bound may drift apart.
+
+    The grid route gives mean(f)/gamma + (gamma - 1/gamma) S/n, S the sum of
+    a slice of sorted f; the per-gamma route gives mean(f v). Each is a numpy
+    pairwise sum of at most n terms of size at most gamma |f_i|, plus a few
+    roundings of size eps/2. A pairwise sum of m terms errs by at most
+    (log2(m) + 16) eps/2 times the sum of their magnitudes (eight-way
+    unrolled blocks of at most 128 terms, then halving), so the routes differ
+    by less than 4 eps (log2(n) + 24) gamma mean|f|. A count off by one moves
+    a bound by (gamma - 1/gamma) |f_k| / n, orders of magnitude more.
+    """
+    eps = np.finfo(float).eps
+    return 4.0 * eps * (np.log2(max(f.size, 2)) + 24.0) * gamma * np.mean(np.abs(f))
+
+
+def _close_to_per_gamma(trace, want, f, grid):
+    for gamma, lo, hi, (want_lo, want_hi, _, _) in zip(grid, trace.lower, trace.upper, want):
+        bound = _summation_bound(f, gamma)
+        assert abs(lo - want_lo) <= bound and abs(hi - want_hi) <= bound
 
 
 @pytest.mark.parametrize("name", STATIC)
@@ -173,10 +203,10 @@ def test_grid_route_matches_per_gamma_bounds(name):
         data = generate(DgpSpec(name, seed=seed), 150)
         nuis = SelfFit(data)
         want = _per_gamma(data, model, nuis, GRID, 1)
-        _same_as_per_gamma(marginal_quantile_grid_bounds(data, model, nuis, GRID, 1), want)
-        for g, (lo, hi, _, _) in zip(GRID, want):
-            spec = GammaSpec(g)
-            assert marginal_quantile_beta_bounds(data, model, nuis, spec, 1) == (lo, hi)
+        trace = marginal_quantile_grid_bounds(data, model, nuis, GRID, 1)
+        _close_to_per_gamma(trace, want, _f(data, model, nuis, 1), GRID)
+        for g, lo, hi in zip(GRID, trace.lower, trace.upper):
+            assert marginal_quantile_beta_bounds(data, model, nuis, GammaSpec(g), 1) == (lo, hi)
 
 
 def test_grid_route_matches_per_gamma_bounds_on_ties():
@@ -187,11 +217,11 @@ def test_grid_route_matches_per_gamma_bounds_on_ties():
     nuis = SelfFit(data, NuisanceConfig(propensity_method="discrete",
                                         quantile_method="empirical"))
     model = linear_msm()
-    f = _leverage(model, data.a, nuis.weights, 1) * nuis.weights * data.y
+    f = _f(data, model, nuis, 1)
     assert np.unique(f).size < f.size / 10
     trace = marginal_quantile_grid_bounds(data, model, nuis, GRID, 1, keep_weights=True)
     want = _per_gamma(data, model, nuis, GRID, 1)
-    _same_as_per_gamma(trace, want)
+    _close_to_per_gamma(trace, want, f, GRID)
     for v_lo, v_hi, (_, _, want_lo, want_hi) in zip(trace.v_lower, trace.v_upper, want):
         _same_bits(v_lo, want_lo)
         _same_bits(v_hi, want_hi)
@@ -203,4 +233,40 @@ def test_grid_route_matches_per_gamma_bounds_on_panel():
     model = cumulative_panel_msm()
     nuis = fixed_weight_nuisances(panel, w)
     trace = marginal_quantile_grid_bounds(panel, model, nuis, GRID, 1)
-    _same_as_per_gamma(trace, _per_gamma(panel, model, nuis, GRID, 1))
+    _close_to_per_gamma(trace, _per_gamma(panel, model, nuis, GRID, 1),
+                        _f(panel, model, nuis, 1), GRID)
+
+
+# few atoms, so ties are heavy, both zeros among them
+ATOMS = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0]
+VALUES = st.lists(
+    st.one_of(st.sampled_from(ATOMS), st.floats(-1e3, 1e3, allow_nan=False)),
+    min_size=1, max_size=200)
+GRIDS = st.lists(st.floats(1.0, 50.0, exclude_min=True), max_size=6, unique=True).map(
+    lambda rest: [1.0] + sorted(rest))
+EPSILONS = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(VALUES, GRIDS, EPSILONS)
+def test_slice_sums_match_mean_of_rank_mask_weights(values, grid, epsilon):
+    # the intercept model with unit weights has T = 1 and no offset, so f = y
+    y = np.array(values)
+    run = lambda y, keep: _rank_rule_grid(
+        SimpleNamespace(a=np.zeros(y.size), y=y), intercept_msm(), np.ones(y.size), None,
+        grid, 0, "marginal", keep_weights=keep, epsilon=epsilon)
+    kept, plain = run(y, True), run(y, False)
+    _same_bits(kept.lower, plain.lower)
+    _same_bits(kept.upper, plain.upper)
+    assert kept.lower[0].tobytes() == kept.upper[0].tobytes()
+    for gamma, (low, high), v_lo, v_hi, lo, hi in zip(
+            grid, rank_masks(y, grid), kept.v_lower, kept.v_upper, kept.lower, kept.upper):
+        shrink = lambda v: (1.0 - epsilon) + epsilon * v
+        _same_bits(v_lo, shrink(np.where(low, gamma, 1.0 / gamma)))
+        _same_bits(v_hi, shrink(np.where(high, gamma, 1.0 / gamma)))
+        bound = _summation_bound(y, gamma)
+        assert abs(lo - np.mean(y * v_lo)) <= bound
+        assert abs(hi - np.mean(y * v_hi)) <= bound
+    y[y.size // 2] = np.nan
+    with pytest.raises(NaNRank):
+        run(y, False)

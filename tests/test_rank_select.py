@@ -115,7 +115,7 @@ def test_swap_band_lower_index_wins_ties(monkeypatch):
     mask[::3] = True
     beta = homotopy.weighted_fit(model, data.a, data.y, w * np.where(mask, 2.0, 0.5))
 
-    def tied(model, a, y, w, coord, beta, v=None, h=None):
+    def tied(model, a, y, w, coord, beta, v=None, h=None, m=None):
         return np.ones(y.size), np.zeros(y.size), np.full(y.size, 0.25)
 
     bands = []
