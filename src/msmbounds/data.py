@@ -5,7 +5,9 @@ one row per (id, t) and the terminal outcome repeated on every row of an
 id. Covariates may be absent (d = 0).
 """
 
+import codecs
 import csv
+import itertools
 
 import numpy as np
 
@@ -17,6 +19,9 @@ from .errors import (
     ParseError,
     RaggedPanel,
 )
+
+# characters per read of a CSV body, and bytes per read of a non-UTF-8 file
+_READ_CHARS = 1 << 16
 
 
 class Dataset:
@@ -173,11 +178,14 @@ def split_folds(n, k, seed):
 
 def _read_rows(path):
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError as exc:
         raise DataError(f"file not found: {path}") from exc
     with fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     rows = [r for r in rows if any(field.strip() for field in r)]
     if not rows:
         raise EmptyFile(f"no rows in {path}")
@@ -185,6 +193,25 @@ def _read_rows(path):
     if len(rows) == 1:
         raise EmptyFile(f"header only in {path}")
     return header, rows[1:]
+
+
+def _not_utf8(path):
+    """DataError naming the file offset of the first byte that is not UTF-8."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0  # bytes fed to the decoder so far
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(_READ_CHARS)
+            pending = len(decoder.getstate()[0])
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                at = offset - pending + exc.start
+                return DataError(f"{path} is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                                 f"at offset {at}")
+            if not chunk:
+                return DataError(f"{path} is not UTF-8")
+            offset += len(chunk)
 
 
 def _column_index(header, name):
@@ -202,34 +229,64 @@ def _parse_cell(row_values, row_number, idx, col_name):
         raise ParseError(row_number, col_name, raw) from None
 
 
+def _body_lines(fh, text):
+    """Lists of a CSV body's lines: ``text``, then bounded reads of ``fh``.
+
+    Lines end at "\n" only, as ``str.split("\n")`` splits the whole body,
+    so a lone "\r" stays inside its line. Raises ValueError at the first
+    read that holds a quote.
+    """
+    parts = []
+    while text:
+        if '"' in text:
+            raise ValueError("quoted cell")
+        parts.append(text)
+        if "\n" in text:
+            lines = "".join(parts).split("\n")
+            parts = [lines.pop()]
+            yield lines
+        text = fh.read(_READ_CHARS)
+    yield ["".join(parts)]
+
+
 def _numpy_columns(path, names):
     """The named columns as an (n, len(names)) float array, parsed by numpy.
 
     None wherever the file is not plain comma-separated numbers: the header
     row is not found, a column is missing, there are no data rows, a cell
-    is quoted, or ``np.loadtxt`` rejects a cell or a row. ``_row_columns``
-    then decides, so the errors keep their types and messages. Whatever
-    numpy accepts it parses with Python's own string-to-float conversion,
-    so every value equals ``float(cell.strip())``.
+    is quoted, the text is not UTF-8, or ``np.loadtxt`` rejects a cell or a
+    row. ``_row_columns`` then decides, so the errors keep their types and
+    messages. Whatever numpy accepts it parses with Python's own
+    string-to-float conversion, so every value equals ``float(cell.strip())``.
+
+    The body reaches numpy line by line from reads of ``_READ_CHARS``
+    characters, so no copy of the file's text is held: peak memory is about
+    twice the parsed array (numpy grows its output as it reads).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next((r for r in reader if any(field.strip() for field in r)), None)
-            rest = fh.read()
+            if header is None:
+                return None
+            header = [h.strip() for h in header]
+            if any(name not in header for name in names):
+                return None
+            # an all-blank body has no data rows; numpy would warn and return none
+            text = fh.read(_READ_CHARS)
+            while text.isspace():
+                more = fh.read(_READ_CHARS)
+                if not more:
+                    return None
+                text += more
+            if not text:
+                return None
+            return np.loadtxt(
+                itertools.chain.from_iterable(_body_lines(fh, text)), dtype=float,
+                delimiter=",", comments=None,
+                usecols=[header.index(name) for name in names], ndmin=2,
+            )
     except (OSError, ValueError, csv.Error):
-        return None
-    if header is None or '"' in rest or not rest or rest.isspace():
-        return None
-    header = [h.strip() for h in header]
-    if any(name not in header for name in names):
-        return None
-    try:
-        return np.loadtxt(
-            rest.split("\n"), dtype=float, delimiter=",", comments=None,
-            usecols=[header.index(name) for name in names], ndmin=2,
-        )
-    except ValueError:
         return None
 
 

@@ -507,9 +507,14 @@ class _Bundle:
     """Nuisance fits trained on one training subset, evaluated anywhere."""
 
     def __init__(self, data, train_idx, config):
+        """``train_idx`` None trains on ``data`` itself, with no copy."""
         self.config = config
-        self.train_idx = np.asarray(train_idx)
-        sub = data.take(self.train_idx)
+        if train_idx is None:
+            self.train_idx = np.arange(data.n)
+            sub = data
+        else:
+            self.train_idx = np.asarray(train_idx)
+            sub = data.take(self.train_idx)
         self._train_data = sub
         self.outcome = fit_outcome(sub, config)
         self.propensity = fit_propensity(sub, config)
@@ -698,8 +703,8 @@ class SelfFit(CrossFit):
         super().__init__(data, config)
 
     def _splits(self, seed):
-        units = np.arange(self.data.n)
-        return [(units, units)]
+        # the one bundle trains on the dataset itself
+        return [(None, np.arange(self.data.n))]
 
 
 def crossfit(data, config=None, seed=0):

@@ -503,6 +503,37 @@ def test_asymmetric_covariance_is_a_numerical_error(tmp_path, capsys):
     assert "numerical error" in err and "covariance must be symmetric" in err
 
 
+def test_wald_curve_leaves_scipy_stats_unimported(tmp_path):
+    # the Wald z comes from the standard library's normal quantile
+    import msmbounds
+
+    src = str(Path(msmbounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cfg = _write_config(tmp_path / "c.json", case("curve-propensity-poly2-wald"))
+    code = ("import sys; from msmbounds.cli import main; "
+            f"rc = main(['curve', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
+    assert _read_curve_csv(tmp_path / "curve_result.csv")[0][3] is not None
+
+
+def test_non_utf8_csv_exits_3_naming_the_byte(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    rows = ["a,y"] + [f"{v},{2 * v}" for v in np.linspace(0, 1, 30)] + ["0.5,caf\u00e9"]
+    path.write_bytes(("\n".join(rows) + "\n").encode("latin-1"))
+    config = bounds_config()
+    config["data"] = {"csv": {"path": str(path)}}
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    offset = len(("\n".join(rows[:-1]) + "\n0.5,caf").encode("latin-1"))
+    assert f"{path} is not UTF-8: byte 0xe9 at offset {offset}" in err
+    assert "config error" not in err
+
+
 def test_missing_config_flag_exits_2(tmp_path, capsys):
     assert main(["bounds", "--out", str(tmp_path)]) == 2
 
@@ -608,8 +639,8 @@ def test_installed_console_script_runs(tmp_path):
 
 def test_cli_import_loads_no_scipy_solver_or_stats():
     # scipy.optimize, scipy.sparse and scipy.stats are most of a fresh
-    # interpreter's import time; only _feasible_lp and wald_ci need them, and
-    # they import them when called.
+    # interpreter's import time; only _feasible_lp needs scipy.optimize, and
+    # it imports it when called.
     import msmbounds
 
     src = str(Path(msmbounds.__file__).resolve().parents[1])

@@ -1,5 +1,8 @@
 """Containers, CSV ingestion, and fold splitting."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,6 +163,42 @@ def test_panel_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.y, p.y)
 
 
+def test_panel_csv_with_byte_order_mark(tmp_path):
+    # Excel writes UTF-8 with a byte order mark before the header
+    path = tmp_path / "p.csv"
+    path.write_bytes("\ufeffid,t,a,y\nu1,1,0.5,1.0\nu2,1,0.25,2.0\n".encode("utf-8"))
+    back = load_panel_csv(path)
+    assert back.ids == ["u1", "u2"]
+    np.testing.assert_array_equal(back.a, [[0.5], [0.25]])
+    np.testing.assert_array_equal(back.y, [1.0, 2.0])
+
+
+def test_non_utf8_csv_names_the_file_and_byte(tmp_path):
+    static = tmp_path / "s.csv"
+    static.write_bytes("y,a\n1,2\n3,caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(DataError, match=f"{static} is not UTF-8: byte 0xe9 at offset 13"):
+        load_csv(static)
+    panel = tmp_path / "p.csv"
+    panel.write_bytes("id,t,a,y\nu\u00e9,1,0,1\n".encode("latin-1"))
+    with pytest.raises(DataError, match="byte 0xe9 at offset 10"):
+        load_panel_csv(panel)
+
+
+def test_non_utf8_offset_counts_bytes_across_reads(tmp_path):
+    # a two-byte character across the first read boundary, a bad byte after it
+    size = data_module._READ_CHARS
+    head = b"y,a\n" + b"1" * (size - 6) + b","
+    assert len(head) == size - 1
+    path = tmp_path / "t.csv"
+    path.write_bytes(head + "\u00e9\n".encode("utf-8") + b"\xff\n")
+    with pytest.raises(DataError, match=f"byte 0xff at offset {size + 2}$"):
+        load_csv(path)
+    truncated = tmp_path / "u.csv"
+    truncated.write_bytes(b"y,a\n1,2\xc3")
+    with pytest.raises(DataError, match="byte 0xc3 at offset 7$"):
+        load_csv(truncated)
+
+
 def test_panel_csv_ragged_and_inconsistent(tmp_path):
     ragged = tmp_path / "r.csv"
     ragged.write_text("id,t,a,y\nu1,1,0.0,1.0\nu1,2,0.0,1.0\nu2,1,0.0,2.0\n")
@@ -228,6 +267,7 @@ CSV_EDGE_CASES = {
     "same-column-twice": ("y,x\n1,2\n3,4\n", {"a": "y", "x": ["x"]}, True),
     "non-finite": ("y,a\nnan,2\n", {}, True),
     "empty-cell": ("y,a\n1,\n", {}, False),
+    "bom": ("\ufeffy,a\n1,2\n3,4\n", {}, True),
 }
 
 
@@ -261,3 +301,72 @@ def test_load_csv_matches_row_loop_on_random_cells(tmp_path):
             parsed += 1
         _same_load(path, {"x": ["x"]})
     assert parsed >= 20
+
+
+def _rows(chars, end="\n"):
+    """Whole rows "1,2" of exactly ``chars`` characters, each ending in ``end``."""
+    width = 3 + len(end)
+    q, r = divmod(chars, width)
+    assert q >= 1
+    return ("1,2" + end) * (q - 1) + "1," + "2" * (r + 1) + end
+
+
+def _read_boundary_cases():
+    """name -> (file text, whether numpy parses it), each body longer than
+    one read of ``_READ_CHARS`` characters, which start after the header."""
+    size = data_module._READ_CHARS
+    return {
+        # the read boundary falls after "5.5"
+        "line-across-read": ("y,a\n" + _rows(size - 3) + "5.5,6.25\n7,8\n", True),
+        # ... and between the "\r" and the "\n" of a CRLF
+        "crlf-across-read": ("y,a\r\n" + _rows(size - 4, "\r\n") + "5,6\r\n7,8\r\n", True),
+        # the only quote, in a cell numpy would skip, starts the second read
+        "quote-after-first-read": ("y,a\n" + _rows(size) + '5,6,"p,q"\n', False),
+        "no-final-newline": ("y,a\n" + _rows(size - 1) + "5,6", True),
+        # one line: "\r" ends no line, here nor in the row loop's split
+        "lone-cr-long": ("y,a\n" + "1,2\r" * size + "3,4\n", False),
+        "blank-lead-longer-than-read": ("y,a\n" + "\n" * (size + 5) + "1,2\n", True),
+        "blank-body-longer-than-read": ("y,a\n" + "\n" * (size + 5), False),
+    }
+
+
+@pytest.mark.parametrize("name", list(_read_boundary_cases()))
+def test_load_csv_matches_row_loop_across_reads(tmp_path, name):
+    text, fast = _read_boundary_cases()[name]
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert len(text) > data_module._READ_CHARS
+    assert (data_module._numpy_columns(path, ["y", "a"]) is not None) == fast
+    _same_load(path, {})
+
+
+@pytest.mark.parametrize("text", ["y,a\n", "y,a\n\n  \n", "y,a\n\n\n"])
+def test_empty_body_leaves_numpy_unwarned(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert data_module._numpy_columns(path, ["y", "a"]) is None
+
+
+def test_load_csv_peak_memory_is_about_twice_the_columns(tmp_path):
+    # the body reaches numpy in bounded reads: no copy of the file's text
+    # and no list of its lines, so the peak is the parsed array, numpy's
+    # growth of it and the Dataset's copies
+    n = 20_000
+    cells = np.random.default_rng(3).normal(size=(n, 3))
+    path = tmp_path / "big.csv"
+    path.write_text("y,a,x\n" + "".join(f"{y!r},{a!r},{x!r}\n" for y, a, x in cells.tolist()),
+                    encoding="utf-8")
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        data = load_csv(path, {"x": ["x"]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    np.testing.assert_array_equal(np.column_stack([data.y, data.a, data.x]), cells)
+    assert peak <= 3 * 24 * n, peak / (24 * n)

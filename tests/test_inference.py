@@ -84,6 +84,25 @@ def test_wald_hand_value():
         wald_ci(0.0, -1.0, 100)
 
 
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.2, 0.32, 0.5])
+def test_wald_z_within_two_eps_of_scipy_at_common_levels(alpha):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    z = wald_ci(0.0, 1.0, 1, alpha=alpha).high  # estimate 0, sd 1: high is z
+    want = float(scipy_stats.norm.ppf(1.0 - alpha / 2.0))
+    assert abs(z - want) <= 2 * np.finfo(float).eps * want
+
+
+def test_wald_z_within_a_few_eps_of_scipy_over_alpha():
+    # AS241 in double (statistics.NormalDist) and scipy's ndtri are each
+    # within 3.4 eps relative of the exact quantile on this grid (checked
+    # against 40-digit mpmath), so they may differ by up to twice that
+    scipy_stats = pytest.importorskip("scipy.stats")
+    alphas = np.concatenate([np.geomspace(1e-12, 1e-3, 50), np.linspace(1e-3, 0.999, 999)])
+    z = np.array([wald_ci(0.0, 1.0, 1, alpha=a).high for a in alphas])
+    want = scipy_stats.norm.ppf(1.0 - alphas / 2.0)
+    assert np.all(np.abs(z - want) <= 7 * np.finfo(float).eps * want)
+
+
 def test_confidence_interval_order_checked():
     with pytest.raises(ValueError):
         ConfidenceInterval(low=1.0, high=0.0, method="wald", level=0.95)

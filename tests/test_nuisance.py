@@ -190,6 +190,14 @@ def test_crossfit_no_training_leakage():
         assert i not in cf.bundle_for(i).train_idx
 
 
+def test_selffit_trains_on_the_dataset_without_a_copy(monkeypatch):
+    data = _noisy_linear(n=60)
+    monkeypatch.setattr(Dataset, "take", lambda *args: pytest.fail("copied the dataset"))
+    cf = SelfFit(data)
+    assert cf.bundles[0]._train_data is data
+    np.testing.assert_array_equal(cf.bundles[0].train_idx, np.arange(data.n))
+
+
 @pytest.mark.parametrize("folds", [1, 3])
 def test_quantile_units_evaluates_each_bundle_once(monkeypatch, folds):
     data = _noisy_linear(n=60)
