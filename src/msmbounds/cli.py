@@ -31,7 +31,6 @@ from collections import namedtuple
 
 import jsonschema
 import numpy as np
-import scipy
 
 from . import __version__
 from ._ranks import lower_mass_v, upper_mass_v
@@ -200,8 +199,6 @@ _SENSITIVITY = {
         "constraint": {"enum": ["marginal", "conditional"]},
         "inner_iterations": {"type": "integer", "minimum": 1},
         "n_orderings": {"type": "integer", "minimum": 1},
-        "grid_res": {"type": "integer", "minimum": 2},
-        "lp_filter": {"type": "boolean"},
     },
 }
 
@@ -423,7 +420,6 @@ def _metadata(command, config, seed, flags, extra=None):
         "versions": {
             "msmbounds": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "weight_flavor": config.get("nuisance", {}).get("weight_flavor", "stabilized"),
     }
@@ -526,10 +522,7 @@ ROUTES = {
         lambda r, spec: outcome_curve_bounds(r.data, r.model, r.nuis, spec, r.sens["a0"]),
         keys=("a0",), flags=_ASYMPTOTIC, heuristic_ci=False),
     ("outcome", "nonlinear-grid"): _Route(
-        lambda r, spec: outcome_nonlinear_grid_bounds(
-            r.data, r.model, r.nuis, spec, r.coord,
-            grid_res=r.sens.get("grid_res", 7), lp_filter=r.sens.get("lp_filter", False)),
-        optional=("grid_res", "lp_filter"), flags=("conservative box",)),
+        lambda r, spec: outcome_nonlinear_grid_bounds(r.data, r.model, r.nuis, spec, r.coord)),
     ("subset-propensity", "theta"): _Route(
         lambda r, eps: subset_theta_bounds(r.data, r.nuis, eps, r.sens["a0"]),
         keys=("gamma", "a0")),
@@ -586,7 +579,7 @@ def _make_run(data, config, seed):
     return _Run(data, model, _make_nuisances(config, data, seed), sens, coord, seed)
 
 
-def _grid_results(results):
+def _value_results(results):
     """(lower, upper, variances) arrays from per-grid-value (lo, hi) or
     (lo, hi, (var_lo, var_hi)) results; variances is None for (lo, hi)."""
     results = list(results)
@@ -615,7 +608,7 @@ def _bounds_on_dataset(data, config, seed):
         trace = route.call(run, grid)
         return route, grid, trace.lower, trace.upper, None
     results = (route.call(run, family.spec(float(v), sens)) for v in grid)
-    return (route, grid, *_grid_results(results))
+    return (route, grid, *_value_results(results))
 
 
 def _curve_on_dataset(data, config, seed):
@@ -631,7 +624,7 @@ def _curve_on_dataset(data, config, seed):
     spec = family.spec(sens.get(family.knob, family.start), sens)
     run = _make_run(data, config, seed)
     results = (route.call(run._replace(sens={**sens, "a0": float(a0)}), spec) for a0 in a0_grid)
-    return (route, a0_grid, *_grid_results(results))
+    return (route, a0_grid, *_value_results(results))
 
 
 def _wald_band(lower, upper, variances, n, alpha):

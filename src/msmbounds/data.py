@@ -5,6 +5,7 @@ one row per (id, t) and the terminal outcome repeated on every row of an
 id. Covariates may be absent (d = 0).
 """
 
+import array
 import codecs
 import csv
 import itertools
@@ -177,22 +178,31 @@ def split_folds(n, k, seed):
 
 
 def _read_rows(path):
+    """Yield the header's stripped cells, then each body row that has a
+    non-blank cell, as the csv module reads them: one row at a time.
+
+    Raises ``EmptyFile`` for a file without rows or with a header only
+    before the header is yielded, and the ``DataError`` of ``_not_utf8``
+    wherever the text stops being UTF-8.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError as exc:
         raise DataError(f"file not found: {path}") from exc
     with fh:
+        rows = (r for r in csv.reader(fh) if any(field.strip() for field in r))
         try:
-            rows = list(csv.reader(fh))
+            header = next(rows, None)
+            if header is None:
+                raise EmptyFile(f"no rows in {path}")
+            first = next(rows, None)
+            if first is None:
+                raise EmptyFile(f"header only in {path}")
+            yield [h.strip() for h in header]
+            yield first
+            yield from rows
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
-    rows = [r for r in rows if any(field.strip() for field in r)]
-    if not rows:
-        raise EmptyFile(f"no rows in {path}")
-    header = [h.strip() for h in rows[0]]
-    if len(rows) == 1:
-        raise EmptyFile(f"header only in {path}")
-    return header, rows[1:]
 
 
 def _not_utf8(path):
@@ -296,14 +306,13 @@ def _row_columns(path, names):
     Raises ``EmptyFile``, ``MissingColumn`` and ``ParseError(row, column,
     raw)`` for the first failing cell, row by row in ``names`` order.
     """
-    header, body = _read_rows(path)
+    rows = _read_rows(path)
+    header = next(rows)
     idx = [_column_index(header, name) for name in names]
-    cols = np.empty((len(body), len(names)))
-    for r, row in enumerate(body):
-        rownum = r + 2  # 1-based, counting the header
-        for j, (i, name) in enumerate(zip(idx, names)):
-            cols[r, j] = _parse_cell(row, rownum, i, name)
-    return cols
+    # row numbers are 1-based and count the header
+    cells = (_parse_cell(row, rownum, i, name)
+             for rownum, row in enumerate(rows, start=2) for i, name in zip(idx, names))
+    return np.fromiter(cells, dtype=float).reshape(-1, len(names))
 
 
 def load_csv(path, schema=None):
@@ -334,54 +343,48 @@ def load_panel_csv(path, schema=None):
     y_col = schema.get("y", "y")
     a_col = schema.get("a", "a")
     x_cols = list(schema.get("x", []))
-    header, body = _read_rows(path)
+    rows = _read_rows(path)
+    header = next(rows)
     ii = _column_index(header, id_col)
     ti = _column_index(header, t_col)
     yi = _column_index(header, y_col)
     ai = _column_index(header, a_col)
     xi = [_column_index(header, c) for c in x_cols]
 
-    by_id = {}
-    order = []
-    for r, row in enumerate(body):
-        rownum = r + 2
+    steps = {}  # id -> {t: row index}, ids in order of first appearance
+    values = array.array("d")  # each row's y, a and x, row after row
+    for r, row in enumerate(rows):
+        rownum = r + 2  # 1-based, counting the header
         unit_id = row[ii].strip() if ii < len(row) else ""
         t_val = _parse_cell(row, rownum, ti, t_col)
         if t_val != int(t_val):
             raise ParseError(rownum, t_col, row[ti])
         t_val = int(t_val)
-        y_val = _parse_cell(row, rownum, yi, y_col)
-        a_val = _parse_cell(row, rownum, ai, a_col)
-        x_val = [_parse_cell(row, rownum, idx, x_cols[j]) for j, idx in enumerate(xi)]
-        if unit_id not in by_id:
-            by_id[unit_id] = {}
-            order.append(unit_id)
-        if t_val in by_id[unit_id]:
+        values.append(_parse_cell(row, rownum, yi, y_col))
+        values.append(_parse_cell(row, rownum, ai, a_col))
+        values.extend(_parse_cell(row, rownum, idx, name) for idx, name in zip(xi, x_cols))
+        unit = steps.setdefault(unit_id, {})
+        if t_val in unit:
             raise RaggedPanel(unit_id, f"duplicate t={t_val}")
-        by_id[unit_id][t_val] = (a_val, x_val, y_val)
+        unit[t_val] = r
 
-    t_sets = {uid: tuple(sorted(steps)) for uid, steps in by_id.items()}
+    order = list(steps)
+    t_sets = {uid: tuple(sorted(unit)) for uid, unit in steps.items()}
     expected = t_sets[order[0]]
     if expected != tuple(range(1, len(expected) + 1)):
         raise RaggedPanel(order[0], f"t values {list(expected)} are not 1..T")
     for uid, ts in t_sets.items():
         if ts != expected:
             raise RaggedPanel(uid, f"t values {list(ts)} differ from {list(expected)}")
-    T = len(expected)
-    n = len(order)
-    a = np.empty((n, T))
-    x = np.empty((n, T, len(xi)))
-    y = np.empty(n)
-    for i, uid in enumerate(order):
-        ys = {by_id[uid][t][2] for t in expected}
-        if len(ys) != 1:
-            raise RaggedPanel(uid, "outcome not constant within id")
-        y[i] = ys.pop()
-        for t in expected:
-            a_val, x_val, _ = by_id[uid][t]
-            a[i, t - 1] = a_val
-            x[i, t - 1, :] = x_val
-    return PanelDataset(order, x, a, y)
+    n, T = len(order), len(expected)
+    at = np.fromiter((unit[t] for unit in steps.values() for t in expected),
+                     dtype=np.intp, count=n * T).reshape(n, T)
+    cols = np.frombuffer(values).reshape(-1, 2 + len(xi))[at]  # (n, T, 2 + d)
+    y = cols[:, :, 0]
+    varies = np.any(y[:, 1:] != y[:, :1], axis=1)
+    if varies.any():
+        raise RaggedPanel(order[int(np.argmax(varies))], "outcome not constant within id")
+    return PanelDataset(order, cols[:, :, 2:], cols[:, :, 1], y[:, 0])
 
 
 def save_csv(dataset, path, schema=None):

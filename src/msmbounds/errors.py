@@ -94,7 +94,3 @@ class TooLarge(ConfigError):
 
 class UnknownDgp(ConfigError):
     pass
-
-
-class GridFailure(NumericalError):
-    pass

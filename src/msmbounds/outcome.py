@@ -3,17 +3,18 @@
 The confounded dose-response differs from the observed-regression curve by
 at most delta at every treatment level. Linear targets shift by exactly
 delta times a sign pattern, so bounds are doubly-robust fits of shifted
-pair kernels; nonlinear targets get an outer-box grid search over the
-reachable moment perturbations.
+pair kernels. A coordinate of any model moves with the fitted moment, which
+a shift can push anywhere in the zonotope {mean_n[h_i xi_i] : |xi_i| <=
+delta}; ``_shift_band`` takes its extremes, in closed form for a linear
+model and by a support-point iteration otherwise. The outcome
+``nonlinear-grid`` route and the subset-outcome bounds both call it.
 """
 
 import dataclasses
-import itertools
-import warnings
 
 import numpy as np
 
-from .errors import GridFailure, NoConvergence, SingularMoment
+from .gamma import _leverage
 from .msm import _linear_functional_fits, _pair_moment_sides, solve_moment
 from .nuisance import _pair_phi
 from .results import BetaEstimate
@@ -82,68 +83,48 @@ def outcome_parametric_bounds(data, model, nuisances, spec):
     return low, high
 
 
-def _feasible_lp(h, t, delta):
-    """Is t in the zonotope {mean_n[h_i xi_i] : |xi_i| <= delta}? LP feasibility."""
-    import scipy.optimize  # slow to import, and only the lp_filter route needs it
+def _shift_band(model, a, w, fitted, radius, coord):
+    """(lower, upper) extremes of beta[coord] over the fits
+    mean_n[h w g(beta)] = mean_n[h w fitted] + t, t in radius Z.
 
-    n, k = h.shape
-    res = scipy.optimize.linprog(
-        np.zeros(n),
-        A_eq=h.T / n,
-        b_eq=t,
-        bounds=[(-delta, delta)] * n,
-        method="highs",
-    )
-    return bool(res.success)
-
-
-def outcome_nonlinear_grid_bounds(
-    data, model, nuisances, spec, coord, grid_res=7, lp_filter=False
-):
-    """Coordinate bounds for a generic model via a grid over moment shifts.
-
-    The reachable shift set is outer-bounded by the per-axis box
-    [-delta mean|h_l|, +delta mean|h_l|]; each grid node t solves
-    mean_n[h w (mu-hat - g(beta))] = t. ``lp_filter`` drops nodes outside
-    the exact reachable zonotope, tightening the conservative box.
+    Z = {mean_n[h_i xi_i] : |xi_i| <= 1} is a zonotope whose extreme point
+    in direction u is mean_n[h sign(h^T u)]. A linear model moves beta[coord]
+    by mean_n[c xi] with c = ``gamma._leverage``, so its band is the closed
+    form center +/- radius mean_n|c|. Any other model runs a support-point
+    iteration per side: refit at t, take u = J^-T (+/- e) with
+    J = mean_n[h w grad g(beta)^T], so that h^T u is +/- the leverage c at
+    beta, move t to radius mean_n[h sign(h^T u)], and stop when a sign
+    pattern repeats, keeping the most extreme value seen. A failed refit
+    raises the solver's own error.
     """
-    if model.dim > 4:
-        raise ValueError("grid search supports at most 4 moment coordinates")
-    if grid_res < 2 and spec.delta > 0:
-        raise ValueError("grid_res must be >= 2")
-    h = model.features(data.a)
-    w = nuisances.weights
-    mu = nuisances.mu_units
-    base_target = h.T @ (w * mu) / data.n
+    h = model.features(a)
+    n = h.shape[0]
+    target = h.T @ (w * fitted) / n
+    start = solve_moment(model, a, target, w, h=h)
+    if model.linear:
+        center = float(start[coord])
+        half = float(radius * np.mean(np.abs(_leverage(model, a, w, coord, h=h))))
+        return center - half, center + half
+    ends = []
+    for side in (-1.0, 1.0):
+        beta, best, seen = start, side * start[coord], set()
+        while True:
+            signs = np.sign(side * _leverage(model, a, w, coord, beta, h=h))
+            if signs.tobytes() in seen:
+                break
+            seen.add(signs.tobytes())
+            beta = solve_moment(model, a, target + radius * (h.T @ signs) / n, w, beta, h=h)
+            best = max(best, side * beta[coord])
+        ends.append(float(side * best))
+    return ends[0], ends[1]
 
-    if spec.delta == 0.0:
-        beta = solve_moment(model, data.a, base_target, w)
-        val = float(beta[coord])
-        return val, val
 
-    half = spec.delta * np.mean(np.abs(h), axis=0)
-    axes = [np.linspace(-half[l], half[l], grid_res) for l in range(model.dim)]
-    lo = np.inf
-    hi = -np.inf
-    failures = []
-    beta_warm = None
-    for node in itertools.product(*axes):
-        t = np.asarray(node)
-        if lp_filter and not _feasible_lp(h, t, spec.delta):
-            continue
-        try:
-            beta = solve_moment(model, data.a, base_target + t, w, beta_warm)
-        except (NoConvergence, SingularMoment):
-            failures.append(tuple(float(v) for v in t))
-            continue
-        beta_warm = beta
-        val = float(beta[coord])
-        lo = min(lo, val)
-        hi = max(hi, val)
-    if not np.isfinite(lo):
-        raise GridFailure(f"no grid node solvable ({len(failures)} failures)")
-    if failures:
-        warnings.warn(
-            f"{len(failures)} grid nodes skipped as unsolvable", RuntimeWarning
-        )
-    return lo, hi
+def outcome_nonlinear_grid_bounds(data, model, nuisances, spec, coord):
+    """Coordinate bounds for any model under the outcome shift: (lower, upper).
+
+    The fitted moment mean_n[h w mu-hat] moves by any t in delta Z, the
+    reachable shifts; ``_shift_band`` gives the extremes, exact for a linear
+    model and a support point of the iteration otherwise.
+    """
+    return _shift_band(model, data.a, nuisances.weights, nuisances.mu_units,
+                       spec.delta, coord)

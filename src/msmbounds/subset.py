@@ -14,8 +14,8 @@ import numpy as np
 
 from ._ranks import ceil_count, select_bottom_mask, select_top_mask
 from .gamma import GammaSpec, _gamma_grid, _leverage, _rank_rule_grid
-from .msm import _pair_moment_sides, solve_moment
-from .outcome import DeltaSpec
+from .msm import _pair_moment_sides
+from .outcome import DeltaSpec, _shift_band
 from .results import BetaEstimate
 
 
@@ -152,18 +152,15 @@ def subset_outcome_beta_bounds(data, model, nuisances, eps, coord):
     """Coordinate bounds when the subset's outcome regression shifts by delta.
 
     beta* mixes the observed outcome with the regression fit in proportion
-    (1 - epsilon, epsilon); the half-width is epsilon delta mean_n|f(A)|
-    with f the coordinate row of the weighted-Gram inverse applied to b.
+    (1 - epsilon, epsilon), and the fitted moment moves by epsilon delta
+    times the reachable shifts of ``outcome._shift_band``: the half-width is
+    epsilon delta mean_n|f(A)| with f the coordinate row of the
+    weighted-Gram inverse applied to b.
     """
     if not model.linear:
         raise ValueError("subset_outcome_beta_bounds needs a linear model")
     if not isinstance(eps.inner, DeltaSpec):
         raise TypeError("subset_outcome_beta_bounds needs a DeltaSpec inner model")
-    b = model.basis_matrix(data.a)
-    w = nuisances.weights
     mixed_y = (1.0 - eps.epsilon) * data.y + eps.epsilon * nuisances.mu_units
-    beta_star = solve_moment(model, data.a, b.T @ (w * mixed_y) / data.n, w)
-    f = _leverage(model, data.a, w, coord)
-    half = float(eps.epsilon * eps.inner.delta * np.mean(np.abs(f)))
-    center = float(beta_star[coord])
-    return center - half, center + half
+    return _shift_band(model, data.a, nuisances.weights, mixed_y,
+                       eps.epsilon * eps.inner.delta, coord)

@@ -124,8 +124,7 @@ def test_criterion_01_collapse_identities():
               np.max(np.abs(est_low.beta - dr)))
         glo, ghi, _ = outcome_curve_bounds(data, model, nuis, d0, a0)
         track(glo - curve_pt, ghi - curve_pt)
-        lo, hi = outcome_nonlinear_grid_bounds(data, model, nuis, d0, 1,
-                                               grid_res=5)
+        lo, hi = outcome_nonlinear_grid_bounds(data, model, nuis, d0, 1)
         track(lo - point[1], hi - point[1])
 
         eps0 = EpsilonSpec(0.0, GammaSpec(2.0))

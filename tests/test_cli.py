@@ -231,7 +231,7 @@ HULC_FLAGS = {
     ("outcome", "linear"): ["heuristic CI"],
     ("outcome", "parametric"): ["asymptotic, rate-conditional"],
     ("outcome", "curve"): ["asymptotic, rate-conditional"],
-    ("outcome", "nonlinear-grid"): ["conservative box", "heuristic CI"],
+    ("outcome", "nonlinear-grid"): ["heuristic CI"],
     ("subset-propensity", "theta"): ["heuristic CI"],
     ("subset-propensity", "parametric"): [],
     ("subset-propensity", "linear"): ["heuristic CI"],
@@ -270,6 +270,32 @@ def test_every_static_route(tmp_path, capsys, route):
     else:
         assert code == 2
         assert "wald" in capsys.readouterr().err
+
+
+def test_outcome_nonlinear_grid_is_the_subset_outcome_row_at_epsilon_one(tmp_path, capsys):
+    # both routes share one shift-band core, HulC subsamples included
+    cfg = _write_config(tmp_path / "grid.json", route_config("outcome", "nonlinear-grid"))
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "grid")]) == 0
+    config = route_config("subset-outcome", "outcome-shift")
+    config["sensitivity"].update(grid=[0.0, 0.5, 1.0], delta=1.0)
+    cfg = _write_config(tmp_path / "subset.json", config)
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "subset")]) == 0
+    grid_rows, subset_rows = (
+        (tmp_path / run / "bounds_result.csv").read_text().splitlines()
+        for run in ("grid", "subset"))
+    assert grid_rows[-1].startswith("1,") and subset_rows[-1].startswith("1,")
+    assert grid_rows[-1] == subset_rows[-1]
+
+
+@pytest.mark.parametrize("key,value", [("grid_res", 7), ("lp_filter", True)])
+def test_removed_grid_knobs_exit_2_naming_the_key(tmp_path, capsys, key, value):
+    config = route_config("outcome", "nonlinear-grid")
+    config["sensitivity"][key] = value
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err
+    assert not (tmp_path / "bounds_meta.json").exists()
 
 
 @pytest.mark.parametrize("name", list(PAIR_KERNEL_CASES))
@@ -366,11 +392,11 @@ def test_constraint_that_the_route_does_not_run_exits_2(tmp_path, capsys, method
 
 
 @pytest.mark.parametrize("sens,unread", [
-    ({"n_orderings": 3, "inner_iterations": 7, "lp_filter": True},
-     "inner_iterations 7, lp_filter True, n_orderings 3"),
+    ({"n_orderings": 3, "inner_iterations": 7, "delta": 0.5},
+     "delta 0.5, inner_iterations 7, n_orderings 3"),
     ({"method": "conditional-quantile", "constraint": "conditional"}, "constraint 'conditional'"),
     ({"method": "homotopy-exact", "n_orderings": 2}, "n_orderings 2"),
-    ({"method": "coordinate-ascent", "grid_res": 5}, "grid_res 5"),
+    ({"method": "coordinate-ascent", "epsilon": 0.5}, "epsilon 0.5"),
     ({"method": "parametric", "a0": 0.5}, "a0 0.5"),
     ({"family": "outcome", "method": "linear", "grid": [0.0, 0.5], "epsilon": 0.5},
      "epsilon 0.5"),
@@ -637,18 +663,20 @@ def test_installed_console_script_runs(tmp_path):
     assert (tmp_path / "simulated.csv").exists()
 
 
-def test_cli_import_loads_no_scipy_solver_or_stats():
-    # scipy.optimize, scipy.sparse and scipy.stats are most of a fresh
-    # interpreter's import time; only _feasible_lp needs scipy.optimize, and
-    # it imports it when called.
+def test_cli_import_loads_no_scipy_solver_or_stats(tmp_path):
+    # scipy is a test dependency only: a nonlinear-grid bounds run and a Wald
+    # curve in a fresh interpreter leave no scipy module behind
     import msmbounds
 
     src = str(Path(msmbounds.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, msmbounds.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'sparse'], "
-            "['scipy', 'stats'])))")
+    bounds = _write_config(tmp_path / "bounds.json", route_config("outcome", "nonlinear-grid"))
+    curve = _write_config(tmp_path / "curve.json", case("curve-propensity-poly2-wald"))
+    code = ("import sys; from msmbounds.cli import main; "
+            f"rc = [main(['bounds', '--config', {bounds!r}, '--out', {str(tmp_path)!r}]), "
+            f"main(['curve', '--config', {curve!r}, '--out', {str(tmp_path)!r}])]; "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"

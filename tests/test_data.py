@@ -1,5 +1,7 @@
 """Containers, CSV ingestion, and fold splitting."""
 
+import csv
+import itertools
 import tracemalloc
 import warnings
 
@@ -349,6 +351,20 @@ def test_empty_body_leaves_numpy_unwarned(tmp_path, text):
         assert data_module._numpy_columns(path, ["y", "a"]) is None
 
 
+def _traced_peak(load, *args):
+    """(load(*args), the tracemalloc peak in bytes while it ran)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = load(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def test_load_csv_peak_memory_is_about_twice_the_columns(tmp_path):
     # the body reaches numpy in bounded reads: no copy of the file's text
     # and no list of its lines, so the peak is the parsed array, numpy's
@@ -358,15 +374,35 @@ def test_load_csv_peak_memory_is_about_twice_the_columns(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text("y,a,x\n" + "".join(f"{y!r},{a!r},{x!r}\n" for y, a, x in cells.tolist()),
                     encoding="utf-8")
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        data = load_csv(path, {"x": ["x"]})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if started:
-            tracemalloc.stop()
+    data, peak = _traced_peak(load_csv, path, {"x": ["x"]})
     np.testing.assert_array_equal(np.column_stack([data.y, data.a, data.x]), cells)
     assert peak <= 3 * 24 * n, peak / (24 * n)
+
+
+def _panel_rows_in_lists(path, kept):
+    """The row reader as it was before it streamed: every row of the file in a
+    list, then a filtered copy, whose body the load held until it returned
+    (``kept`` holds it here)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    rows = [r for r in rows if any(field.strip() for field in r)]
+    kept.append(rows[1:])
+    return itertools.chain([[h.strip() for h in rows[0]]], kept[-1])
+
+
+def test_panel_load_peak_memory_holds_one_row_at_a_time(tmp_path, monkeypatch):
+    # 20,000 rows (10,000 ids, T = 2, one covariate): the streamed reader
+    # holds one row of strings at a time, not the whole file's
+    cells = np.random.default_rng(5).normal(size=(10_000, 2, 3)).tolist()
+    path = tmp_path / "panel.csv"
+    path.write_text("id,t,y,a,x\n" + "".join(
+        f"u{i},{t + 1},{unit[0][0]!r},{unit[t][1]!r},{unit[t][2]!r}\n"
+        for i, unit in enumerate(cells) for t in range(2)), encoding="utf-8")
+    schema = {"x": ["x"]}
+    streamed, peak = _traced_peak(load_panel_csv, path, schema)
+    kept = []
+    monkeypatch.setattr(data_module, "_read_rows", lambda p: _panel_rows_in_lists(p, kept))
+    listed, listed_peak = _traced_peak(load_panel_csv, path, schema)
+    for field in ("ids", "x", "a", "y"):
+        np.testing.assert_array_equal(getattr(streamed, field), getattr(listed, field))
+    assert peak <= 0.6 * listed_peak, peak / listed_peak

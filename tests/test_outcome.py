@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from msmbounds import outcome as outcome_module
 from msmbounds.datagen import DgpSpec, generate
-from msmbounds.msm import custom_msm, intercept_msm, linear_msm
+from msmbounds.errors import SingularMoment
+from msmbounds.msm import custom_msm, intercept_msm, linear_msm, polynomial_msm, solve_moment
 from msmbounds.nuisance import SelfFit
 from msmbounds.outcome import (
     DeltaSpec,
@@ -98,33 +100,20 @@ def test_parametric_weakly_inside_per_direction_bounds():
 
 
 def test_grid_bounds_exact_for_intercept():
-    # dim-1 grid: endpoints of the moment box solve in closed form
+    # dim-1 moment: the reachable shifts are [-delta, delta], in closed form
     data, nuis = _setup(seed=4)
     w = nuis.weights
     mu = nuis.mu_units
     delta = 0.5
     base = np.mean(w * mu)
     lo, hi = outcome_nonlinear_grid_bounds(data, intercept_msm(), nuis,
-                                           DeltaSpec(delta), 0, grid_res=5)
+                                           DeltaSpec(delta), 0)
     assert lo == pytest.approx((base - delta) / w.mean(), abs=1e-10)
     assert hi == pytest.approx((base + delta) / w.mean(), abs=1e-10)
 
 
-def test_grid_lp_filter_tightens():
-    data, nuis = _setup(seed=6, n=60)
-    spec = DeltaSpec(0.8)
-    wide = outcome_nonlinear_grid_bounds(data, linear_msm(), nuis, spec, 1,
-                                         grid_res=5)
-    tight = outcome_nonlinear_grid_bounds(data, linear_msm(), nuis, spec, 1,
-                                          grid_res=5, lp_filter=True)
-    assert wide[0] - 1e-12 <= tight[0]
-    assert tight[1] <= wide[1] + 1e-12
-    assert tight[0] <= tight[1]
-
-
-def test_grid_bounds_nonlinear_model_runs():
-    data, nuis = _setup(seed=8, n=80)
-    model = custom_msm(
+def _warped_line():
+    return custom_msm(
         dim=2,
         curve=lambda a, b: b[0] + np.exp(b[1] * 0.1) * a,
         gradient=lambda a, b: np.column_stack(
@@ -133,21 +122,136 @@ def test_grid_bounds_nonlinear_model_runs():
         moment_features=lambda a: np.column_stack([np.ones(a.size), a]),
         name="warped-line",
     )
-    lo, hi = outcome_nonlinear_grid_bounds(data, model, nuis, DeltaSpec(0.3), 0,
-                                           grid_res=3)
+
+
+def _basis_free_line():
+    # a straight line without ``basis`` takes the generic (Newton) path
+    def feats(a):
+        return np.column_stack([np.ones(a.size), a])
+
+    return custom_msm(2, lambda a, b: feats(a) @ b, lambda a, b: feats(a), feats,
+                      name="basis-free-line")
+
+
+def _node_band(data, model, nuis, delta, coord, res, inside=None):
+    """The node search that the shift band replaced: beta[coord] over the fits
+    at the nodes t of a res^dim grid on the box [-delta mean|h_l|, delta
+    mean|h_l|] around the reachable shifts, keeping the nodes that
+    ``inside(h, nodes)`` marks when it is given."""
+    h = model.features(data.a)
+    w = nuis.weights
+    base = h.T @ (w * nuis.mu_units) / data.n
+    half = delta * np.mean(np.abs(h), axis=0)
+    axes = np.meshgrid(*(np.linspace(-v, v, res) for v in half), indexing="ij")
+    nodes = np.column_stack([ax.ravel() for ax in axes])
+    if inside is not None:
+        nodes = nodes[inside(h, nodes)]
+    vals = []
+    beta = None
+    for t in nodes:
+        beta = solve_moment(model, data.a, base + t, w, beta)
+        vals.append(float(beta[coord]))
+    return min(vals), max(vals)
+
+
+def _lp_inside(delta):
+    """Is each node t = mean_n[h xi] for some |xi| <= delta? One HiGHS
+    feasibility LP per node."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+
+    def inside(h, nodes):
+        n = h.shape[0]
+        return np.array([linprog(np.zeros(n), A_eq=h.T / n, b_eq=t,
+                                 bounds=[(-delta, delta)] * n, method="highs").success
+                         for t in nodes])
+
+    return inside
+
+
+def _facet_inside(delta):
+    """Exact membership of the planar zonotope delta Z: its facet normals are
+    the generators h_j turned by 90 degrees, and t is inside when
+    |u^T t| <= delta mean_n|h^T u| for every such normal u."""
+    def inside(h, nodes):
+        normals = np.column_stack([-h[:, 1], h[:, 0]])
+        support = delta * np.mean(np.abs(h @ normals.T), axis=0)
+        return np.all(np.abs(nodes @ normals.T) <= support * (1.0 + 1e-12), axis=1)
+
+    return inside
+
+
+def test_shift_band_lies_between_the_lp_and_box_node_searches():
+    # the box grid overshoots the reachable shifts and the LP-filtered grid
+    # misses their extreme points; the exact band sits between the two
+    data = generate(DgpSpec("gauss-line", seed=1), 300)
+    nuis = SelfFit(data)
+    lo, hi = outcome_nonlinear_grid_bounds(data, linear_msm(), nuis, DeltaSpec(0.5), 1)
+    box = _node_band(data, linear_msm(), nuis, 0.5, 1, 7)
+    lp = _node_band(data, linear_msm(), nuis, 0.5, 1, 7, _lp_inside(0.5))
+    assert box[0] < lo < lp[0] and lp[1] < hi < box[1]
+    np.testing.assert_allclose([lo, hi, *box, *lp],
+                               [2.6810, 3.5226, 2.6199, 3.5837, 2.8007, 3.4029], atol=1e-4)
+    quad = polynomial_msm(2)
+    lo, hi = outcome_nonlinear_grid_bounds(data, quad, nuis, DeltaSpec(0.5), 2)
+    box = _node_band(data, quad, nuis, 0.5, 2, 7)
+    assert box[0] < lo and hi < box[1]
+    np.testing.assert_allclose([lo, hi, *box], [-0.2253, 0.2253, -0.4622, 0.4622], atol=1e-4)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_support_point_at_least_as_extreme_as_every_reachable_node(seed):
+    data = generate(DgpSpec("gauss-line", seed=seed), 300)
+    nuis = SelfFit(data)
+    model = _warped_line()
+    lo, hi = outcome_nonlinear_grid_bounds(data, model, nuis, DeltaSpec(0.3), 1)
+    node_lo, node_hi = _node_band(data, model, nuis, 0.3, 1, 41, _facet_inside(0.3))
+    assert lo <= node_lo + 1e-9 * abs(node_lo)
+    assert hi >= node_hi - 1e-9 * abs(node_hi)
+
+
+def test_facet_membership_agrees_with_the_lp():
+    data = generate(DgpSpec("gauss-line", seed=1), 60)
+    h = linear_msm().features(data.a)
+    half = 0.5 * np.mean(np.abs(h), axis=0)
+    nodes = np.random.default_rng(4).uniform(-half, half, size=(40, 2))
+    inside = _facet_inside(0.5)(h, nodes)
+    assert 0 < inside.sum() < nodes.shape[0]
+    np.testing.assert_array_equal(inside, _lp_inside(0.5)(h, nodes))
+
+
+def test_iteration_reaches_the_closed_form_after_one_update(monkeypatch):
+    data = generate(DgpSpec("gauss-line", seed=1), 300)
+    nuis = SelfFit(data)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return solve_moment(*args, **kwargs)
+
+    monkeypatch.setattr(outcome_module, "solve_moment", counted)
+    lo, hi = outcome_nonlinear_grid_bounds(data, _basis_free_line(), nuis, DeltaSpec(0.5), 1)
+    # the fit at t = 0, then one update per side; the second sign pattern repeats
+    assert len(calls) == 3
+    monkeypatch.undo()
+    want = outcome_nonlinear_grid_bounds(data, linear_msm(), nuis, DeltaSpec(0.5), 1)
+    np.testing.assert_allclose([lo, hi], want, rtol=1e-12, atol=0)
+
+
+def test_grid_bounds_nonlinear_model_runs():
+    data, nuis = _setup(seed=8, n=80)
+    lo, hi = outcome_nonlinear_grid_bounds(data, _warped_line(), nuis, DeltaSpec(0.3), 0)
     assert lo <= hi
 
 
-def test_grid_validation():
+def test_any_dimension_runs_and_a_failed_refit_raises():
     data, nuis = _setup(n=40)
-    with pytest.raises(ValueError):
-        outcome_nonlinear_grid_bounds(data, linear_msm(), nuis,
-                                      DeltaSpec(0.5), 0, grid_res=1)
-    wide = custom_msm(
+    lo, hi = outcome_nonlinear_grid_bounds(data, polynomial_msm(4), nuis, DeltaSpec(0.5), 4)
+    assert lo < hi
+    flat = custom_msm(
         dim=5,
         curve=lambda a, b: np.zeros(a.size),
         gradient=lambda a, b: np.zeros((a.size, 5)),
         moment_features=lambda a: np.column_stack([a ** p for p in range(5)]),
     )
-    with pytest.raises(ValueError):
-        outcome_nonlinear_grid_bounds(data, wide, nuis, DeltaSpec(0.5), 0)
+    with pytest.raises(SingularMoment):
+        outcome_nonlinear_grid_bounds(data, flat, nuis, DeltaSpec(0.5), 0)

@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 
 from msmbounds._ranks import select_bottom_mask, select_top_mask
-from msmbounds.data import Dataset
-from msmbounds.datagen import DgpSpec, generate
+from msmbounds.data import Dataset, PanelDataset
+from msmbounds.datagen import DgpSpec, generate, registry
 from msmbounds.gamma import (
     GammaSpec,
     fit_parametric_bounds,
     marginal_quantile_beta_bounds,
     marginal_quantile_grid_bounds,
 )
-from msmbounds.msm import PairKernel, fit_msm, intercept_msm, linear_msm, solve_moment, u_statistic
+from msmbounds.msm import (
+    PairKernel,
+    fit_msm,
+    intercept_msm,
+    linear_msm,
+    polynomial_msm,
+    solve_moment,
+    u_statistic,
+)
 from msmbounds.nuisance import CrossFit, NuisanceConfig, SelfFit
-from msmbounds.outcome import DeltaSpec
+from msmbounds.outcome import DeltaSpec, outcome_nonlinear_grid_bounds
 from msmbounds.subset import (
     EpsilonSpec,
     _lambda_masks,
@@ -179,6 +187,36 @@ def test_subset_outcome_width_formula():
     point = fit_msm(data, model, weights=w).beta[1]
     assert lo0 == pytest.approx(point, abs=1e-10)
     assert hi0 == pytest.approx(point, abs=1e-10)
+
+
+_STATIC_GENERATORS = [name for name in registry()
+                      if not isinstance(generate(DgpSpec(name), 8), PanelDataset)]
+
+
+@pytest.mark.parametrize("folds", [None, 3], ids=["selffit", "crossfit3"])
+@pytest.mark.parametrize("name", _STATIC_GENERATORS)
+def test_outcome_nonlinear_grid_is_subset_outcome_at_epsilon_one(name, folds):
+    # both routes take their band from one shift-band core: the nonlinear-grid
+    # route at delta is the subset-outcome bounds at epsilon = 1, bit for bit,
+    # and both are the closed form center +/- delta mean_n|c|
+    data = generate(DgpSpec(name, seed=0), 200)
+    nuis = SelfFit(data) if folds is None else CrossFit(data, NuisanceConfig(folds=folds))
+    w = nuis.weights
+    delta = 0.7
+    for degree in (1, 2, 3):
+        model = polynomial_msm(degree)
+        h = model.features(data.a)
+        gram = (h * w[:, None]).T @ h / data.n
+        center = np.linalg.solve(gram, h.T @ (w * nuis.mu_units) / data.n)
+        for coord in range(model.dim):
+            grid = outcome_nonlinear_grid_bounds(data, model, nuis, DeltaSpec(delta), coord)
+            subset = subset_outcome_beta_bounds(
+                data, model, nuis, EpsilonSpec(1.0, DeltaSpec(delta)), coord)
+            assert grid == subset
+            c = h @ np.linalg.solve(gram.T, np.eye(model.dim)[coord])
+            half = delta * np.mean(np.abs(c))
+            np.testing.assert_allclose(
+                grid, [center[coord] - half, center[coord] + half], rtol=1e-12, atol=0)
 
 
 def _reference_subset_parametric(data, model, nuisances, eps):
