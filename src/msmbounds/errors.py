@@ -60,6 +60,11 @@ class TooManyLevels(DataError):
     pass
 
 
+class UnseenLevel(DataError, ValueError):
+    """A discrete treatment level that the propensity model was not fitted on;
+    still the ValueError that it was before it had a type."""
+
+
 class DegenerateVariance(NumericalError):
     pass
 

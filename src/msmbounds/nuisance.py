@@ -21,6 +21,7 @@ from .errors import (
     DegenerateVariance,
     SingularDesign,
     TooManyLevels,
+    UnseenLevel,
 )
 
 PROPENSITY_CLIP = 1e-3
@@ -231,8 +232,13 @@ class DiscretePropensity:
         left = np.clip(idx - 1, 0, self.levels.size - 1)
         take_left = np.abs(self.levels[left] - a) < np.abs(self.levels[idx] - a)
         idx = np.where(take_left, left, idx)
-        if np.any(np.abs(self.levels[idx] - a) > 1e-9):
-            raise ValueError("treatment value outside the fitted support")
+        unseen = np.abs(self.levels[idx] - a) > 1e-9
+        if np.any(unseen):
+            raise UnseenLevel(
+                f"treatment value {a[unseen][0]:g} is not among the levels "
+                f"{self.levels.tolist()} of the propensity fit; a training fold can miss "
+                "a rare level, and in-sample nuisances (nuisance.in_sample) fit every level"
+            )
         return idx
 
     def conditional_density(self, a, x):
@@ -266,37 +272,42 @@ def _independent_columns(design):
     return keep
 
 
-def _nonsingular_rows(design, order):
+def _nonsingular_rows(design, order, norms):
     """p rows of the n x p full-rank ``design`` that form a nonsingular square
-    matrix, each the first row in ``order`` outside the span of those before it."""
+    matrix, each the first row in ``order`` outside the span of those before it.
+    ``norms`` are the rows' norms. The rows are projected one at a time, so
+    the walk stops at the p-th pick."""
     p = design.shape[1]
-    rows = np.asarray(order)
     basis, picked = np.empty((0, p)), []
-    while len(picked) < p:
-        cand = design[rows]
-        resid = cand - (cand @ basis.T) @ basis
-        norms = np.linalg.norm(resid, axis=1)
-        ok = np.flatnonzero(norms > 1e-9 * np.linalg.norm(cand, axis=1))
-        if ok.size == 0:
-            raise SingularDesign("quantile design has no nonsingular row basis")
-        j = ok[0]
-        picked.append(rows[j])
-        basis = np.vstack([basis, resid[j] / norms[j]])
-        rows = rows[j + 1:]
-    return np.array(picked)
+    for i in order:
+        resid = design[i] - (basis @ design[i]) @ basis
+        norm = np.linalg.norm(resid)
+        if norm > 1e-9 * norms[i]:
+            picked.append(i)
+            if len(picked) == p:
+                return np.array(picked)
+            basis = np.vstack([basis, resid / norm])
+    raise SingularDesign("quantile design has no nonsingular row basis")
 
 
-def _vertex_residuals(design, y, basis):
+def _vertex_residuals(design, y, basis, tol):
     """beta = X_h^-1 y_h and its residuals, those of the basis rows and those
-    within rounding of 0 set to exactly 0."""
+    within ``tol`` of 0 set to exactly 0."""
     beta = np.linalg.solve(design[basis], y[basis])
     r = y - design @ beta
     r[basis] = 0.0
-    r[np.abs(r) <= 1e-12 * np.abs(y).max()] = 0.0
+    r[np.abs(r) <= tol] = 0.0
     return beta, r
 
 
-def _quantile_vertex(design, y, tau):
+def _vertex_setup(design, y):
+    """The tau-free part of ``_quantile_vertex``: the least-squares residuals,
+    sorted and in row order, the row norms and the zero-residual tolerance."""
+    resid = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+    return np.sort(resid), resid, np.linalg.norm(design, axis=1), 1e-12 * np.abs(y).max()
+
+
+def _quantile_vertex(design, y, tau, setup=None):
     """The exact tau-quantile regression of y on a full-rank n x p ``design``.
 
     Returns beta = X_h^-1 y_h, which interpolates the p training rows h of its basis.
@@ -314,16 +325,15 @@ def _quantile_vertex(design, y, tau):
     residual off the basis enters) makes the next step follow Bland's rule: the
     lowest-indexed basis row leaves, to the first kink, lowest index first. So
     degenerate data (noiseless lines, tied y, discrete cells) cannot cycle.
+    ``setup`` is ``_vertex_setup(design, y)``, which fits of several taus share.
     """
     p = design.shape[1]
-    ls = np.linalg.lstsq(design, y, rcond=None)[0]
-    resid = y - design @ ls
-    start = np.argsort(np.abs(resid - np.quantile(resid, tau)), kind="stable")
-    basis = _nonsingular_rows(design, start)
-    beta, r = _vertex_residuals(design, y, basis)
+    ordered, resid, norms, tol = _vertex_setup(design, y) if setup is None else setup
+    start = np.argsort(np.abs(resid - np.quantile(ordered, tau)), kind="stable")
+    basis = _nonsingular_rows(design, start, norms)
+    beta, r = _vertex_residuals(design, y, basis, tol)
     above = r > 0
     bland = False
-    norms = np.linalg.norm(design, axis=1)
     while True:
         inv = np.linalg.inv(design[basis])
         a = np.where(above, tau, tau - 1.0)
@@ -355,7 +365,7 @@ def _quantile_vertex(design, y, tau):
         above[basis[k]] = edge >= p
         basis[k] = kinks[at[stop]]
         bland = t[at[stop]] == 0.0
-        beta, r = _vertex_residuals(design, y, basis)
+        beta, r = _vertex_residuals(design, y, basis, tol)
         above = np.where(r != 0, r > 0, above)
 
 
@@ -365,8 +375,9 @@ class PinballQuantileFit:
     Each tau is fit by ``_quantile_vertex`` on a linearly independent subset of
     the design's columns (the others get coefficient 0), so its fit
     interpolates p training rows; evaluated at those rows it returns their y
-    up to rounding. Fits are cached per tau; joint evaluation sorts across the
-    tau axis so requested quantile curves never cross.
+    up to rounding. The column subset and the ``_vertex_setup`` that every tau
+    shares are made once, on the first fit. Fits are cached per tau; joint
+    evaluation sorts across the tau axis so requested quantile curves never cross.
     """
 
     def __init__(self, a, x, y, degree=1):
@@ -374,13 +385,22 @@ class PinballQuantileFit:
         self._design = _poly_design(a, x, self.degree)
         self._y = np.asarray(y, dtype=float).ravel()
         self._coefs = {}
+        self._shared = None
+
+    def _tau_free(self):
+        """(columns, their design, its ``_vertex_setup``), made on the first call."""
+        if self._shared is None:
+            cols = _independent_columns(self._design)
+            design = self._design[:, cols]
+            self._shared = cols, design, _vertex_setup(design, self._y)
+        return self._shared
 
     def _fit_one(self, tau):
         if not 0.0 < tau < 1.0:
             raise BadTau(f"tau must be in (0, 1), got {tau}")
-        cols = _independent_columns(self._design)
+        cols, design, setup = self._tau_free()
         coef = np.zeros(self._design.shape[1])
-        coef[cols] = _quantile_vertex(self._design[:, cols], self._y, tau)
+        coef[cols] = _quantile_vertex(design, self._y, tau, setup)
         return coef
 
     def coef(self, tau):
@@ -516,10 +536,23 @@ class _Bundle:
             self.train_idx = np.asarray(train_idx)
             sub = data.take(self.train_idx)
         self._train_data = sub
-        self.outcome = fit_outcome(sub, config)
         self.propensity = fit_propensity(sub, config)
-        self.quantile = fit_quantile(sub, config)
+        self._outcome = self._quantile = None
         self._kappa = {}
+
+    @property
+    def outcome(self):
+        """mu-hat, fitted on first read: the rank rules never read it."""
+        if self._outcome is None:
+            self._outcome = fit_outcome(self._train_data, self.config)
+        return self._outcome
+
+    @property
+    def quantile(self):
+        """The conditional-quantile model, fitted on first read."""
+        if self._quantile is None:
+            self._quantile = fit_quantile(self._train_data, self.config)
+        return self._quantile
 
     def weight(self, a, x):
         cond = self.propensity.conditional_density(a, x)
@@ -535,8 +568,9 @@ class _Bundle:
 
     def regression(self, gamma=None, side=None):
         """The outcome regression mu-hat, or with (gamma, side) kappa-hat: the
-        regression of the clipped pseudo-outcome on (A, X), cached per (gamma, side)."""
-        if gamma is None:
+        regression of the clipped pseudo-outcome on (A, X), cached per (gamma, side).
+        At gamma = 1 the box is {1}, the pseudo-outcome is y and kappa-hat is mu-hat."""
+        if gamma is None or _gamma_key(gamma) == 1.0:
             return self.outcome
         key = (_gamma_key(gamma), side)
         if key not in self._kappa:
@@ -651,6 +685,9 @@ class CrossFit:
         return self._cached(("quantile", _gamma_key(gamma)), compute)
 
     def s_units(self, gamma, side):
+        """The clipped pseudo-outcome of each unit, out of fold: y itself at gamma = 1."""
+        if _gamma_key(gamma) == 1.0:
+            return self.data.y
         return self._cached(("s", _gamma_key(gamma), side), lambda: clipped_pseudo_outcome(
             self.data.y, *self.quantile_units(gamma), gamma, side))
 

@@ -7,13 +7,17 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from msmbounds import nuisance
 from msmbounds.cli import FAMILIES, ROUTES, main
 
 from cli_cases import (
+    FOLDS,
+    HULC,
     PAIR_KERNEL_CASES,
     PANEL_METHODS,
     RANK_RULE_CASES,
@@ -515,6 +519,89 @@ def test_degenerate_data_exits_4(tmp_path, capsys):
     config["data"] = {"csv": {"path": str(tmp_path / "const.csv")}}
     cfg = _write_config(tmp_path / "c.json", config)
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+
+def test_treatment_level_missing_from_a_training_fold_exits_3(tmp_path, capsys):
+    # one unit at a = 2: the fold that holds it is scored by a propensity model
+    # trained on the other fold, which has only the levels 0 and 1
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 2, 60).astype(float)
+    a = rng.integers(0, 2, 60).astype(float)
+    a[7] = 2.0
+    y = a + x + rng.standard_normal(60)
+    rows = ["y,a,x"] + [f"{yi!r},{ai!r},{xi!r}" for yi, ai, xi in zip(y.tolist(), a.tolist(),
+                                                                     x.tolist())]
+    (tmp_path / "levels.csv").write_text("\n".join(rows) + "\n")
+    config = {
+        **bounds_config(grid=[1, 2]),
+        "data": {"csv": {"path": str(tmp_path / "levels.csv"), "x": ["x"]}},
+        "nuisance": {"folds": 2, "propensity_method": "discrete"},
+        "inference": HULC,
+    }
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: treatment value 2 is not among the levels [0.0, 1.0]")
+    assert "in-sample nuisances (nuisance.in_sample) fit every level" in err
+    config["nuisance"] = {"in_sample": True, "propensity_method": "discrete"}
+    cfg = _write_config(tmp_path / "c2.json", config)
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "in")]) == 0
+
+
+# Routes that read the pseudo-outcome s or kappa-hat, at gamma = 1: s = y and
+# kappa-hat = mu-hat, so the two sides coincide.
+NULL_KNOB_CASES = {
+    "parametric": ("bounds", {**bounds_config(80, method="parametric", grid=[1.0]),
+                              "nuisance": FOLDS, "inference": WALD}),
+    "linear-curve": ("bounds", {**bounds_config(method="linear-curve", grid=[1.0], a0=0.5),
+                                "nuisance": FOLDS, "inference": WALD}),
+    "curve": ("curve", curve_config({"family": "propensity", "gamma": 1.0,
+                                     "a0_grid": [-1.0, 0.0, 1.0]},
+                                    nuisance=FOLDS, inference=WALD)),
+    "subset-theta": ("bounds", bounds_config(family="subset-propensity", method="theta",
+                                             grid=[0.0, 0.5, 1.0], gamma=1.0, a0=0.5)),
+    "subset-parametric": ("bounds", {
+        **bounds_config(family="subset-propensity", method="parametric",
+                        grid=[0.0, 0.5, 1.0], gamma=1.0),
+        "nuisance": FOLDS}),
+}
+
+
+@pytest.mark.parametrize("name", NULL_KNOB_CASES)
+def test_null_knob_gives_equal_sides(tmp_path, capsys, name):
+    command, config = NULL_KNOB_CASES[name]
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = _read_curve_csv(tmp_path / f"{command}_result.csv")
+    assert rows and all(r[1] == r[2] for r in rows)
+
+
+def _counting(owner, name):
+    """Patch ``owner.name`` with a wrapper that counts its calls and calls through."""
+    original = getattr(owner, name)
+    return mock.patch.object(owner, name, autospec=True, side_effect=original)
+
+
+def test_null_knob_fits_no_quantile_and_no_kappa(tmp_path, capsys):
+    config = {**bounds_config(80, method="parametric", grid=[1.0]),
+              "nuisance": FOLDS, "inference": HULC}
+    cfg = _write_config(tmp_path / "c.json", config)
+    with _counting(nuisance.PinballQuantileFit, "_fit_one") as fit_one, \
+            _counting(nuisance, "clipped_pseudo_outcome") as pseudo, \
+            _counting(nuisance, "fit_outcome") as outcome, \
+            _counting(nuisance, "_outcome_fit") as regressions:
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path), "--workers", "1"]) == 0
+    assert fit_one.call_count == pseudo.call_count == 0
+    # the one outcome fit per bundle is the only regression: no kappa-hat
+    assert regressions.call_count == outcome.call_count > 0
+
+
+def test_rank_rule_in_sample_fits_no_outcome_or_quantile(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.json", case("bounds-hulc"))
+    with _counting(nuisance, "fit_outcome") as outcome, \
+            _counting(nuisance, "fit_quantile") as quantile:
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path), "--workers", "1"]) == 0
+    assert outcome.call_count == quantile.call_count == 0
 
 
 def test_asymmetric_covariance_is_a_numerical_error(tmp_path, capsys):

@@ -6,7 +6,8 @@ the linear case. The references below are the earlier ``_poly_design``, the
 kernel outcome fit, both propensity models, the bundle's clipped-outcome
 regression, the ``CrossFit`` evaluators (one method body per regression and
 shape) and the bundle loop that ``gamma.conditional_outcome_bounds`` ran at
-probe points.
+probe points. At gamma = 1 they take the null-knob rule: s = y and kappa-hat
+is mu-hat.
 The reference fits run with ``nuisance._poly_design`` swapped for the
 earlier builder, so every design they use comes from the old code.
 """
@@ -158,6 +159,9 @@ class _ReferenceBundle:
 
     def kappa_fit(self, gamma, side):
         key = (round(float(gamma), 12), side)
+        if key[0] == 1.0:
+            # the null knob: s = y, so kappa-hat is mu-hat
+            return self.outcome
         if key not in self._kappa:
             sub = self._train_data
             q_low, q_high = self.quantile_pair(gamma, sub.a, sub.x)
@@ -207,6 +211,8 @@ class _ReferenceCrossFit:
         return tuple(self._per_unit(lambda b, m, k=k: pairs[b][k]) for k in (0, 1))
 
     def s_units(self, gamma, side):
+        if gamma == 1.0:
+            return self.data.y
         q_low, q_high = self.quantile_units(gamma)
         return clipped_pseudo_outcome(self.data.y, q_low, q_high, gamma, side)
 

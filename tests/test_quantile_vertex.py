@@ -9,6 +9,8 @@ optimum: where it is not, as for an even count of tied y at the median, every
 point of the optimal face is a right answer and only the loss can be compared.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -16,7 +18,9 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msmbounds import nuisance
 from msmbounds.datagen import DgpSpec, generate, registry
+from msmbounds.errors import SingularDesign
 from msmbounds.nuisance import PinballQuantileFit, _poly_design, _quantile_vertex
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -148,3 +152,154 @@ def test_vertex_interpolates_p_rows():
     for tau in TAUS:
         beta = _quantile_vertex(design, y, tau)
         assert np.sum(np.abs(y - design @ beta) <= 1e-12) == design.shape[1]
+
+
+# The fit before the tau-free work was shared: ``_independent_columns``, the
+# least-squares start, the quantile of the unsorted residuals, the row norms and
+# the zero tolerance all recomputed at every tau, and a start basis that projects
+# every remaining row at each pick. ``PinballQuantileFit.coef`` must match it bit
+# for bit.
+
+def _reference_nonsingular_rows(design, order):
+    p = design.shape[1]
+    rows = np.asarray(order)
+    basis, picked = np.empty((0, p)), []
+    while len(picked) < p:
+        cand = design[rows]
+        resid = cand - (cand @ basis.T) @ basis
+        norms = np.linalg.norm(resid, axis=1)
+        ok = np.flatnonzero(norms > 1e-9 * np.linalg.norm(cand, axis=1))
+        if ok.size == 0:
+            raise SingularDesign("quantile design has no nonsingular row basis")
+        j = ok[0]
+        picked.append(rows[j])
+        basis = np.vstack([basis, resid[j] / norms[j]])
+        rows = rows[j + 1:]
+    return np.array(picked)
+
+
+def _reference_vertex_residuals(design, y, basis):
+    beta = np.linalg.solve(design[basis], y[basis])
+    r = y - design @ beta
+    r[basis] = 0.0
+    r[np.abs(r) <= 1e-12 * np.abs(y).max()] = 0.0
+    return beta, r
+
+
+def _reference_quantile_vertex(design, y, tau):
+    p = design.shape[1]
+    ls = np.linalg.lstsq(design, y, rcond=None)[0]
+    resid = y - design @ ls
+    start = np.argsort(np.abs(resid - np.quantile(resid, tau)), kind="stable")
+    basis = _reference_nonsingular_rows(design, start)
+    beta, r = _reference_vertex_residuals(design, y, basis)
+    above = r > 0
+    bland = False
+    norms = np.linalg.norm(design, axis=1)
+    while True:
+        inv = np.linalg.inv(design[basis])
+        a = np.where(above, tau, tau - 1.0)
+        a[basis] = 0.0
+        u = inv.T @ (design.T @ a)
+        slopes = np.concatenate([(1.0 - tau) - u, tau + u])
+        descent = np.flatnonzero(slopes < -1e-10)
+        if not descent.size:
+            return beta
+        if bland:
+            edge = descent[np.argmin(basis[descent % p])]
+        else:
+            edge = descent[np.argmin(slopes[descent])]
+        k = edge % p
+        step = inv[:, k] if edge < p else -inv[:, k]
+        z = design @ step
+        z[np.abs(z) <= 1e-10 * norms * np.linalg.norm(step)] = 0.0
+        z[basis] = 0.0
+        kinks = np.flatnonzero(np.where(above, z > 0, z < 0))
+        t = np.maximum(r[kinks] / z[kinks], 0.0)
+        at = np.lexsort((kinks, t))
+        rising = slopes[edge] + np.cumsum(np.abs(z[kinks[at]]))
+        if not rising.size or rising[-1] < 0:
+            raise SingularDesign(f"quantile loss is unbounded at tau={tau}")
+        stop = 0 if bland else int(np.argmax(rising >= 0))
+        above[kinks[at[:stop]]] ^= True
+        above[basis[k]] = edge >= p
+        basis[k] = kinks[at[stop]]
+        bland = t[at[stop]] == 0.0
+        beta, r = _reference_vertex_residuals(design, y, basis)
+        above = np.where(r != 0, r > 0, above)
+
+
+def _reference_coef(design, y, tau):
+    keep = []
+    for j in range(design.shape[1]):
+        if np.linalg.matrix_rank(design[:, keep + [j]]) > len(keep):
+            keep.append(j)
+    coef = np.zeros(design.shape[1])
+    coef[keep] = _reference_quantile_vertex(design[:, keep], y, tau)
+    return coef
+
+
+@st.composite
+def shared_setup_designs(draw):
+    """Designs from n = p to 400 rows: binary a (at degree 2, a**2 == a), few-level
+    or continuous a, one or two covariates, and y on a noiseless line, tied,
+    rounded to a 0.5 grid or continuous. A noiseless line has every residual 0,
+    and the descent then takes thousands of degenerate pivots at n = 255 (seconds
+    per tau), so lines stop at n = 40."""
+    degree = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 2))
+    y_kind = draw(st.sampled_from(["line", "tied", "rounded", "continuous"]))
+    n = draw(st.integers(degree + 1 + width, 40 if y_kind == "line" else 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a_kind = draw(st.sampled_from(["binary", "levels", "continuous"]))
+    if a_kind == "binary":
+        a = rng.integers(0, 2, n).astype(float)
+    elif a_kind == "levels":
+        a = rng.integers(-1, 3, n).astype(float)
+    else:
+        a = rng.standard_normal(n)
+    x = rng.standard_normal((n, width))
+    if draw(st.booleans()):
+        x = np.round(x)
+    if y_kind == "line":
+        y = 2.0 + a - 0.5 * x[:, 0]
+    elif y_kind == "tied":
+        y = rng.integers(0, 3, n).astype(float)
+    elif y_kind == "rounded":
+        y = np.round(2.0 * (a + rng.standard_normal(n))) / 2.0
+    else:
+        y = a + x[:, 0] + rng.standard_normal(n)
+    return a, x, y, degree
+
+
+@PROPERTY
+@given(shared_setup_designs())
+def test_shared_setup_matches_the_per_tau_reference_bit_for_bit(case):
+    a, x, y, degree = case
+    fit = PinballQuantileFit(a, x, y, degree)
+    design = _poly_design(a, x, degree)
+    for tau in TAUS:
+        try:
+            # the fit solves at its cache key, tau rounded to 12 decimals
+            want = _reference_coef(design, y, round(tau, 12))
+        except SingularDesign:
+            with pytest.raises(SingularDesign):
+                fit.coef(tau)
+            continue
+        assert fit.coef(tau).tobytes() == want.tobytes(), tau
+
+
+def test_tau_free_work_runs_once_per_fit_and_not_before_the_first():
+    rng = np.random.default_rng(5)
+    a, x = rng.standard_normal(80), rng.standard_normal((80, 1))
+    y = a + x[:, 0] + rng.standard_normal(80)
+    with mock.patch.object(nuisance, "_independent_columns",
+                           wraps=nuisance._independent_columns) as columns, \
+            mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        fit = PinballQuantileFit(a, x, y)
+        assert columns.call_count == lstsq.call_count == 0
+        for tau in TAUS:
+            fit.coef(tau)
+        assert columns.call_count == lstsq.call_count == 1
+        PinballQuantileFit(a, x, y).coef(0.5)
+        assert columns.call_count == lstsq.call_count == 2
