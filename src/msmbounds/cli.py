@@ -9,7 +9,8 @@ and seed produce byte-identical files regardless of worker count.
 ``bounds`` looks its (family, method) up in one table, ``ROUTES``: each
 route's library call, the sensitivity keys it needs and the optional ones
 it reads (any other key is a config error), its caveat flags, whether HulC
-around it is flagged "heuristic CI" and whether it takes panel data.
+around it is flagged "heuristic CI", whether it takes panel data and
+whether it gives the variances of Wald intervals.
 ``FAMILIES`` holds each family's grid knob, grid start and spec.
 ``curve`` runs the a0 route of its family over an a0 grid; both commands
 share one body.
@@ -24,12 +25,11 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 
 import argparse
 import json
-import multiprocessing
+import operator
 import os
 import sys
 from collections import namedtuple
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -273,6 +273,99 @@ SCHEMAS = {
 }
 
 
+# The config validator: the JSON Schema (draft 2020-12) keywords that SCHEMAS
+# uses, each with jsonschema's semantics and message. Any other keyword raises
+# NotImplementedError.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # JSON Schema counts 1.0 as an integer
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+_NUMBER_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+# keyword: (instance type, failing size test, limit with its own message, that
+# message, the message at any other limit)
+_SIZES = {
+    "minItems": ("array", operator.lt, 1, "should be non-empty", "is too short"),
+    "minProperties": ("object", operator.lt, 1, "should be non-empty",
+                      "does not have enough properties"),
+    "maxProperties": ("object", operator.gt, 0, "is expected to be empty",
+                      "has too many properties"),
+}
+
+
+def _validate(schema, value, path, errors):
+    """Check ``value`` at ``path`` against ``schema``, appending (path, message)
+    to ``errors`` for each failed keyword; return ``value`` with every integral
+    float at an ``integer`` position made an int."""
+    out = value
+
+    def fail(message):
+        errors.append((path, f"{value!r} {message}"))
+
+    for key, arg in schema.items():
+        if key == "type":
+            if not _TYPES[arg](value):
+                fail(f"is not of type {arg!r}")
+        elif key == "enum":
+            # every enum of SCHEMAS lists strings, which equal only themselves
+            if value not in arg:
+                fail(f"is not one of {arg!r}")
+        elif key in _NUMBER_BOUNDS:
+            beyond, text = _NUMBER_BOUNDS[key]
+            if _TYPES["number"](value) and beyond(value, arg):
+                fail(f"{text} {arg!r}")
+        elif key in _SIZES:
+            kind, beyond, edge, at_edge, text = _SIZES[key]
+            if _TYPES[kind](value) and beyond(len(value), arg):
+                fail(at_edge if arg == edge else text)
+        elif key == "items":
+            if isinstance(value, list):
+                out = [_validate(arg, v, (*path, i), errors) for i, v in enumerate(value)]
+        elif key == "oneOf":
+            passed = []
+            for sub in arg:
+                sub_errors = []
+                result = _validate(sub, value, path, sub_errors)
+                if not sub_errors:
+                    passed.append((sub, result))
+            if not passed:
+                fail("is not valid under any of the given schemas")
+            elif len(passed) > 1:
+                fail("is valid under each of "
+                     + ", ".join(repr(sub) for sub, _ in passed[1:] + passed[:1]))
+            else:
+                out = passed[0][1]
+        elif key not in ("properties", "required") and (key, arg) != ("additionalProperties", False):
+            raise NotImplementedError(f"the config validator has no {key}: {arg!r}")
+        elif not isinstance(value, dict):
+            continue
+        elif key == "properties":
+            out = {k: _validate(arg[k], v, (*path, k), errors) if k in arg else v
+                   for k, v in value.items()}
+        elif key == "required":
+            errors.extend((path, f"{name!r} is a required property")
+                          for name in arg if name not in value)
+        else:
+            extras = sorted(set(value) - set(schema.get("properties", {})))
+            if extras:
+                errors.append((path, "Additional properties are not allowed ({} {} unexpected)"
+                               .format(", ".join(map(repr, extras)),
+                                       "was" if len(extras) == 1 else "were")))
+    if schema.get("type") == "integer" and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return out
+
+
 def _non_finite(name):
     """``parse_constant`` hook: NaN, Infinity and -Infinity are no config values."""
     raise ConfigError(f"config holds the non-finite number {name}")
@@ -311,13 +404,19 @@ def _load_config(command, path):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
-    _apply_env_overrides(config)
-    validator = jsonschema.Draft202012Validator(SCHEMAS[command])
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    return _checked_config(command, _apply_env_overrides(config))
+
+
+def _checked_config(command, config):
+    """``config`` checked against its command's schema, with each integral
+    float at an integer position made an int; a ConfigError names the first
+    failure in path order."""
+    errors = []
+    config = _validate(SCHEMAS[command], config, (), errors)
     if errors:
-        err = errors[0]
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise ConfigError(f"config{pointer}: {err.message}")
+        # min keeps the first of the failures at the least path
+        path, message = min(errors, key=lambda e: e[0])
+        raise ConfigError(f"config/{'/'.join(map(str, path))}: {message}")
     return config
 
 
@@ -462,10 +561,12 @@ _Run = namedtuple("_Run", "data model nuis sens coord seed")
 # ``optional`` the ones it reads when given; beside family, method, grid and
 # (unless ``keys`` holds a0) coord, any other key is a config error. ``flags``
 # are its caveats, ``heuristic_ci`` marks HulC intervals around it as
-# "heuristic CI", and ``panel`` marks the routes that take panel data.
+# "heuristic CI", ``panel`` marks the routes that take panel data and
+# ``variances`` those whose calls give variances, the only ones with Wald
+# intervals.
 _Route = namedtuple(
-    "_Route", "call keys optional flags heuristic_ci whole_grid panel",
-    defaults=((), (), (), True, False, False),
+    "_Route", "call keys optional flags heuristic_ci whole_grid panel variances",
+    defaults=((), (), (), True, False, False, False),
 )
 
 
@@ -486,7 +587,8 @@ def _homotopy(flavor):
     ), optional=("constraint", "inner_iterations"), whole_grid=True, panel=True)
 
 
-_ASYMPTOTIC = ("asymptotic, rate-conditional",)
+# the routes with a sandwich variance: Wald intervals, and HulC without the flag
+_ASYMPTOTIC = dict(flags=("asymptotic, rate-conditional",), heuristic_ci=False, variances=True)
 
 # (family, method) -> route
 ROUTES = {
@@ -501,10 +603,10 @@ ROUTES = {
     ("propensity", "parametric"): _Route(
         lambda r, spec: _coord_bounds(
             fit_parametric_bounds(r.data, r.model, r.nuis, spec), r.coord),
-        flags=_ASYMPTOTIC, heuristic_ci=False),
+        **_ASYMPTOTIC),
     ("propensity", "linear-curve"): _Route(
         lambda r, spec: linear_curve_bounds(r.data, r.model, r.nuis, spec, r.sens["a0"]),
-        keys=("a0",), flags=_ASYMPTOTIC, heuristic_ci=False),
+        keys=("a0",), **_ASYMPTOTIC),
     ("propensity", "homotopy-exact"): _homotopy("exact"),
     ("propensity", "homotopy-linearized"): _homotopy("linearized"),
     ("propensity", "coordinate-ascent"): _Route(
@@ -517,10 +619,10 @@ ROUTES = {
     ("outcome", "parametric"): _Route(
         lambda r, spec: _coord_bounds(
             outcome_parametric_bounds(r.data, r.model, r.nuis, spec), r.coord),
-        flags=_ASYMPTOTIC, heuristic_ci=False),
+        **_ASYMPTOTIC),
     ("outcome", "curve"): _Route(
         lambda r, spec: outcome_curve_bounds(r.data, r.model, r.nuis, spec, r.sens["a0"]),
-        keys=("a0",), flags=_ASYMPTOTIC, heuristic_ci=False),
+        keys=("a0",), **_ASYMPTOTIC),
     ("outcome", "nonlinear-grid"): _Route(
         lambda r, spec: outcome_nonlinear_grid_bounds(r.data, r.model, r.nuis, spec, r.coord)),
     ("subset-propensity", "theta"): _Route(
@@ -543,8 +645,10 @@ ROUTES = {
 }
 
 
-def _find_route(sens, panel):
+def _bounds_route(data, config):
     """The route of the config's (family, method), with its sensitivity keys checked."""
+    sens = config["sensitivity"]
+    panel = isinstance(data, PanelDataset)
     family, method = sens["family"], sens["method"]
     if panel and family != "propensity":
         raise ConfigError("panel bounds support the propensity family only")
@@ -590,13 +694,12 @@ def _value_results(results):
     return lower, upper, variances
 
 
-def _bounds_on_dataset(data, config, seed):
-    """Bounds over the sensitivity grid: (route, grid, lower, upper, variances).
+def _bounds_on_dataset(data, config, seed, route):
+    """Bounds over the sensitivity grid: (grid, lower, upper, variances).
 
     variances is None or a pair of arrays on the sqrt(n) scale.
     """
     sens = config["sensitivity"]
-    route = _find_route(sens, isinstance(data, PanelDataset))
     family = FAMILIES[sens["family"]]
     grid = _parse_grid(sens["grid"])
     if abs(grid[0] - family.start) > 1e-12:
@@ -606,25 +709,31 @@ def _bounds_on_dataset(data, config, seed):
     run = _make_run(data, config, seed)
     if route.whole_grid:
         trace = route.call(run, grid)
-        return route, grid, trace.lower, trace.upper, None
+        return grid, trace.lower, trace.upper, None
     results = (route.call(run, family.spec(float(v), sens)) for v in grid)
-    return (route, grid, *_value_results(results))
+    return (grid, *_value_results(results))
 
 
-def _curve_on_dataset(data, config, seed):
-    """Dose-response bounds over an a0 grid at a fixed sensitivity value:
-    the family's a0 route, with the a0 grid in place of the knob's grid."""
+def _curve_route(data, config):
+    """The a0 route of the curve's family, with its sensitivity keys checked."""
     if isinstance(data, PanelDataset):
         raise ConfigError("curve works on static datasets")
     sens = config["sensitivity"]
+    _reject_unread(sens, {"family", "a0_grid", FAMILIES[sens["family"]].knob},
+                   f"{sens['family']} curve")
+    return ROUTES[sens["family"], "linear-curve" if sens["family"] == "propensity" else "curve"]
+
+
+def _curve_on_dataset(data, config, seed, route):
+    """Dose-response bounds over an a0 grid at a fixed sensitivity value:
+    the family's a0 route, with the a0 grid in place of the knob's grid."""
+    sens = config["sensitivity"]
     family = FAMILIES[sens["family"]]
-    _reject_unread(sens, {"family", "a0_grid", family.knob}, f"{sens['family']} curve")
-    route = ROUTES[sens["family"], "linear-curve" if sens["family"] == "propensity" else "curve"]
     a0_grid = _parse_grid(sens["a0_grid"])
     spec = family.spec(sens.get(family.knob, family.start), sens)
     run = _make_run(data, config, seed)
     results = (route.call(run._replace(sens={**sens, "a0": float(a0)}), spec) for a0 in a0_grid)
-    return (route, a0_grid, *_value_results(results))
+    return (a0_grid, *_value_results(results))
 
 
 def _wald_band(lower, upper, variances, n, alpha):
@@ -634,13 +743,16 @@ def _wald_band(lower, upper, variances, n, alpha):
     return ci_lower, ci_upper
 
 
-def _hulc_band(data, compute, alpha, hseed):
+def _hulc_blocks(n, alpha):
+    """The number of HulC subsamples at ``alpha``; each must hold 4 of the n units."""
+    b = HulcSpec(alpha=alpha).n_subsamples
+    if n // b < 4:
+        raise ConfigError(f"hulc needs at least {4 * b} units for {b} subsamples, have {n}")
+    return b
+
+
+def _hulc_band(data, compute, b, hseed):
     """Min/max of per-subsample reruns of ``compute`` at every grid point."""
-    b = HulcSpec(alpha=alpha, seed=hseed).n_subsamples
-    if data.n // b < 4:
-        raise ConfigError(
-            f"hulc needs at least {4 * b} units for {b} subsamples, have {data.n}"
-        )
     lows = []
     highs = []
     for idx in subsample_partition(data.n, b, hseed):
@@ -683,31 +795,37 @@ def cmd_fit(args):
     return 0
 
 
-def _grid_command(args, command, compute):
-    """``bounds`` and ``curve``: load the config, compute the bounds over the
-    grid, add Wald or HulC intervals, then write the result and meta files.
+def _grid_command(args, command, find_route, compute):
+    """``bounds`` and ``curve``: load the config and the data, check the
+    route and the intervals it asks for, compute the bounds over the grid,
+    add Wald or HulC intervals, then write the result and meta files.
 
-    compute(data, config, seed) -> (route, grid, lower, upper, variances).
+    find_route(data, config) -> route;
+    compute(data, config, seed, route) -> (grid, lower, upper, variances).
     """
     config = _load_config(command, args.config)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     data = _make_data(config, seed)
-    route, grid, lower, upper, variances = compute(data, config, seed)
-    flags = list(route.flags)
+    route = find_route(data, config)
     inference = config.get("inference", {})
     kind = inference.get("kind", "none")
     alpha = inference.get("alpha", 0.05)
+    if kind == "wald" and not route.variances:
+        method = config["sensitivity"]["method"]
+        raise ConfigError(f"wald intervals are unavailable for method {method!r}; use hulc")
+    if kind == "hulc":
+        blocks = _hulc_blocks(data.n, alpha)
+    grid, lower, upper, variances = compute(data, config, seed, route)
+    flags = list(route.flags)
     ci_lower = ci_upper = None
     if kind == "wald":
-        if variances is None:
-            method = config["sensitivity"]["method"]
-            raise ConfigError(f"wald intervals are unavailable for method {method!r}; use hulc")
         ci_lower, ci_upper = _wald_band(lower, upper, variances, data.n, alpha)
     elif kind == "hulc":
         if route.heuristic_ci:
             flags.append("heuristic CI")
         ci_lower, ci_upper = _hulc_band(
-            data, lambda sub: compute(sub, config, seed)[2:4], alpha, inference.get("seed", seed)
+            data, lambda sub: compute(sub, config, seed, route)[1:3], blocks,
+            inference.get("seed", seed),
         )
 
     if np.any(lower > upper + 1e-12):
@@ -734,11 +852,11 @@ def _grid_command(args, command, compute):
 
 
 def cmd_bounds(args):
-    return _grid_command(args, "bounds", _bounds_on_dataset)
+    return _grid_command(args, "bounds", _bounds_route, _bounds_on_dataset)
 
 
 def cmd_curve(args):
-    return _grid_command(args, "curve", _curve_on_dataset)
+    return _grid_command(args, "curve", _curve_route, _curve_on_dataset)
 
 
 def cmd_simulate(args):
@@ -808,6 +926,8 @@ def _tiny_homotopy_task(payload):
 def _pmap(fn, items, workers):
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    import multiprocessing  # only a pool needs it; the other commands skip its import
+
     with multiprocessing.Pool(min(workers, len(items))) as pool:
         return pool.map(fn, items)
 

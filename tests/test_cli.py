@@ -1,5 +1,7 @@
 """CLI behavior: configs, exit codes, outputs, reproducibility."""
 
+import contextlib
+import copy
 import json
 import os
 import re
@@ -252,6 +254,7 @@ WALD_ROUTES = {
 
 def test_route_cases_cover_every_static_route():
     assert set(HULC_FLAGS) == set(ROUTE_SENSITIVITY) == set(ROUTES)
+    assert {key for key, route in ROUTES.items() if route.variances} == WALD_ROUTES
 
 
 @pytest.mark.parametrize("route", list(HULC_FLAGS), ids="/".join)
@@ -300,6 +303,47 @@ def test_removed_grid_knobs_exit_2_naming_the_key(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert "config error" in err and repr(key) in err
     assert not (tmp_path / "bounds_meta.json").exists()
+
+
+# name -> (config, path of an integer in it)
+INTEGER_KNOBS = {
+    "coord": (bounds_config(), ("sensitivity", "coord")),
+    "degree": ({**bounds_config(), "model": {"kind": "polynomial", "degree": 2}},
+               ("model", "degree")),
+    "folds": ({**bounds_config(), "nuisance": FOLDS}, ("nuisance", "folds")),
+    "n": (bounds_config(), ("data", "dgp", "n")),
+    "inner_iterations": (bounds_config(60, method="homotopy-exact", grid=[1.0, 1.5],
+                                       inner_iterations=2),
+                         ("sensitivity", "inner_iterations")),
+    "n_orderings": (bounds_config(60, method="coordinate-ascent", grid=[1.0, 1.5],
+                                  n_orderings=2),
+                    ("sensitivity", "n_orderings")),
+    "dgp-seed": (bounds_config(), ("data", "dgp", "seed")),
+    "nuisance-seed": ({**bounds_config(), "nuisance": {**FOLDS, "seed": 3}},
+                      ("nuisance", "seed")),
+    "inference-seed": ({**bounds_config(), "inference": HULC}, ("inference", "seed")),
+    "seed": ({**bounds_config(), "nuisance": FOLDS, "inference": HULC, "seed": 4}, ("seed",)),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_KNOBS)
+def test_integral_float_runs_like_its_int(tmp_path, capsys, name):
+    # JSON Schema counts 2.0 as an integer, so the run takes it as the int 2:
+    # the same result and meta files, byte for byte
+    config, path = INTEGER_KNOBS[name]
+    outputs = []
+    for number in (float, int):
+        twin = copy.deepcopy(config)
+        node = twin
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = number(node[path[-1]])
+        out = tmp_path / number.__name__
+        cfg = _write_config(tmp_path / f"{number.__name__}.json", twin)
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append([(out / f"bounds_{kind}").read_bytes()
+                        for kind in ("result.csv", "meta.json")])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("name", list(PAIR_KERNEL_CASES))
@@ -596,6 +640,26 @@ def test_null_knob_fits_no_quantile_and_no_kappa(tmp_path, capsys):
     assert regressions.call_count == outcome.call_count > 0
 
 
+# every nuisance fit: propensity, outcome regression, quantile model and pinball quantile
+NUISANCE_FITS = [(nuisance, "fit_propensity"), (nuisance, "_outcome_fit"),
+                 (nuisance, "fit_quantile"), (nuisance.PinballQuantileFit, "_fit_one")]
+
+
+@pytest.mark.parametrize("config,message", [
+    ({**bounds_config(), "nuisance": FOLDS, "inference": WALD},
+     "wald intervals are unavailable for method 'marginal-quantile'"),
+    ({**bounds_config(23, method="parametric"), "nuisance": FOLDS, "inference": HULC},
+     "hulc needs at least 24 units for 6 subsamples, have 23"),
+], ids=["wald-without-variances", "hulc-below-24-units"])
+def test_interval_config_errors_come_before_any_fit(tmp_path, capsys, config, message):
+    cfg = _write_config(tmp_path / "c.json", config)
+    with contextlib.ExitStack() as stack:
+        fits = [stack.enter_context(_counting(*fit)) for fit in NUISANCE_FITS]
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path), "--workers", "1"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert [fit.call_count for fit in fits] == [0] * len(NUISANCE_FITS)
+
+
 def test_rank_rule_in_sample_fits_no_outcome_or_quantile(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json", case("bounds-hulc"))
     with _counting(nuisance, "fit_outcome") as outcome, \
@@ -616,20 +680,25 @@ def test_asymmetric_covariance_is_a_numerical_error(tmp_path, capsys):
     assert "numerical error" in err and "covariance must be symmetric" in err
 
 
-def test_wald_curve_leaves_scipy_stats_unimported(tmp_path):
-    # the Wald z comes from the standard library's normal quantile
+def _python(code):
+    """The last stdout line of ``code`` run in a fresh interpreter on this copy of msmbounds."""
     import msmbounds
 
     src = str(Path(msmbounds.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_wald_curve_leaves_scipy_stats_unimported(tmp_path):
+    # the Wald z comes from the standard library's normal quantile
     cfg = _write_config(tmp_path / "c.json", case("curve-propensity-poly2-wald"))
     code = ("import sys; from msmbounds.cli import main; "
             f"rc = main(['curve', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]); "
             "print(rc, sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip().splitlines()[-1] == "0 []"
+    assert _python(code) == "0 []"
     assert _read_curve_csv(tmp_path / "curve_result.csv")[0][3] is not None
 
 
@@ -753,17 +822,25 @@ def test_installed_console_script_runs(tmp_path):
 def test_cli_import_loads_no_scipy_solver_or_stats(tmp_path):
     # scipy is a test dependency only: a nonlinear-grid bounds run and a Wald
     # curve in a fresh interpreter leave no scipy module behind
-    import msmbounds
-
-    src = str(Path(msmbounds.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     bounds = _write_config(tmp_path / "bounds.json", route_config("outcome", "nonlinear-grid"))
     curve = _write_config(tmp_path / "curve.json", case("curve-propensity-poly2-wald"))
     code = ("import sys; from msmbounds.cli import main; "
             f"rc = [main(['bounds', '--config', {bounds!r}, '--out', {str(tmp_path)!r}]), "
             f"main(['curve', '--config', {curve!r}, '--out', {str(tmp_path)!r}])]; "
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    assert _python(code) == "[0, 0] []"
+
+
+def test_cli_import_loads_no_jsonschema_multiprocessing_or_scipy():
+    # the config validator is the CLI's own, and only an oracle-check pool
+    # imports multiprocessing
+    code = ("import sys, msmbounds.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('jsonschema', 'multiprocessing', 'scipy')))")
+    assert _python(code) == "[]"
+
+
+def test_bounds_runs_where_jsonschema_cannot_be_imported(tmp_path):
+    cfg = _write_config(tmp_path / "c.json", bounds_config(40, grid=[1.0, 2.0]))
+    code = ("import sys; sys.modules['jsonschema'] = None; from msmbounds.cli import main; "
+            f"print(main(['bounds', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]))")
+    assert _python(code) == "0"
