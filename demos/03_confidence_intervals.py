@@ -48,9 +48,6 @@ def upper_slope(d):
     return max(lo.beta[1], hi.beta[1])
 
 
-lower_slope.min_n = 20
-upper_slope.min_n = 20
-
 hulc_lo = hulc_ci(data, lower_slope, HulcSpec(alpha=0.05, seed=1))
 hulc_hi = hulc_ci(data, upper_slope, HulcSpec(alpha=0.05, seed=1))
 print("HulC 95% intervals (block extremes, no variance estimate):")

@@ -31,8 +31,8 @@ from .gamma import (
     marginal_quantile_beta_bounds,
     marginal_quantile_grid_bounds,
 )
-from .homotopy import bound_derivative, coordinate_ascent_bounds, homotopy_bounds
-from .inference import HulcSpec, band_over_grid, hulc_ci, wald_ci
+from .homotopy import coordinate_ascent_bounds, homotopy_bounds
+from .inference import HulcSpec, hulc_ci, wald_ci
 from .msm import (
     MsmModel,
     PairKernel,
@@ -46,13 +46,13 @@ from .msm import (
     u_statistic,
 )
 from .nuisance import (
+    CrossFit,
     NuisanceConfig,
     SelfFit,
-    crossfit,
     fit_outcome,
     fit_propensity,
     fit_quantile,
-    stabilized_weights,
+    fixed_weight_nuisances,
 )
 from .oracles import (
     OracleResult,
@@ -73,7 +73,7 @@ from .panel import (
     custom_panel_msm,
     panel_weights,
 )
-from .results import BetaEstimate, BoundCurve, ConfidenceInterval, HomotopyTrace
+from .results import BetaEstimate, ConfidenceInterval, HomotopyTrace
 from .subset import (
     EpsilonSpec,
     subset_independent_bounds,

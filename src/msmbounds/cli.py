@@ -25,6 +25,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 
 import argparse
 import json
+import math
 import operator
 import os
 import sys
@@ -53,7 +54,7 @@ from .gamma import (
     marginal_quantile_grid_bounds,
 )
 from .homotopy import coordinate_ascent_bounds, homotopy_bounds
-from .inference import HulcSpec, subsample_partition, wald_ci
+from .inference import HulcSpec, _blocks, _extremes, wald_ci
 from .msm import fit_msm, polynomial_msm
 from .nuisance import CrossFit, NuisanceConfig, SelfFit, fixed_weight_nuisances
 from .oracles import oracle_exhaustive_beta_bound, oracle_linear_box_mean
@@ -371,6 +372,12 @@ def _non_finite(name):
     raise ConfigError(f"config holds the non-finite number {name}")
 
 
+def _finite_float(literal):
+    """``parse_float`` hook: a literal that overflows, such as 1e400, is no config value."""
+    value = float(literal)
+    return value if math.isfinite(value) else _non_finite(literal)
+
+
 def _apply_env_overrides(config):
     """MSMBOUNDS_SECTION__KEY=value sets config[section][key]; values parse as JSON."""
     for name, raw in sorted(os.environ.items()):
@@ -380,7 +387,7 @@ def _apply_env_overrides(config):
         if not path:
             continue
         try:
-            value = json.loads(raw, parse_constant=_non_finite)
+            value = json.loads(raw, parse_constant=_non_finite, parse_float=_finite_float)
         except json.JSONDecodeError:
             value = raw
         node = config
@@ -397,7 +404,7 @@ def _load_config(command, path):
         raise UsageError(f"{command} requires --config PATH")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh, parse_constant=_non_finite)
+            config = json.load(fh, parse_constant=_non_finite, parse_float=_finite_float)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -743,25 +750,6 @@ def _wald_band(lower, upper, variances, n, alpha):
     return ci_lower, ci_upper
 
 
-def _hulc_blocks(n, alpha):
-    """The number of HulC subsamples at ``alpha``; each must hold 4 of the n units."""
-    b = HulcSpec(alpha=alpha).n_subsamples
-    if n // b < 4:
-        raise ConfigError(f"hulc needs at least {4 * b} units for {b} subsamples, have {n}")
-    return b
-
-
-def _hulc_band(data, compute, b, hseed):
-    """Min/max of per-subsample reruns of ``compute`` at every grid point."""
-    lows = []
-    highs = []
-    for idx in subsample_partition(data.n, b, hseed):
-        sub_lower, sub_upper = compute(data.take(idx))
-        lows.append(sub_lower)
-        highs.append(sub_upper)
-    return np.min(np.asarray(lows), axis=0), np.max(np.asarray(highs), axis=0)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -814,7 +802,7 @@ def _grid_command(args, command, find_route, compute):
         method = config["sensitivity"]["method"]
         raise ConfigError(f"wald intervals are unavailable for method {method!r}; use hulc")
     if kind == "hulc":
-        blocks = _hulc_blocks(data.n, alpha)
+        blocks = _blocks(data.n, HulcSpec(alpha, inference.get("seed", seed)))
     grid, lower, upper, variances = compute(data, config, seed, route)
     flags = list(route.flags)
     ci_lower = ci_upper = None
@@ -823,10 +811,8 @@ def _grid_command(args, command, find_route, compute):
     elif kind == "hulc":
         if route.heuristic_ci:
             flags.append("heuristic CI")
-        ci_lower, ci_upper = _hulc_band(
-            data, lambda sub: compute(sub, config, seed, route)[1:3], blocks,
-            inference.get("seed", seed),
-        )
+        ci_lower, ci_upper = _extremes(
+            data, lambda sub: compute(sub, config, seed, route)[1:3], blocks)
 
     if np.any(lower > upper + 1e-12):
         raise NumericalError("lower bound exceeded upper bound on the grid")

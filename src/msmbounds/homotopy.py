@@ -19,7 +19,7 @@ import numpy as np
 from ._ranks import _select, rank_mask
 from .errors import NoConvergence, SingularMoment
 from .gamma import (
-    _cells, _conditional_mask, _derivative, _gamma_grid, _leverage, _rank_rule_grid,
+    _cells, _conditional_mask, _derivative, _gamma_grid, _rank_rule_grid,
 )
 from .msm import _linear_fit, _solve, weighted_fit
 from .results import HomotopyTrace
@@ -28,18 +28,6 @@ _CIRCULAR_TOL = 1e-6
 _CIRCULAR_CAP = 50
 # units on each side of the cut that the swap search considers
 _SWAP_BAND = 8
-
-
-def bound_derivative(data, model, beta, weights, coord, v=None, flavor="exact"):
-    """Directional derivative of the bound functional in each unit's weight."""
-    if flavor not in ("exact", "linearized"):
-        raise ValueError(f"flavor must be 'exact' or 'linearized', got {flavor!r}")
-    w = np.asarray(weights, dtype=float).ravel()
-    beta = np.asarray(beta, dtype=float)
-    if flavor == "linearized":
-        return _leverage(model, data.a, w, coord, beta) * w * data.y
-    v = np.ones_like(w) if v is None else np.asarray(v, dtype=float).ravel()
-    return _derivative(model, data.a, data.y, w, coord, beta, v)[2]
 
 
 def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, gram=None):

@@ -2,7 +2,11 @@
 
 HulC needs no variance estimate: split the sample into B disjoint random
 subsamples, run the estimator on each, and take the min and max. B is the
-smallest integer with 2^-B+1 <= alpha, so alpha = 0.05 gives B = 6.
+smallest integer with 2^-B+1 <= alpha, so alpha = 0.05 gives B = 6. Each
+subsample must hold at least 4 units: a block reruns the estimator with its
+nuisance fits, and the outcome regression of the default model, on
+[1, a, x], has 3 coefficients; 4 is the smallest block that leaves it a
+residual.
 """
 
 import dataclasses
@@ -12,7 +16,9 @@ import statistics
 import numpy as np
 
 from .errors import NegativeVariance, SubsampleTooSmall
-from .results import BoundCurve, ConfidenceInterval
+from .results import ConfidenceInterval
+
+_MIN_BLOCK = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -30,36 +36,34 @@ class HulcSpec:
 
 
 def subsample_partition(n, b, seed):
-    """Disjoint exhaustive random split into b blocks; remainder round-robin."""
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    base = n // b
-    extra = n % b
-    blocks = []
-    start = 0
-    for i in range(b):
-        size = base + (1 if i < extra else 0)
-        blocks.append(np.sort(perm[start:start + size]))
-        start += size
-    return blocks
+    """Disjoint exhaustive random split into b sorted blocks; the first n % b hold one more."""
+    return [np.sort(part) for part in np.array_split(np.random.default_rng(seed).permutation(n), b)]
+
+
+def _blocks(n, spec):
+    """The HulC blocks of n units under ``spec``; each must hold ``_MIN_BLOCK`` units."""
+    b = spec.n_subsamples
+    if n // b < _MIN_BLOCK:
+        raise SubsampleTooSmall(
+            f"hulc needs at least {_MIN_BLOCK * b} units for {b} subsamples, have {n}")
+    return subsample_partition(n, b, spec.seed)
+
+
+def _extremes(data, compute, blocks):
+    """Elementwise (min of the lows, max of the highs) of ``compute`` over the blocks.
+
+    compute(subsample) -> (low, high), two scalars or two arrays of one shape.
+    """
+    lows, highs = zip(*(compute(data.take(idx)) for idx in blocks))
+    return np.min(lows, axis=0), np.max(highs, axis=0)
+
 
 def hulc_ci(data, estimator, spec=None):
-    """Subsample-extremes interval for a scalar estimator of the data.
-
-    ``estimator`` maps a dataset to a real; it may declare ``min_n`` (an
-    attribute) as the smallest sample it can handle.
-    """
+    """Subsample-extremes interval for a scalar estimator of the data."""
     spec = spec or HulcSpec()
-    b = spec.n_subsamples
-    min_n = getattr(estimator, "min_n", 2)
-    if data.n // b < min_n:
-        raise SubsampleTooSmall(
-            f"{data.n} units across {b} subsamples leaves fewer than {min_n} each"
-        )
-    values = [float(estimator(data.take(idx))) for idx in
-              subsample_partition(data.n, b, spec.seed)]
+    low, high = _extremes(data, lambda sub: (float(estimator(sub)),) * 2, _blocks(data.n, spec))
     return ConfidenceInterval(
-        low=min(values), high=max(values), method="hulc", level=1.0 - spec.alpha
+        low=float(low), high=float(high), method="hulc", level=1.0 - spec.alpha
     )
 
 
@@ -74,29 +78,4 @@ def wald_ci(estimate, variance, n, alpha=0.05):
     return ConfidenceInterval(
         low=float(estimate) - half, high=float(estimate) + half,
         method="wald", level=1.0 - alpha,
-    )
-
-
-def band_over_grid(grid, lower, upper, target, cis_lower=None, cis_upper=None,
-                   metadata=None):
-    """Assemble pointwise bound estimates and CIs into one curve object.
-
-    ``cis_lower``/``cis_upper`` are per-grid-point ConfidenceIntervals for
-    the lower and upper bound estimates; the band keeps the outer edges.
-    """
-    ci_lo = None
-    ci_hi = None
-    if cis_lower is not None:
-        if cis_upper is None:
-            cis_upper = cis_lower
-        ci_lo = np.asarray([c.low for c in cis_lower], dtype=float)
-        ci_hi = np.asarray([c.high for c in cis_upper], dtype=float)
-    return BoundCurve(
-        grid=np.asarray(grid, dtype=float),
-        lower=np.asarray(lower, dtype=float),
-        upper=np.asarray(upper, dtype=float),
-        target=target,
-        ci_lower=ci_lo,
-        ci_upper=ci_hi,
-        metadata=metadata or {},
     )

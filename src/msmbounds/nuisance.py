@@ -744,17 +744,6 @@ class SelfFit(CrossFit):
         return [(None, np.arange(self.data.n))]
 
 
-def crossfit(data, config=None, seed=0):
-    """Split the data into folds and train one nuisance bundle per held-out fold."""
-    return CrossFit(data, config=config, seed=seed)
-
-
-def stabilized_weights(data, config=None, seed=0, crossfit_obj=None):
-    """Per-unit density-ratio weights, out of fold unless a SelfFit is passed."""
-    cf = crossfit_obj if crossfit_obj is not None else CrossFit(data, config, seed)
-    return cf.weights
-
-
 class _FixedNuisances:
     """The weights-only implementation of the ``CrossFit`` protocol: externally
     supplied weights. Everything that needs a fitted outcome, quantile or

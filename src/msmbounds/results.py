@@ -49,33 +49,6 @@ class ConfidenceInterval:
 
 
 @dataclass
-class BoundCurve:
-    """Lower/upper bounds for a scalar target over a sensitivity or dose grid.
-
-    ``target`` describes what is bounded (e.g. "beta[1]" or "g(a0=2.0)").
-    CI arrays are optional and pointwise.
-    """
-
-    grid: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    target: str
-    ci_lower: np.ndarray | None = None
-    ci_upper: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        if not (self.grid.shape == self.lower.shape == self.upper.shape):
-            raise ValueError("grid/lower/upper shapes differ")
-        bad = self.lower > self.upper + 1e-12
-        if np.any(bad):
-            raise ValueError(f"lower > upper at grid positions {np.nonzero(bad)[0].tolist()}")
-
-
-@dataclass
 class HomotopyTrace:
     """Per-grid-point bound values plus optional confounding-weight snapshots."""
 
@@ -96,12 +69,3 @@ class HomotopyTrace:
             self.valid = np.ones(self.grid.shape, dtype=bool)
         if not np.all(np.diff(self.grid) > 0) and self.grid.size > 1:
             raise ValueError("grid must be strictly increasing")
-
-    def width(self):
-        return self.upper - self.lower
-
-    def as_curve(self, ci_lower=None, ci_upper=None):
-        return BoundCurve(
-            grid=self.grid, lower=self.lower, upper=self.upper,
-            target=self.target, ci_lower=ci_lower, ci_upper=ci_upper,
-        )

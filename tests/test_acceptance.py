@@ -412,7 +412,6 @@ def test_criterion_11_hulc_coverage():
         est_low, est_high = fit_parametric_bounds(d, model, SelfFit(d), spec)
         return max(est_low.beta[0], est_high.beta[0])
 
-    upper_bound.min_n = 8
     truth = float(np.mean([
         upper_bound(generate(DgpSpec("gauss-line", seed=9000 + k), 2000))
         for k in range(20)

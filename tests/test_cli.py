@@ -16,6 +16,10 @@ import pytest
 
 from msmbounds import nuisance
 from msmbounds.cli import FAMILIES, ROUTES, main
+from msmbounds.datagen import DgpSpec, generate
+from msmbounds.gamma import GammaSpec, local_beta_bounds, marginal_quantile_grid_bounds
+from msmbounds.inference import HulcSpec, hulc_ci
+from msmbounds.msm import polynomial_msm
 
 from cli_cases import (
     FOLDS,
@@ -114,6 +118,32 @@ def test_bounds_hulc_intervals(tmp_path, capsys):
         assert r[3] <= r[4]
     meta = json.loads((tmp_path / "bounds_meta.json").read_text())
     assert "heuristic CI" in meta["flags"]
+
+
+def _route_sides(method, d, grid):
+    """(lower, upper) over ``grid`` from the library call of propensity route ``method``."""
+    model, nuis = polynomial_msm(1), nuisance.SelfFit(d)
+    if method == "marginal-quantile":
+        trace = marginal_quantile_grid_bounds(d, model, nuis, grid, 1)
+        return trace.lower, trace.upper
+    return np.array([local_beta_bounds(d, model, nuis, GammaSpec(g), 1) for g in grid]).T
+
+
+@pytest.mark.parametrize("method", ["marginal-quantile", "local"])
+def test_hulc_columns_are_hulc_ci_of_the_route_call(tmp_path, capsys, method):
+    config = {**bounds_config(method=method), "inference": HULC}
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = _read_curve_csv(tmp_path / "bounds_result.csv")
+    grid = np.array([r[0] for r in rows])
+    dgp = config["data"]["dgp"]
+    data = generate(DgpSpec(dgp["name"], seed=dgp["seed"]), dgp["n"])
+    spec = HulcSpec(HULC["alpha"], HULC["seed"])
+    for j, row in enumerate(rows):
+        lower = hulc_ci(data, lambda d: _route_sides(method, d, grid)[0][j], spec)
+        upper = hulc_ci(data, lambda d: _route_sides(method, d, grid)[1][j], spec)
+        # .17g round-trips a double, so each CSV cell is the value itself
+        assert (row[3], row[4]) == (lower.low, upper.high)
 
 
 def test_bounds_wald_needs_variance_method(tmp_path, capsys):
@@ -657,6 +687,26 @@ def test_interval_config_errors_come_before_any_fit(tmp_path, capsys, config, me
         fits = [stack.enter_context(_counting(*fit)) for fit in NUISANCE_FITS]
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path), "--workers", "1"]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert [fit.call_count for fit in fits] == [0] * len(NUISANCE_FITS)
+
+
+@pytest.mark.parametrize("where", ["file", "env"])
+def test_overflowing_number_in_config_exits_2_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                             where):
+    # 1e400 parses as inf: it passed the schema, reached the rank rules and
+    # exited 2 through the catch-all with "cannot convert float NaN to integer"
+    text = json.dumps({**bounds_config(grid=[1.0, 2.5]), "nuisance": FOLDS})
+    if where == "file":
+        assert text.count("[1.0, 2.5]") == 1
+        text = text.replace("[1.0, 2.5]", "[1.0, 1e400]")
+    else:
+        monkeypatch.setenv("MSMBOUNDS_SENSITIVITY__GRID", "[1, 1e400]")
+    (tmp_path / "c.json").write_text(text)
+    with contextlib.ExitStack() as stack:
+        fits = [stack.enter_context(_counting(*fit)) for fit in NUISANCE_FITS]
+        assert main(["bounds", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path),
+                     "--workers", "1"]) == 2
+    assert "config error: config holds the non-finite number 1e400" in capsys.readouterr().err
     assert [fit.call_count for fit in fits] == [0] * len(NUISANCE_FITS)
 
 

@@ -13,11 +13,7 @@ from msmbounds.gamma import (
     conditional_quantile_beta_bounds,
     marginal_quantile_beta_bounds,
 )
-from msmbounds.homotopy import (
-    bound_derivative,
-    coordinate_ascent_bounds,
-    homotopy_bounds,
-)
+from msmbounds.homotopy import coordinate_ascent_bounds, homotopy_bounds
 from msmbounds.msm import custom_msm, intercept_msm, linear_msm
 from msmbounds.nuisance import NuisanceConfig, SelfFit
 from msmbounds.oracles import oracle_exhaustive_beta_bound
@@ -36,7 +32,7 @@ def test_exact_derivative_intercept_hand_value():
     data = _data(n=20)
     w = np.ones(20)
     beta = np.array([data.y.mean()])
-    d = bound_derivative(data, intercept_msm(), beta, w, coord=0)
+    d = gamma_module._derivative(intercept_msm(), data.a, data.y, w, 0, beta)[2]
     np.testing.assert_allclose(d, data.y - data.y.mean(), atol=1e-12)
 
 
@@ -49,7 +45,7 @@ def test_exact_derivative_matches_finite_differences():
     model = linear_msm()
     b = model.basis_matrix(data.a)
     beta = _beta_of_v(b, data.y, w, v)
-    d = bound_derivative(data, model, beta, w, coord=1, v=v, flavor="exact")
+    d = gamma_module._derivative(model, data.a, data.y, w, 1, beta, v)[2]
     eps = 1e-6
     for i in range(n):
         vp, vm = v.copy(), v.copy()
@@ -65,13 +61,11 @@ def test_linearized_derivative_is_leverage_times_outcome():
     w = np.linspace(0.5, 2.0, 30)
     model = linear_msm()
     b = model.basis_matrix(data.a)
-    beta = _beta_of_v(b, data.y, w, np.ones(30))
-    d = bound_derivative(data, model, beta, w, coord=1, flavor="linearized")
+    transfer, offset = gamma_module._coordinate_transfer(data, model, w, coord=1)
     m = (b * w[:, None]).T @ b / 30
     t = b @ np.linalg.solve(m.T, [0.0, 1.0]) * w
-    np.testing.assert_allclose(d, t * data.y, atol=1e-12)
-    with pytest.raises(ValueError):
-        bound_derivative(data, model, beta, w, coord=1, flavor="cubic")
+    np.testing.assert_allclose(transfer * data.y, t * data.y, atol=1e-12)
+    assert offset == 0.0
 
 
 def _grid(gamma_end, step=0.1):

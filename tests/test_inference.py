@@ -2,22 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msmbounds.datagen import DgpSpec, generate
-from msmbounds.errors import DegenerateVariance, NegativeVariance, SubsampleTooSmall
-from msmbounds.inference import (
-    HulcSpec,
-    band_over_grid,
-    hulc_ci,
-    subsample_partition,
-    wald_ci,
+from msmbounds.errors import (
+    ConfigError,
+    DegenerateVariance,
+    NegativeVariance,
+    SubsampleTooSmall,
 )
-from msmbounds.results import (
-    BetaEstimate,
-    BoundCurve,
-    ConfidenceInterval,
-    HomotopyTrace,
-)
+from msmbounds.inference import HulcSpec, hulc_ci, subsample_partition, wald_ci
+from msmbounds.results import BetaEstimate, ConfidenceInterval, HomotopyTrace
 
 
 def test_subsample_count_from_alpha():
@@ -47,6 +43,33 @@ def test_partition_disjoint_exhaustive():
     assert any(not np.array_equal(b1, b2) for b1, b2 in zip(blocks, other))
 
 
+def _loop_partition(n, b, seed):
+    """The block loop that ``subsample_partition`` replaced: the reference."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    base = n // b
+    extra = n % b
+    blocks = []
+    start = 0
+    for i in range(b):
+        size = base + (1 if i < extra else 0)
+        blocks.append(np.sort(perm[start:start + size]))
+        start += size
+    return blocks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(b=st.sampled_from([2, 3, 6, 8]), data=st.data(),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_partition_matches_the_block_loop_bit_for_bit(b, data, seed):
+    n = data.draw(st.integers(min_value=b, max_value=400), label="n")
+    got = subsample_partition(n, b, seed)
+    want = _loop_partition(n, b, seed)
+    assert len(got) == len(want) == b
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_hulc_is_block_extremes():
     data = generate(DgpSpec("gauss-line", seed=0), 60)
     spec = HulcSpec(alpha=0.05, seed=11)
@@ -63,15 +86,17 @@ def test_hulc_is_block_extremes():
     assert ci.level == pytest.approx(0.95)
 
 
-def test_hulc_respects_estimator_min_n():
-    data = generate(DgpSpec("gauss-line", seed=1), 30)
-
-    def needs_ten(d):
+def test_hulc_needs_four_units_per_block():
+    def mean_outcome(d):
         return d.y.mean()
 
-    needs_ten.min_n = 10
-    with pytest.raises(SubsampleTooSmall):
-        hulc_ci(data, needs_ten)
+    spec = HulcSpec(alpha=0.05)
+    with pytest.raises(SubsampleTooSmall,
+                       match="^hulc needs at least 24 units for 6 subsamples, have 23$") as err:
+        hulc_ci(generate(DgpSpec("gauss-line", seed=1), 23), mean_outcome, spec)
+    assert isinstance(err.value, ConfigError)  # the CLI's exit 2
+    ci = hulc_ci(generate(DgpSpec("gauss-line", seed=1), 24), mean_outcome, spec)
+    assert ci.low <= ci.high
 
 
 def test_wald_hand_value():
@@ -117,38 +142,10 @@ def test_beta_estimate_validation():
         BetaEstimate(beta=[1.0, 2.0], covariance=[[1.0, 0.5], [0.0, 1.0]])
 
 
-def test_bound_curve_validation():
-    with pytest.raises(ValueError):
-        BoundCurve(grid=[1.0, 2.0], lower=[0.0, 1.0], upper=[0.0, 0.5],
-                   target="beta[0]")
-    with pytest.raises(ValueError):
-        BoundCurve(grid=[1.0, 2.0], lower=[0.0], upper=[0.0, 0.5],
-                   target="beta[0]")
-
-
-def test_band_over_grid_assembly():
-    cis_lo = [ConfidenceInterval(-1.0, 0.5, "hulc", 0.95),
-              ConfidenceInterval(-2.0, 0.6, "hulc", 0.95)]
-    cis_hi = [ConfidenceInterval(0.8, 2.0, "hulc", 0.95),
-              ConfidenceInterval(0.9, 3.0, "hulc", 0.95)]
-    band = band_over_grid([1.0, 2.0], [0.0, -0.1], [1.0, 1.5], "beta[1]",
-                          cis_lower=cis_lo, cis_upper=cis_hi,
-                          metadata={"gamma_grid": True})
-    np.testing.assert_allclose(band.ci_lower, [-1.0, -2.0])
-    np.testing.assert_allclose(band.ci_upper, [2.0, 3.0])
-    assert band.metadata["gamma_grid"]
-    solo = band_over_grid([1.0], [0.0], [1.0], "t", cis_lower=[cis_lo[0]])
-    np.testing.assert_allclose(solo.ci_upper, [0.5])
-
-
-def test_trace_width_and_curve_view():
+def test_trace_defaults_and_grid_validation():
     trace = HomotopyTrace(grid=[1.0, 2.0], lower=[0.0, -1.0],
                           upper=[0.0, 1.0], target="beta[0]")
-    np.testing.assert_allclose(trace.width(), [0.0, 2.0])
     assert np.all(trace.valid)
-    curve = trace.as_curve()
-    assert isinstance(curve, BoundCurve)
-    np.testing.assert_allclose(curve.lower, trace.lower)
     with pytest.raises(ValueError):
         HomotopyTrace(grid=[2.0, 1.0], lower=[0.0, 0.0],
                       upper=[0.0, 0.0], target="t")

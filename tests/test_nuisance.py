@@ -26,7 +26,6 @@ from msmbounds.nuisance import (
     fixed_weight_nuisances,
     fit_outcome,
     fit_propensity,
-    stabilized_weights,
 )
 
 
@@ -226,13 +225,6 @@ def test_crossfit_weights_flavors():
         marg[m] = stab.bundles[f].propensity.marginal_density(data.a[m])
     np.testing.assert_allclose(stab.weights, marg * unstab.weights, rtol=1e-10)
     assert np.all(stab.weights > 0)
-
-
-def test_stabilized_weights_entry_point():
-    data = _noisy_linear()
-    w1 = stabilized_weights(data, seed=5)
-    w2 = CrossFit(data, seed=5).weights
-    np.testing.assert_array_equal(w1, w2)
 
 
 def test_selffit_matches_full_sample_fits():
