@@ -391,7 +391,8 @@ def _pair_moment_sides(model, a, phis):
     h = model.features(a)
 
     def solve(target):
-        beta = solve_moment(model, a, target)
+        # a linear model's features are its basis, so h serves as the basis
+        beta = solve_moment(model, a, target, h=h)
         grad = model.basis_matrix(a) if model.linear else model.grad(a, beta)
         return beta, model.predict(a, beta), h.T @ grad / a.size
 

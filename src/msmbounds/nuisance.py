@@ -3,7 +3,8 @@
 All fitters are deterministic given the training rows. The cross-fitting
 wrapper hands every unit an evaluator trained on the other folds, and the
 per-(gamma, side) clipped-outcome regressions are cached so a whole gamma
-grid reuses one set of fold fits.
+grid reuses one set of fold fits. A bundle's training rows and a fold's
+scored rows each build their design once (``_Rows``).
 
 Discrete-support (a, x) cells are one integer label per row (``cell_labels``),
 and the empirical quantiles index into y sorted by (cell, y).
@@ -18,6 +19,7 @@ from .data import FoldAssignment, split_folds
 from .errors import (
     BadTau,
     ConfigError,
+    DataError,
     DegenerateVariance,
     SingularDesign,
     TooManyLevels,
@@ -75,6 +77,39 @@ def _poly_design(a, x, degree):
     return np.column_stack([np.ones_like(a), *(a ** p for p in range(1, degree + 1)), *x.T])
 
 
+class _Rows:
+    """(a, x) rows, with y for training rows, and their ``_poly_design`` of each
+    degree, built on first read: a bundle's training rows and a fold's scored
+    rows are built once, and every fit on them and every evaluation at them
+    reads the same designs. The designs are never written to."""
+
+    def __init__(self, a, x, y=None):
+        self.a, self.x, self.y = a, x, y
+        self._designs = {}
+
+    def design(self, degree):
+        if degree not in self._designs:
+            self._designs[degree] = _poly_design(self.a, self.x, degree)
+        return self._designs[degree]
+
+
+def _rows_of(data):
+    """A dataset's rows as ``_Rows``; a bundle's training ``_Rows`` are their own."""
+    return data if isinstance(data, _Rows) else _Rows(data.a, data.x, data.y)
+
+
+class _RowsFit:
+    """A fit trained on ``_Rows`` by ``_fit(rows, y, *args)``. The public
+    constructors take (a, x, y) arrays; ``_of_rows`` trains on ``_Rows`` that
+    other fits and evaluations share."""
+
+    @classmethod
+    def _of_rows(cls, rows, y, *args):
+        fit = cls.__new__(cls)
+        fit._fit(rows, np.asarray(y, dtype=float).ravel(), *args)
+        return fit
+
+
 def _lstsq(design, y):
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
@@ -84,37 +119,51 @@ def _lstsq(design, y):
     return coef
 
 
-class LinearOutcomeFit:
+class LinearOutcomeFit(_RowsFit):
     """Polynomial-in-treatment, linear-in-covariates least squares regression."""
 
     def __init__(self, a, x, y, degree=1):
+        self._fit(_Rows(a, x), np.asarray(y, dtype=float).ravel(), degree)
+
+    def _fit(self, rows, y, degree):
         self.degree = int(degree)
-        design = _poly_design(a, x, self.degree)
-        self.coef = _lstsq(design, np.asarray(y, dtype=float).ravel())
+        self.coef = _lstsq(rows.design(self.degree), y)
 
     def __call__(self, a, x):
-        return _poly_design(a, x, self.degree) @ self.coef
+        return self._at(_Rows(a, x))
 
-    def additive_parts(self, a):
-        """(g, c) with fit(a_i, x) = g_i + x^T c: the treatment part of the design
-        at each a_i times its coefficients, and the covariate coefficients."""
+    def _at(self, rows):
+        return rows.design(self.degree) @ self.coef
+
+    def _additive_parts(self, rows):
+        """(g, c) with fit(a_i, x) = g_i + x^T c at the ``_Rows`` ``rows``: the
+        treatment part of their design times its coefficients, and the covariate
+        coefficients."""
         k = self.degree + 1
-        return _poly_design(a, np.empty((len(a), 0)), self.degree) @ self.coef[:k], self.coef[k:]
+        # a contiguous copy, so the product cannot depend on how BLAS reads a strided view
+        treatment = np.ascontiguousarray(rows.design(self.degree)[:, :k])
+        return treatment @ self.coef[:k], self.coef[k:]
 
 
-class KernelOutcomeFit:
+class KernelOutcomeFit(_RowsFit):
     """Nadaraya-Watson regression with a Gaussian product kernel."""
 
     def __init__(self, a, x, y, bandwidth_scale=1.0):
-        self.train = _poly_design(a, x, 1)[:, 1:]
-        self.y = np.asarray(y, dtype=float).ravel()
+        self._fit(_Rows(a, x), np.asarray(y, dtype=float).ravel(), bandwidth_scale)
+
+    def _fit(self, rows, y, bandwidth_scale):
+        self.train = rows.design(1)[:, 1:]
+        self.y = y
         n = self.train.shape[0]
         sd = self.train.std(axis=0)
         sd = np.where(sd < 1e-12, 1.0, sd)
         self.bandwidth = 1.06 * sd * n ** (-0.2) * float(bandwidth_scale)
 
     def __call__(self, a, x):
-        probe = _poly_design(a, x, 1)[:, 1:]
+        return self._at(_Rows(a, x))
+
+    def _at(self, rows):
+        probe = rows.design(1)[:, 1:]
         out = np.empty(probe.shape[0])
         for start in range(0, probe.shape[0], 512):
             block = probe[start:start + 512]
@@ -275,28 +324,29 @@ def _independent_columns(design):
 def _nonsingular_rows(design, order, norms):
     """p rows of the n x p full-rank ``design`` that form a nonsingular square
     matrix, each the first row in ``order`` outside the span of those before it.
-    ``norms`` are the rows' norms. The rows are projected one at a time, so
-    the walk stops at the p-th pick."""
+    ``norms`` are the rows' norms. The rows are projected one at a time onto
+    the orthonormal rows picked so far, so the walk stops at the p-th pick."""
     p = design.shape[1]
-    basis, picked = np.empty((0, p)), []
+    basis, picked = np.empty((p, p)), []
     for i in order:
-        resid = design[i] - (basis @ design[i]) @ basis
-        norm = np.linalg.norm(resid)
+        row, done = design[i], basis[:len(picked)]
+        resid = row - (done @ row) @ done
+        norm = math.sqrt(resid.dot(resid))
         if norm > 1e-9 * norms[i]:
+            if len(picked) == p - 1:
+                return np.array(picked + [i])
+            basis[len(picked)] = resid / norm
             picked.append(i)
-            if len(picked) == p:
-                return np.array(picked)
-            basis = np.vstack([basis, resid / norm])
     raise SingularDesign("quantile design has no nonsingular row basis")
 
 
-def _vertex_residuals(design, y, basis, tol):
-    """beta = X_h^-1 y_h and its residuals, those of the basis rows and those
-    within ``tol`` of 0 set to exactly 0."""
-    beta = np.linalg.solve(design[basis], y[basis])
+def _vertex_residuals(design, y, basis, square, tol):
+    """beta = X_h^-1 y_h, ``square`` being X_h, and its residuals, those of the
+    basis rows and those within ``tol`` of 0 set to exactly 0."""
+    beta = np.linalg.solve(square, y[basis])
     r = y - design @ beta
     r[basis] = 0.0
-    r[np.abs(r) <= tol] = 0.0
+    r[abs(r) <= tol] = 0.0
     return beta, r
 
 
@@ -305,6 +355,26 @@ def _vertex_setup(design, y):
     sorted and in row order, the row norms and the zero-residual tolerance."""
     resid = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
     return np.sort(resid), resid, np.linalg.norm(design, axis=1), 1e-12 * np.abs(y).max()
+
+
+def _sorted_quantile(ordered, tau):
+    """``np.quantile(ordered, tau)`` of the sorted ``ordered``, tau in [0, 1], by
+    numpy's own operations: the virtual index (n - 1) tau, its floor (the last
+    entry at or past n - 1) and the lerp, from the upper neighbour when t >= 0.5."""
+    index = (ordered.size - 1) * tau
+    below = -1 if index >= ordered.size - 1 else math.floor(index)
+    t = index - below
+    low = ordered.item(below)
+    high = ordered.item(-1 if below == -1 else below + 1)
+    diff = high - low
+    return high - diff * (1 - t) if t >= 0.5 else low + diff * t
+
+
+def _norm(vector):
+    """``np.linalg.norm`` of a 1-d array: the root of the dot product of its
+    contiguous copy (a strided dot sums in another order)."""
+    flat = vector.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def _quantile_vertex(design, y, tau, setup=None):
@@ -326,70 +396,87 @@ def _quantile_vertex(design, y, tau, setup=None):
     lowest-indexed basis row leaves, to the first kink, lowest index first. So
     degenerate data (noiseless lines, tied y, discrete cells) cannot cycle.
     ``setup`` is ``_vertex_setup(design, y)``, which fits of several taus share.
+    Each pivot makes one inverse and one solve; the rest is elementwise work
+    on arrays, with the loop's invariants hoisted.
     """
     p = design.shape[1]
     ordered, resid, norms, tol = _vertex_setup(design, y) if setup is None else setup
-    start = np.argsort(np.abs(resid - np.quantile(ordered, tau)), kind="stable")
+    start = abs(resid - _sorted_quantile(ordered, tau)).argsort(kind="stable")
     basis = _nonsingular_rows(design, start, norms)
-    beta, r = _vertex_residuals(design, y, basis, tol)
+    square = design[basis]
+    beta, r = _vertex_residuals(design, y, basis, square, tol)
     above = r > 0
     bland = False
+    design_t, low, high, tiny = design.T, tau - 1.0, 1.0 - tau, 1e-10 * norms
     while True:
-        inv = np.linalg.inv(design[basis])
-        a = np.where(above, tau, tau - 1.0)
+        inv = np.linalg.inv(square)
+        a = np.where(above, tau, low)
         a[basis] = 0.0
-        u = inv.T @ (design.T @ a)
+        u = inv.T @ (design_t @ a)
         # the loss's slope along +/- column k of X_h^-1, which moves row h_k below / above
-        slopes = np.concatenate([(1.0 - tau) - u, tau + u])
-        descent = np.flatnonzero(slopes < -1e-10)
+        slopes = np.concatenate([high - u, tau + u])
+        descent = (slopes < -1e-10).nonzero()[0]
         if not descent.size:
             return beta
         if bland:
-            edge = descent[np.argmin(basis[descent % p])]
+            edge = descent[basis[descent % p].argmin()]
         else:
-            edge = descent[np.argmin(slopes[descent])]
+            edge = descent[slopes[descent].argmin()]
         k = edge % p
         step = inv[:, k] if edge < p else -inv[:, k]
         z = design @ step
         # rows in the span of the other basis rows do not move: z is rounding there
-        z[np.abs(z) <= 1e-10 * norms * np.linalg.norm(step)] = 0.0
+        z[abs(z) <= tiny * _norm(step)] = 0.0
         z[basis] = 0.0
-        kinks = np.flatnonzero(np.where(above, z > 0, z < 0))
-        t = np.maximum(r[kinks] / z[kinks], 0.0)
-        at = np.lexsort((kinks, t))
-        rising = slopes[edge] + np.cumsum(np.abs(z[kinks[at]]))
+        kinks = np.where(above, z > 0, z < 0).nonzero()[0]
+        moves = z[kinks]
+        t = np.maximum(r[kinks] / moves, 0.0)
+        # kinks ascend, so the stable order of t breaks ties by row index
+        at = t.argsort(kind="stable")
+        rising = slopes[edge] + abs(moves[at]).cumsum()
         if not rising.size or rising[-1] < 0:
             raise SingularDesign(f"quantile loss is unbounded at tau={tau}")
-        stop = 0 if bland else int(np.argmax(rising >= 0))
+        stop = 0 if bland else int((rising >= 0).argmax())
         above[kinks[at[:stop]]] ^= True
         above[basis[k]] = edge >= p
         basis[k] = kinks[at[stop]]
         bland = t[at[stop]] == 0.0
-        beta, r = _vertex_residuals(design, y, basis, tol)
+        square = design[basis]
+        beta, r = _vertex_residuals(design, y, basis, square, tol)
         above = np.where(r != 0, r > 0, above)
 
 
-class PinballQuantileFit:
+class PinballQuantileFit(_RowsFit):
     """Linear-in-features conditional quantiles: exact pinball-loss minimizers.
 
     Each tau is fit by ``_quantile_vertex`` on a linearly independent subset of
     the design's columns (the others get coefficient 0), so its fit
     interpolates p training rows; evaluated at those rows it returns their y
     up to rounding. The column subset and the ``_vertex_setup`` that every tau
-    shares are made once, on the first fit. Fits are cached per tau; joint
-    evaluation sorts across the tau axis so requested quantile curves never cross.
+    shares are made once, on the first fit, after a check that y and the
+    design are finite (an infinite y would make the zero tolerance infinite
+    and the walk cycle). Fits are cached per tau; joint evaluation sorts
+    across the tau axis so requested quantile curves never cross.
     """
 
     def __init__(self, a, x, y, degree=1):
+        self._fit(_Rows(a, x), np.asarray(y, dtype=float).ravel(), degree)
+
+    def _fit(self, rows, y, degree):
         self.degree = int(degree)
-        self._design = _poly_design(a, x, self.degree)
-        self._y = np.asarray(y, dtype=float).ravel()
+        self._design = rows.design(self.degree)
+        self._y = y
         self._coefs = {}
         self._shared = None
 
     def _tau_free(self):
         """(columns, their design, its ``_vertex_setup``), made on the first call."""
         if self._shared is None:
+            bad_y = np.count_nonzero(~np.isfinite(self._y))
+            bad_design = np.count_nonzero(~np.isfinite(self._design))
+            if bad_y or bad_design:
+                raise DataError(f"pinball quantile fit needs finite data: {bad_y} non-finite "
+                                f"in y, {bad_design} in the design")
             cols = _independent_columns(self._design)
             design = self._design[:, cols]
             self._shared = cols, design, _vertex_setup(design, self._y)
@@ -411,7 +498,10 @@ class PinballQuantileFit:
 
     def evaluate_many(self, taus, a, x):
         """Quantiles at each tau for each (a, x) row, sorted so they never cross."""
-        design = _poly_design(a, x, self.degree)
+        return self._many_at(taus, _Rows(a, x))
+
+    def _many_at(self, taus, rows):
+        design = rows.design(self.degree)
         return _uncrossed(np.column_stack([design @ self.coef(t) for t in taus]), taus)
 
     def evaluate(self, tau, a, x):
@@ -438,7 +528,7 @@ def cell_labels(a, x):
     return _row_labels(_cell_rows(a, x))
 
 
-class EmpiricalQuantileFit:
+class EmpiricalQuantileFit(_RowsFit):
     """Per-(a, x)-cell type-1 empirical quantiles for discrete-support data.
 
     y is kept sorted by (cell, y), then the pooled sample as one more cell
@@ -446,18 +536,22 @@ class EmpiricalQuantileFit:
     """
 
     def __init__(self, a, x, y):
-        y = np.asarray(y, dtype=float).ravel()
-        rows = _cell_rows(a, x)
-        labels = _row_labels(rows)
-        self._keys = rows[np.unique(labels, return_index=True)[1]]
+        self._fit(_Rows(a, x), np.asarray(y, dtype=float).ravel())
+
+    def _fit(self, rows, y):
+        cells = _cell_rows(rows.a, rows.x)
+        labels = _row_labels(cells)
+        self._keys = cells[np.unique(labels, return_index=True)[1]]
         self._sorted = np.concatenate([y[np.lexsort((y, labels))], np.sort(y)])
         self._sizes = np.append(np.bincount(labels), y.size)
         self._starts = np.cumsum(self._sizes) - self._sizes
 
     def evaluate_many(self, taus, a, x):
+        return self._many_at(taus, _Rows(a, x))
+
+    def _many_at(self, taus, rows):
         k = len(self._keys)
-        rows = np.concatenate([self._keys, _cell_rows(a, x)])
-        joint = _row_labels(rows)
+        joint = _row_labels(np.concatenate([self._keys, _cell_rows(rows.a, rows.x)]))
         cell_of_joint = np.full(joint.max() + 1, k)
         cell_of_joint[joint[:k]] = np.arange(k)
         cell = cell_of_joint[joint[k:]]
@@ -474,16 +568,17 @@ class EmpiricalQuantileFit:
         return self.evaluate_many([tau], a, x)[:, 0]
 
 
-def _outcome_fit(a, x, y, config):
-    """The configured regression of y on (a, x): least squares or Nadaraya-Watson."""
+def _outcome_fit(rows, y, config):
+    """The configured regression of y on the (a, x) ``_Rows``: least squares or
+    Nadaraya-Watson."""
     if config.outcome_method == "linear":
-        return LinearOutcomeFit(a, x, y, degree=config.outcome_degree)
-    return KernelOutcomeFit(a, x, y, bandwidth_scale=config.bandwidth_scale)
+        return LinearOutcomeFit._of_rows(rows, y, config.outcome_degree)
+    return KernelOutcomeFit._of_rows(rows, y, config.bandwidth_scale)
 
 
 def fit_outcome(data, config=None):
     """Fit the conditional-mean regression E[Y | A, X] on a dataset."""
-    return _outcome_fit(data.a, data.x, data.y, config or NuisanceConfig())
+    return _outcome_fit(_rows_of(data), data.y, config or NuisanceConfig())
 
 
 def fit_propensity(data, config=None):
@@ -498,8 +593,8 @@ def fit_quantile(data, config=None):
     """Fit the conditional-quantile model for Y | A, X."""
     config = config or NuisanceConfig()
     if config.quantile_method == "pinball":
-        return PinballQuantileFit(data.a, data.x, data.y, degree=config.quantile_degree)
-    return EmpiricalQuantileFit(data.a, data.x, data.y)
+        return PinballQuantileFit._of_rows(_rows_of(data), data.y, config.quantile_degree)
+    return EmpiricalQuantileFit._of_rows(_rows_of(data), data.y)
 
 
 def clipped_pseudo_outcome(y, q_low, q_high, gamma, side):
@@ -524,7 +619,8 @@ def clipped_pseudo_outcome(y, q_low, q_high, gamma, side):
 
 
 class _Bundle:
-    """Nuisance fits trained on one training subset, evaluated anywhere."""
+    """Nuisance fits trained on one training subset, evaluated anywhere. Every
+    fit trains on the ``_Rows`` ``train``, so they share its designs."""
 
     def __init__(self, data, train_idx, config):
         """``train_idx`` None trains on ``data`` itself, with no copy."""
@@ -535,23 +631,23 @@ class _Bundle:
         else:
             self.train_idx = np.asarray(train_idx)
             sub = data.take(self.train_idx)
-        self._train_data = sub
+        self.train = _Rows(sub.a, sub.x, sub.y)
         self.propensity = fit_propensity(sub, config)
         self._outcome = self._quantile = None
-        self._kappa = {}
+        self._kappa, self._train_pairs = {}, {}
 
     @property
     def outcome(self):
         """mu-hat, fitted on first read: the rank rules never read it."""
         if self._outcome is None:
-            self._outcome = fit_outcome(self._train_data, self.config)
+            self._outcome = fit_outcome(self.train, self.config)
         return self._outcome
 
     @property
     def quantile(self):
         """The conditional-quantile model, fitted on first read."""
         if self._quantile is None:
-            self._quantile = fit_quantile(self._train_data, self.config)
+            self._quantile = fit_quantile(self.train, self.config)
         return self._quantile
 
     def weight(self, a, x):
@@ -560,24 +656,26 @@ class _Bundle:
             return self.propensity.marginal_density(a) / cond
         return 1.0 / cond
 
-    def quantile_pair(self, gamma, a, x):
+    def quantile_pair(self, gamma, rows):
+        """(q_low, q_high) at the ``_Rows`` ``rows``."""
         tau_l = 1.0 / (1.0 + gamma)
         tau_u = gamma / (1.0 + gamma)
-        q = self.quantile.evaluate_many([tau_l, tau_u], a, x)
+        q = self.quantile._many_at([tau_l, tau_u], rows)
         return q[:, 0], q[:, 1]
 
     def regression(self, gamma=None, side=None):
         """The outcome regression mu-hat, or with (gamma, side) kappa-hat: the
         regression of the clipped pseudo-outcome on (A, X), cached per (gamma, side).
-        At gamma = 1 the box is {1}, the pseudo-outcome is y and kappa-hat is mu-hat."""
+        At gamma = 1 the box is {1}, the pseudo-outcome is y and kappa-hat is mu-hat.
+        Both sides read one quantile pair at the training rows per gamma."""
         if gamma is None or _gamma_key(gamma) == 1.0:
             return self.outcome
         key = (_gamma_key(gamma), side)
         if key not in self._kappa:
-            sub = self._train_data
-            q_low, q_high = self.quantile_pair(gamma, sub.a, sub.x)
-            s = clipped_pseudo_outcome(sub.y, q_low, q_high, gamma, side)
-            self._kappa[key] = _outcome_fit(sub.a, sub.x, s, self.config)
+            if key[0] not in self._train_pairs:
+                self._train_pairs[key[0]] = self.quantile_pair(gamma, self.train)
+            s = clipped_pseudo_outcome(self.train.y, *self._train_pairs[key[0]], gamma, side)
+            self._kappa[key] = _outcome_fit(self.train, s, self.config)
         return self._kappa[key]
 
 
@@ -604,7 +702,10 @@ class CrossFit:
       ``mu_row``. The subset kernel always reads the rows.
 
     mu-hat and kappa-hat are ``_Bundle.regression``, read at each unit's own
-    point by ``_own`` and along a row by ``_row``. ``_FixedNuisances`` is the
+    point by ``_own`` and along a row by ``_row``. Each fold's scored rows are
+    one ``_Rows`` (``_scored_rows``), so every evaluation at them reads one
+    design. The weights slice (a, x) afresh and keep nothing: they are all
+    the rank rules read, at up to 100,000 units. ``_FixedNuisances`` is the
     weights-only implementation.
     """
 
@@ -634,20 +735,30 @@ class CrossFit:
     def bundle_for(self, i):
         return self.bundles[self.assignment.fold_of_unit[i]]
 
+    def _scored_rows(self, f):
+        """Fold f's scored units as ``_Rows``, made on first read."""
+        units = self._scored[f]
+        return self._cached(("rows", f), lambda: _Rows(self.data.a[units], self.data.x[units]))
+
+    def _covariates(self):
+        """[1, X] over all units: the R factor of ``_pair_phi``."""
+        return self._cached("covariates", lambda: _poly_design(self.data.a, self.data.x, 0))
+
     def _per_unit(self, fn):
+        """fn(f, units) for each fold f, placed at the fold's scored units."""
         if len(self.bundles) == 1:
             # one bundle scores every unit, in index order
-            return fn(self.bundles[0], self._scored[0])
+            return fn(0, self._scored[0])
         out = np.empty(self.data.n)
-        for bundle, units in zip(self.bundles, self._scored):
-            out[units] = fn(bundle, units)
+        for f, units in enumerate(self._scored):
+            out[units] = fn(f, units)
         return out
 
     def _own(self, gamma=None, side=None, a0=None):
         """A regression at each unit's (a_i, x_i), or (a0, x_i), from its own bundle."""
-        def evaluate(bundle, units):
-            a = self.data.a[units] if a0 is None else np.full(units.size, float(a0))
-            return bundle.regression(gamma, side)(a, self.data.x[units])
+        def evaluate(f, units):
+            fit, rows = self.bundles[f].regression(gamma, side), self._scored_rows(f)
+            return fit._at(rows) if a0 is None else fit(np.full(units.size, float(a0)), rows.x)
 
         return self._per_unit(evaluate)
 
@@ -659,7 +770,7 @@ class CrossFit:
     @property
     def weights(self):
         return self._cached("weights", lambda: self._per_unit(
-            lambda b, m: b.weight(self.data.a[m], self.data.x[m])))
+            lambda f, m: self.bundles[f].weight(self.data.a[m], self.data.x[m])))
 
     @property
     def mu_units(self):
@@ -676,11 +787,9 @@ class CrossFit:
     def quantile_units(self, gamma):
         """(q_low, q_high) at each unit's own (a_i, x_i), out of fold."""
         def compute():
-            pairs = {
-                b: b.quantile_pair(gamma, self.data.a[m], self.data.x[m])
-                for b, m in zip(self.bundles, self._scored)
-            }
-            return tuple(self._per_unit(lambda b, m, k=k: pairs[b][k]) for k in (0, 1))
+            pairs = [b.quantile_pair(gamma, self._scored_rows(f))
+                     for f, b in enumerate(self.bundles)]
+            return tuple(self._per_unit(lambda f, m, k=k: pairs[f][k]) for k in (0, 1))
 
         return self._cached(("quantile", _gamma_key(gamma)), compute)
 
@@ -692,7 +801,9 @@ class CrossFit:
             self.data.y, *self.quantile_units(gamma), gamma, side))
 
     def kappa_units(self, gamma, side):
-        """kappa-hat at each unit's own (a_i, x_i), out of fold."""
+        """kappa-hat at each unit's own (a_i, x_i), out of fold: mu-hat at gamma = 1."""
+        if _gamma_key(gamma) == 1.0:
+            return self.mu_units
         return self._cached(("kappa", _gamma_key(gamma), side), lambda: self._own(gamma, side))
 
     def kappa_row(self, gamma, side, i):
@@ -717,13 +828,15 @@ class CrossFit:
         def compute():
             g = np.empty(self.data.n)
             c = np.empty(self.data.x.shape)
-            for bundle, units in zip(self.bundles, self._scored):
-                g[units], c[units] = bundle.regression(gamma, side).additive_parts(
-                    self.data.a[units])
+            for f, (bundle, units) in enumerate(zip(self.bundles, self._scored)):
+                g[units], c[units] = bundle.regression(gamma, side)._additive_parts(
+                    self._scored_rows(f))
             return g, c
 
-        key = None if gamma is None else _gamma_key(gamma)
-        return self._cached(("additive", key, side), compute)
+        if gamma is None or _gamma_key(gamma) == 1.0:
+            # mu-hat, whichever side
+            return self._cached(("additive", None, None), compute)
+        return self._cached(("additive", _gamma_key(gamma), side), compute)
 
 
 class SelfFit(CrossFit):
@@ -742,6 +855,10 @@ class SelfFit(CrossFit):
     def _splits(self, seed):
         # the one bundle trains on the dataset itself
         return [(None, np.arange(self.data.n))]
+
+    def _scored_rows(self, f):
+        # the units are scored in index order, so the scored rows are the training rows
+        return self.bundles[0].train
 
 
 class _FixedNuisances:
@@ -780,7 +897,7 @@ def _pair_phi(nuisances, u, gamma=None, side=None):
             return lambda i: u[i] + nuisances.mu_row(i)
         return lambda i: u[i] + nuisances.kappa_row(gamma, side, i)
     g, c = parts
-    return np.column_stack([u + g, c]), _poly_design(nuisances.data.a, nuisances.data.x, 0)
+    return np.column_stack([u + g, c]), nuisances._covariates()
 
 
 def fixed_weight_nuisances(data, weights):

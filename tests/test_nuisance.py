@@ -1,8 +1,11 @@
 """Nuisance fitters: exact recovery, quantile conventions, fold hygiene."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from msmbounds import nuisance
 from msmbounds.data import Dataset
 from msmbounds.errors import (
     BadTau,
@@ -10,8 +13,8 @@ from msmbounds.errors import (
     DegenerateVariance,
     TooManyLevels,
 )
-from msmbounds.gamma import GammaSpec, conditional_quantile_beta_bounds
-from msmbounds.msm import intercept_msm
+from msmbounds.gamma import GammaSpec, conditional_quantile_beta_bounds, fit_parametric_bounds
+from msmbounds.msm import intercept_msm, linear_msm
 from msmbounds.nuisance import (
     CrossFit,
     DiscretePropensity,
@@ -193,7 +196,8 @@ def test_selffit_trains_on_the_dataset_without_a_copy(monkeypatch):
     data = _noisy_linear(n=60)
     monkeypatch.setattr(Dataset, "take", lambda *args: pytest.fail("copied the dataset"))
     cf = SelfFit(data)
-    assert cf.bundles[0]._train_data is data
+    train = cf.bundles[0].train
+    assert train.a is data.a and train.x is data.x and train.y is data.y
     np.testing.assert_array_equal(cf.bundles[0].train_idx, np.arange(data.n))
 
 
@@ -203,7 +207,8 @@ def test_quantile_units_evaluates_each_bundle_once(monkeypatch, folds):
     cf = SelfFit(data) if folds == 1 else CrossFit(data, NuisanceConfig(folds=folds), seed=2)
     want_low, want_high = np.empty(data.n), np.empty(data.n)
     for b, units in zip(cf.bundles, cf._scored):
-        want_low[units], want_high[units] = b.quantile_pair(1.7, data.a[units], data.x[units])
+        want_low[units], want_high[units] = b.quantile_pair(
+            1.7, nuisance._Rows(data.a[units], data.x[units]))
     calls = []
     quantile_pair = type(cf.bundles[0]).quantile_pair
     monkeypatch.setattr(type(cf.bundles[0]), "quantile_pair",
@@ -212,6 +217,23 @@ def test_quantile_units_evaluates_each_bundle_once(monkeypatch, folds):
     assert len(calls) == folds
     assert q_low.tobytes() == want_low.tobytes()
     assert q_high.tobytes() == want_high.tobytes()
+
+
+def test_each_fold_builds_its_designs_once():
+    data = _noisy_linear(n=120)
+    with mock.patch.object(nuisance, "_poly_design", wraps=nuisance._poly_design) as designs, \
+            mock.patch.object(nuisance._Bundle, "quantile_pair", autospec=True,
+                              side_effect=nuisance._Bundle.quantile_pair) as pairs:
+        cf = CrossFit(data, NuisanceConfig(folds=2), seed=4)
+        for gamma in (1.0, 1.5, 2.0, 3.0):
+            fit_parametric_bounds(data, linear_msm(), cf, GammaSpec(gamma))
+    # a propensity fit and its densities per bundle (4), one training design per
+    # bundle and one scored design per fold (4), and [1, X] (1); this was 78
+    assert designs.call_count <= 12
+    at_training_rows = [(id(bundle), gamma) for bundle, gamma, rows
+                        in (call.args for call in pairs.call_args_list) if rows is bundle.train]
+    assert sorted(at_training_rows) == sorted(
+        (id(bundle), gamma) for bundle in cf.bundles for gamma in (1.5, 2.0, 3.0))
 
 
 def test_crossfit_weights_flavors():

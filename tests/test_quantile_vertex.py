@@ -20,8 +20,13 @@ from hypothesis import strategies as st
 
 from msmbounds import nuisance
 from msmbounds.datagen import DgpSpec, generate, registry
-from msmbounds.errors import SingularDesign
-from msmbounds.nuisance import PinballQuantileFit, _poly_design, _quantile_vertex
+from msmbounds.errors import DataError, SingularDesign
+from msmbounds.nuisance import (
+    PinballQuantileFit,
+    _poly_design,
+    _quantile_vertex,
+    _sorted_quantile,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 TAUS = (0.25, 1 / 3, 0.4, 0.5, 0.6, 2 / 3, 0.75)
@@ -303,3 +308,61 @@ def test_tau_free_work_runs_once_per_fit_and_not_before_the_first():
         assert columns.call_count == lstsq.call_count == 1
         PinballQuantileFit(a, x, y).coef(0.5)
         assert columns.call_count == lstsq.call_count == 2
+
+
+@pytest.mark.parametrize("column,value", [("y", np.inf), ("y", -np.inf), ("y", np.nan),
+                                          ("a", np.nan)], ids=["+inf-y", "-inf-y", "nan-y", "nan-a"])
+def test_non_finite_data_is_a_data_error_before_the_walk(column, value):
+    # +inf in y made the zero tolerance inf and the walk cycle, -inf did not end
+    # either, NaN in y gave finite coefficients and NaN in a an untyped LinAlgError
+    rng = np.random.default_rng(6)
+    a, x = rng.standard_normal(50), rng.standard_normal((50, 1))
+    y = a + x[:, 0] + rng.standard_normal(50)
+    {"a": a, "y": y}[column][7] = value
+    counts = "1 non-finite in y, 0 in the design" if column == "y" else \
+        "0 non-finite in y, 1 in the design"
+    with mock.patch.object(nuisance, "_independent_columns",
+                           wraps=nuisance._independent_columns) as columns, \
+            mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        fit = PinballQuantileFit(a, x, y)
+        with pytest.raises(DataError, match=counts):
+            fit.coef(0.5)
+    assert columns.call_count == lstsq.call_count == 0
+
+
+@st.composite
+def sorted_samples(draw):
+    """Sorted samples of n from 1 to 500 (some with n - 1 a power of two, where
+    a virtual index k + 1/2 is exact), continuous, tied or of +-0.0 and +-1, and a
+    tau among k / (n - 1), (k + 1/2) / (n - 1) and uniform draws in [0, 1]."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 500))
+    else:
+        n = 2 ** draw(st.integers(0, 8)) + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["continuous", "tied", "signed-zeros", "wide"]))
+    if kind == "continuous":
+        values = rng.standard_normal(n)
+    elif kind == "tied":
+        values = rng.integers(-2, 3, n).astype(float)
+    elif kind == "signed-zeros":
+        values = rng.choice([-0.0, 0.0, -1.0, 1.0], n)
+    else:
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    k = draw(st.integers(0, n - 1))
+    tau_kind = draw(st.sampled_from(["point", "half", "uniform"]))
+    if n == 1 or tau_kind == "uniform":
+        tau = draw(st.floats(0.0, 1.0))
+    elif tau_kind == "point":
+        tau = k / (n - 1)
+    else:
+        tau = min((k + 0.5) / (n - 1), 1.0)
+    return np.sort(values), tau
+
+
+@PROPERTY
+@given(sorted_samples())
+def test_start_quantile_is_np_quantile_bit_for_bit(case):
+    ordered, tau = case
+    got = np.float64(_sorted_quantile(ordered, tau))
+    assert got.tobytes() == np.quantile(ordered, tau).tobytes(), (ordered.size, tau)
