@@ -442,8 +442,13 @@ def _parse_grid(obj):
     return values
 
 
-def _make_data(cfg, default_seed):
-    spec = cfg["data"]
+def _seed(args, config):
+    """The run's seed: ``--seed``, else the config's, else 0."""
+    return args.seed if args.seed is not None else config.get("seed", 0)
+
+
+def _make_data(spec, default_seed):
+    """The dataset that a data block names: its ``dgp``, ``csv`` or ``panel_csv``."""
     if "dgp" in spec:
         d = spec["dgp"]
         dgp = DgpSpec(
@@ -756,8 +761,8 @@ def _wald_band(lower, upper, variances, n, alpha):
 
 def cmd_fit(args):
     config = _load_config("fit", args.config)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    data = _make_data(config, seed)
+    seed = _seed(args, config)
+    data = _make_data(config["data"], seed)
     model = _make_model(config, data)
     estimate = fit_msm(data, model, _make_nuisances(config, data, seed))
     se = np.sqrt(np.diag(estimate.covariance) / data.n)
@@ -792,8 +797,8 @@ def _grid_command(args, command, find_route, compute):
     compute(data, config, seed, route) -> (grid, lower, upper, variances).
     """
     config = _load_config(command, args.config)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    data = _make_data(config, seed)
+    seed = _seed(args, config)
+    data = _make_data(config["data"], seed)
     route = find_route(data, config)
     inference = config.get("inference", {})
     kind = inference.get("kind", "none")
@@ -847,10 +852,9 @@ def cmd_curve(args):
 
 def cmd_simulate(args):
     config = _load_config("simulate", args.config)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    d = config["dgp"]
-    spec = DgpSpec(name=d["name"], params=d.get("params", {}), seed=d.get("seed", seed))
-    data = generate(spec, d.get("n"))
+    seed = _seed(args, config)
+    # a simulate config is itself a data block with a dgp
+    data = _make_data(config, seed)
     out_name = config.get("out_name", "simulated.csv")
     path = os.path.join(args.out, out_name)
     save_csv(data, path)
@@ -944,7 +948,7 @@ def _collapse_smoke(seed):
 
 def cmd_oracle_check(args):
     config = _load_config("oracle-check", args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed(args, config)
     instances = config.get("instances", 100)
     tiny = config.get("tiny_instances", 10)
     gammas = config.get("gammas", [1.5, 2.0, 3.0])

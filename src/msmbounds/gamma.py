@@ -27,11 +27,14 @@ from .errors import ConfigError
 from .msm import (
     PairKernel,
     _linear_functional_fits,
+    _moment_matrix,
     _pair_moment_sides,
     _solve,
     weighted_fit,
 )
-from .nuisance import EmpiricalQuantileFit, _pair_phi, cell_labels, clipped_pseudo_outcome
+from .nuisance import (
+    EmpiricalQuantileFit, _pair_phi, _Rows, cell_labels, clipped_pseudo_outcome,
+)
 from .results import BetaEstimate, HomotopyTrace
 
 
@@ -84,8 +87,9 @@ def conditional_outcome_bounds(data, spec, nuisances=None, probe_a=None, probe_x
     if nuisances is None:
         if probe_a is not None or probe_x is not None:
             raise ValueError("cell plug-in path evaluates at the sample units only")
-        q_low, q_high = EmpiricalQuantileFit(data.a, data.x, data.y).evaluate_many(
-            [spec.tau_low, spec.tau_high], data.a, data.x).T
+        rows = _Rows(data.a, data.x)
+        q_low, q_high = EmpiricalQuantileFit(rows, data.y).evaluate_many(
+            [spec.tau_low, spec.tau_high], rows).T
         labels = cell_labels(data.a, data.x)
         sizes = np.bincount(labels)
         low, high = (
@@ -163,37 +167,25 @@ def linear_curve_bounds(data, model, nuisances, spec, a0):
     return g_low, g_high, (var_low, var_high)
 
 
-def _leverage(model, a, w, coord, beta=None, v=None, h=None, m=None):
-    """c_i = e^T M^-1 h(a_i), M = mean[h (v w) grad^T] (v = 1 when None).
-
-    grad is h for a linear model and grad g(a; beta) otherwise. Times w_i
-    it is unit i's leverage on the coordinate (see ``_derivative``). ``h``
-    is ``model.features(a)`` and ``m`` is M when the caller has built them,
-    as a linear refit at the same weights has (``msm._linear_fit``).
-    """
-    if h is None:
-        h = model.features(a)
-    if m is None:
-        grad = h if model.linear else model.grad(a, beta)
-        vw = w if v is None else v * w
-        m = (h * vw[:, None]).T @ grad / h.shape[0]
-    e = np.zeros(model.dim)
+def _leverage(h, m, coord):
+    """c_i = e^T M^-1 h_i for the features ``h`` and the moment matrix ``m``
+    (``msm._moment_matrix``). Times w_i it is unit i's leverage on the
+    coordinate (see ``_derivative``)."""
+    e = np.zeros(m.shape[0])
     e[coord] = 1.0
     return h @ _solve(m.T, e, "coordinate leverage matrix")
 
 
-def _derivative(model, a, y, w, coord, beta, v=None, h=None, m=None):
+def _derivative(model, a, h, y, w, coord, beta, m):
     """(c w, g, d): the leverage times w, the fit g(a; beta) and d = c w (y - g).
 
     d_i is the derivative of the coordinate bound in unit i's confounding
-    weight at v, the one per-unit derivative of every propensity coordinate
-    bound; linearized it is c_i w_i y_i. ``h`` is ``model.features(a)`` when
-    the caller has built it; a linear model's fit is then h @ beta. ``m`` is
-    ``_leverage``'s M when the caller has it.
+    weight v, the one per-unit derivative of every propensity coordinate
+    bound; linearized it is c_i w_i y_i. ``h`` is ``model.features(a)``, so a
+    linear model's fit is h @ beta, and ``m`` is the moment matrix at beta
+    and the weights v w, which a refit at those weights returns with beta.
     """
-    if h is None:
-        h = model.features(a)
-    c = _leverage(model, a, w, coord, beta, v, h, m) * w
+    c = _leverage(h, m, coord) * w
     g = h @ beta if model.linear else model.predict(a, beta)
     return c, g, c * (y - g)
 
@@ -235,11 +227,12 @@ def _conditional_mask(cells, nuisances, d, c, g, gamma, upper):
 def _coordinate_transfer(data, model, w, coord):
     """T_i = c_i w_i, the per-unit leverage of Y_i on the coordinate, and the offset
     beta[coord] - mean(T g) at the point fit of the linearized value offset + mean(T Y v),
-    which is 0 for a linear model."""
+    which is 0 for a linear model, whose M needs no fit."""
+    h = model.features(data.a)
     if model.linear:
-        return _leverage(model, data.a, w, coord) * w, 0.0
-    beta = weighted_fit(model, data.a, data.y, w)
-    t = _leverage(model, data.a, w, coord, beta) * w
+        return _leverage(h, _moment_matrix(model, data.a, h, w), coord) * w, 0.0
+    beta, m = weighted_fit(model, data.a, data.y, w, h=h)
+    t = _leverage(h, m, coord) * w
     return t, float(beta[coord] - np.mean(t * model.predict(data.a, beta)))
 
 
@@ -330,8 +323,9 @@ def local_beta_bounds(data, model, nuisances, spec, coord):
     weight, at v identically one.
     """
     w = nuisances.weights
-    beta = weighted_fit(model, data.a, data.y, w)
-    d = _derivative(model, data.a, data.y, w, coord, beta)[2]
+    h = model.features(data.a)
+    beta, m = weighted_fit(model, data.a, data.y, w, h=h)
+    d = _derivative(model, data.a, h, data.y, w, coord, beta, m)[2]
     center = float(beta[coord])
     spread = float(np.log(spec.gamma) * np.mean(np.abs(d)))
     return center - spread, center + spread

@@ -21,7 +21,7 @@ from .errors import NoConvergence, SingularMoment
 from .gamma import (
     _cells, _conditional_mask, _derivative, _gamma_grid, _rank_rule_grid,
 )
-from .msm import _linear_fit, _solve, weighted_fit
+from .msm import _moment_matrix, _solve, weighted_fit
 from .results import HomotopyTrace
 
 _CIRCULAR_TOL = 1e-6
@@ -30,7 +30,7 @@ _CIRCULAR_CAP = 50
 _SWAP_BAND = 8
 
 
-def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, gram=None):
+def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, gram):
     """Greedy count-preserving swaps between the two weight levels.
 
     The threshold fixed point can settle in a poor basin; swapping one
@@ -41,11 +41,11 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, gram=N
     index enters first), so the search stays cheap at large n; linear
     models only, where a swap is a rank-two update of the weighted Gram
     system. ``h`` is the model's features
-    (its basis) at ``a_obj``, and ``gram``, when given, the weighted Gram
-    matrix at ``mask``'s weights, as the seed's refit formed it. Each
-    iteration's derivative takes that iteration's Gram matrix; the
-    iteration solves all band x band candidate systems in one batch and
-    takes the first strict maximum in drop-major, add-minor order.
+    (its basis) at ``a_obj``, and ``gram`` the weighted Gram matrix at
+    ``mask``'s weights, as the seed's refit returned it. Each iteration's
+    derivative takes that iteration's Gram matrix; the iteration solves all
+    band x band candidate systems in one batch and takes the first strict
+    maximum in drop-major, add-minor order.
     """
     if not model.linear:
         return []
@@ -54,13 +54,13 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, gram=N
     visited = []
     cur_val = float(beta_cur[coord])
     for _ in range(2 * n):
-        v = np.where(mask, hi, lo)
-        wv = w * v
+        wv = w * np.where(mask, hi, lo)
         if gram is None:
-            gram = (h * wv[:, None]).T @ h / n
+            gram = _moment_matrix(model, a_obj, h, wv)
+        # h^T (w v y), not M's h w: the candidates' rank-two updates are built on it
         rhs = h.T @ (wv * y) / n
         try:
-            d = _derivative(model, a_obj, y, w, coord, beta_cur, v, h, gram)[2]
+            d = _derivative(model, a_obj, h, y, w, coord, beta_cur, gram)[2]
         except SingularMoment:
             break
         in_idx = np.flatnonzero(mask)
@@ -216,7 +216,7 @@ def homotopy_bounds(
     else:
         cells = _cells(data, nuisances) if constraint == "conditional" else None
         h = model.features(data.a)
-        beta_point = weighted_fit(model, data.a, data.y, w, h=h)
+        beta_point = weighted_fit(model, data.a, data.y, w, h=h)[0]
         start = ((np.ones(data.y.size), beta_point, float(beta_point[coord])),) * 2
 
         def step(j, gamma, sense, carried):
@@ -237,14 +237,6 @@ def homotopy_bounds(
                          **_continue(grid, start, step, keep_weights))
 
 
-def _refit(model, a_obj, h, y, w, beta0):
-    """(beta, Gram) of the weighted refit at weights ``w``: ``msm._linear_fit`` for
-    a linear model; otherwise ``weighted_fit`` from ``beta0`` and no Gram."""
-    if model.linear:
-        return _linear_fit(h, y, w)
-    return weighted_fit(model, a_obj, y, w, beta0, h=h), None
-
-
 def _one_step(
     model, cells, nuisances, a_obj, h, y, w, carried, gamma, sense,
     coord, constraint, inner_iterations,
@@ -255,15 +247,15 @@ def _one_step(
     feasible verbatim; keeping the best candidate for the branch sense
     makes the upper trace nondecreasing and the lower nonincreasing by
     construction while every recorded v remains a feasibility certificate.
-    Each refit's Gram matrix goes to the next derivative, taken at the same
+    Each refit's moment matrix goes to the next derivative, taken at the same
     weights, so only the first derivative of a step builds its own.
     """
     upper = sense > 0
     box = (1.0 / gamma, gamma)
     candidates = [carried]
-    vertices = []  # (candidate, its Gram) of each vertex refit at this gamma
+    vertices = []  # (candidate, its moment matrix) of each vertex refit at this gamma
     v_cur, beta_cur, _ = carried
-    gram = None  # the Gram matrix at v_cur, once a refit has formed it
+    m = _moment_matrix(model, a_obj, h, w * v_cur, beta_cur)  # at (v_cur, beta_cur)
     iters = max(int(inner_iterations), 1)
     if constraint == "conditional":
         iters = max(iters, _CIRCULAR_CAP)
@@ -271,12 +263,12 @@ def _one_step(
     damps = 0
     last_coord = None
     for it in range(iters):
-        c, g, d = _derivative(model, a_obj, y, w, coord, beta_cur, v_cur, h, gram)
+        c, g, d = _derivative(model, a_obj, h, y, w, coord, beta_cur, m)
         if constraint == "marginal":
             mask = rank_mask(d, gamma, upper)
             if seen_masks and np.array_equal(mask, seen_masks[-1]):
                 break
-            revisit = any(np.array_equal(mask, m) for m in seen_masks)
+            revisit = any(np.array_equal(mask, seen) for seen in seen_masks)
             v_vertex = np.where(mask, box[1], box[0])
             if revisit:
                 # the threshold map is cycling; damp toward the proposal so
@@ -285,17 +277,17 @@ def _one_step(
                     break
                 damps += 1
                 v_cur = 0.5 * (v_cur + v_vertex)
-                beta_cur, gram = _refit(model, a_obj, h, y, w * v_cur, beta_cur)
+                beta_cur, m = weighted_fit(model, a_obj, y, w * v_cur, beta_cur, h=h)
                 continue
             v_cur = v_vertex
-            beta_cur, gram = _refit(model, a_obj, h, y, w * v_cur, beta_cur)
+            beta_cur, m = weighted_fit(model, a_obj, y, w * v_cur, beta_cur, h=h)
             candidates.append((v_cur, beta_cur, float(beta_cur[coord])))
-            vertices.append((candidates[-1], gram))
+            vertices.append((candidates[-1], m))
             seen_masks.append(mask)
         else:
             mask = _conditional_mask(cells, nuisances, d, c, g, gamma, upper)
             v_cur = np.where(mask, box[1], box[0])
-            beta_cur, gram = _refit(model, a_obj, h, y, w * v_cur, beta_cur)
+            beta_cur, m = weighted_fit(model, a_obj, y, w * v_cur, beta_cur, h=h)
             val = float(beta_cur[coord])
             candidates.append((v_cur, beta_cur, val))
             if last_coord is not None and abs(val - last_coord) <= _CIRCULAR_TOL:
@@ -304,12 +296,12 @@ def _one_step(
     if constraint == "marginal" and inner_iterations > 1 and vertices:
         # seed swaps from the best vertex built at THIS gamma's levels; the
         # carried candidate has old atom levels, so its count is wrong here
-        (seed_v, seed_beta, _), seed_gram = max(vertices, key=lambda fit: sense * fit[0][2])
+        (seed_v, seed_beta, _), seed_m = max(vertices, key=lambda fit: sense * fit[0][2])
         seed_mask = seed_v >= 1.0 + 1e-12
         if seed_mask.any() and not seed_mask.all():
             candidates.extend(
                 _swap_phase(
-                    model, a_obj, h, y, w, box, seed_mask, seed_beta, sense, coord, seed_gram,
+                    model, a_obj, h, y, w, box, seed_mask, seed_beta, sense, coord, seed_m,
                 )
             )
     return max(candidates, key=lambda cand: sense * cand[2])
@@ -343,9 +335,9 @@ def coordinate_ascent_bounds(
     n = y.size
     rng = np.random.default_rng(seed)
     orders = [rng.permutation(n) for _ in range(max(int(n_orderings), 1))]
-    refit = (lambda v: weighted_fit(model, data.a, y, w * v, h=b)) if check_refits else None
+    refit = (lambda v: weighted_fit(model, data.a, y, w * v, h=b)[0]) if check_refits else None
 
-    point = float(weighted_fit(model, data.a, y, w, h=b)[coord])
+    point = float(weighted_fit(model, data.a, y, w, h=b)[0][coord])
     worst_refit_gap = 0.0
 
     def step(j, gamma, sense, carried):
@@ -369,6 +361,8 @@ def _greedy_flips(b, y, w, v, hi, lo, coord, order, sense, refit):
     # refit(v), when given, refits from scratch after each accepted flip
     n, k = b.shape
     d = w * v
+    # unscaled, unlike M: the rank-one updates run on its inverse, and check_refits
+    # compares them with weighted_fit
     gram = (b * d[:, None]).T @ b
     try:
         ginv = np.linalg.inv(gram)

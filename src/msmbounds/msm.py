@@ -141,15 +141,19 @@ def _solve(mat, rhs, context):
     return sol
 
 
-def moment_matrix(model, a, w, beta=None):
-    """M = mean_n[ h(A_i) grad_i^T ] weighted by w; the Jacobian scale of the moment."""
-    h = model.features(a)
-    if model.linear:
-        grad = model.basis_matrix(a)
-    else:
-        grad = model.grad(a, beta)
-    w = _as_rows(w)
-    return (h * w[:, None]).T @ grad / w.size
+def _moment_matrix(model, a, h, w, beta=None, hw=None):
+    """M = mean_n[ h w grad^T ], the Jacobian of the weighted moment: the Gram
+    matrix of the features ``h`` for a linear model, and with grad g(A; beta)
+    otherwise. The one M of the fit, its Newton steps, the sandwich, the
+    pair-moment bread and every coordinate leverage. ``hw`` is h w when the
+    caller has formed it, as a fit has for its target. h w is its own array
+    even when w = 1: numpy forms A^T A from one buffer by syrk, which rounds
+    unlike the general product.
+    """
+    if hw is None:
+        hw = h * w[:, None]
+    grad = h if model.linear else model.grad(a, beta)
+    return hw.T @ grad / h.shape[0]
 
 
 def sandwich_variance(model, a, y, w, beta):
@@ -164,7 +168,7 @@ def sandwich_variance(model, a, y, w, beta):
     scores = h * (w * resid)[:, None]
     centered = scores - scores.mean(axis=0)
     s = centered.T @ centered / scores.shape[0]
-    m = moment_matrix(model, a, w, beta)
+    m = _moment_matrix(model, a, h, w, beta)
     minv_s = _solve(m, s, "sandwich bread")
     return _solve(m, minv_s.T, "sandwich bread").T
 
@@ -178,16 +182,14 @@ def solve_moment(model, a, target, w=None, beta0=None, max_iter=100, h=None):
     ``h`` is ``model.features(a)`` when the caller has built it; for a
     linear model it is also the basis.
     """
-    if model.linear:
-        # the moment features are the basis (MsmModel checks); h^T b is kept
-        # a product of two arrays, which numpy rounds unlike b^T b
-        b = model.basis_matrix(a) if h is None else h
-        hw = model.features(a) if w is None else b * w[:, None]
-        return _solve(hw.T @ b / b.shape[0], target, "moment matrix")
     if h is None:
         h = model.features(a)
-    hw = h if w is None else h * w[:, None]
     n = h.shape[0]
+    if model.linear:
+        # the moment features are the basis (MsmModel checks)
+        return _solve(_moment_matrix(model, a, h, np.ones(n) if w is None else w), target,
+                      "moment matrix")
+    hw = h if w is None else h * w[:, None]
     beta = np.zeros(model.dim) if beta0 is None else np.asarray(beta0, dtype=float).copy()
 
     def gap(bvec):
@@ -198,7 +200,7 @@ def solve_moment(model, a, target, w=None, beta0=None, max_iter=100, h=None):
         norm = np.max(np.abs(res))
         if norm <= 1e-9:
             return beta
-        step = _solve(hw.T @ model.grad(a, beta) / n, res, "moment Jacobian")
+        step = _solve(_moment_matrix(model, a, h, w, beta, hw), res, "moment Jacobian")
         scale = 1.0
         for _ in range(30):
             trial = beta + scale * step
@@ -216,26 +218,23 @@ def solve_moment(model, a, target, w=None, beta0=None, max_iter=100, h=None):
     )
 
 
-def _linear_fit(h, y, w):
-    """(beta, M) of a linear model's weighted fit on its basis h: M = mean[h w h^T]
-    is the Gram matrix, and beta solves M beta = mean[h w y]. h w is formed once."""
-    hw = h * w[:, None]
-    gram = hw.T @ h / y.size
-    return _solve(gram, hw.T @ y / y.size, "moment matrix"), gram
-
-
 def weighted_fit(model, a, y, w, beta0=None, max_iter=100, h=None):
-    """beta solving the weighted moment condition mean_n[ h w (y - g(A; beta)) ] = 0.
+    """(beta, M): beta solves the weighted moment condition
+    mean_n[ h w (y - g(A; beta)) ] = 0 and M is its ``_moment_matrix`` at beta.
 
     ``h`` is ``model.features(a)`` when the caller has built it. A linear
-    model is ``_linear_fit``; any other runs ``solve_moment``'s Newton.
+    model solves M beta = mean_n[h w y] in closed form; any other runs
+    ``solve_moment``'s Newton from ``beta0``.
     """
     if h is None:
         h = model.features(a)
-    if model.linear:
-        return _linear_fit(h, y, w)[0]
     hw = h * w[:, None]
-    return solve_moment(model, a, hw.T @ y / y.size, w, beta0, max_iter, h)
+    target = hw.T @ y / y.size
+    if model.linear:
+        m = _moment_matrix(model, a, h, w, hw=hw)
+        return _solve(m, target, "moment matrix"), m
+    beta = solve_moment(model, a, target, w, beta0, max_iter, h)
+    return beta, _moment_matrix(model, a, h, w, beta, hw)
 
 
 def fit_msm(data, model, nuisances=None, weights=None, beta0=None, max_iter=100):
@@ -250,7 +249,7 @@ def fit_msm(data, model, nuisances=None, weights=None, beta0=None, max_iter=100)
             raise ValueError("pass either nuisances or explicit weights")
         weights = nuisances.weights
     w = _as_rows(weights)
-    beta = weighted_fit(model, data.a, data.y, w, beta0, max_iter)
+    beta = weighted_fit(model, data.a, data.y, w, beta0, max_iter)[0]
     cov = sandwich_variance(model, data.a, data.y, w, beta)
     return BetaEstimate(beta=beta, covariance=cov)
 
@@ -374,6 +373,7 @@ def _linear_functional_fits(model, a, direction, phis):
     if not model.linear:
         raise ValueError("linear functional bounds need a linear model")
     b = model.basis_matrix(a)
+    # unweighted, so b^T b: numpy's syrk product, whose rounding these fits have always had
     q_mat = b.T @ b / b.shape[0]
     lev = b @ _solve(q_mat, direction, "basis Gram matrix")
 
@@ -389,11 +389,10 @@ def _pair_moment_sides(model, a, phis):
     """(beta, covariance) of ``pair_moment_fit`` on the working model for each
     kernel that ``phis`` yields, one per side."""
     h = model.features(a)
+    ones = np.ones(h.shape[0])
 
     def solve(target):
-        # a linear model's features are its basis, so h serves as the basis
         beta = solve_moment(model, a, target, h=h)
-        grad = model.basis_matrix(a) if model.linear else model.grad(a, beta)
-        return beta, model.predict(a, beta), h.T @ grad / a.size
+        return beta, model.predict(a, beta), _moment_matrix(model, a, h, ones, beta)
 
     return [pair_moment_fit(h, phi, solve) for phi in phis]

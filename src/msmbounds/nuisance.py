@@ -3,8 +3,10 @@
 All fitters are deterministic given the training rows. The cross-fitting
 wrapper hands every unit an evaluator trained on the other folds, and the
 per-(gamma, side) clipped-outcome regressions are cached so a whole gamma
-grid reuses one set of fold fits. A bundle's training rows and a fold's
-scored rows each build their design once (``_Rows``).
+grid reuses one set of fold fits. Every outcome and quantile fit trains on
+``_Rows`` and evaluates at ``_Rows``, so a bundle's training rows and a
+fold's scored rows each build their design once. Each fit checks at its
+training entry that its data are finite (``_require_finite``).
 
 Discrete-support (a, x) cells are one integer label per row (``cell_labels``),
 and the empirical quantiles index into y sorted by (cell, y).
@@ -79,9 +81,10 @@ def _poly_design(a, x, degree):
 
 class _Rows:
     """(a, x) rows, with y for training rows, and their ``_poly_design`` of each
-    degree, built on first read: a bundle's training rows and a fold's scored
-    rows are built once, and every fit on them and every evaluation at them
-    reads the same designs. The designs are never written to."""
+    degree, built on first read. The outcome and quantile fits train on
+    ``_Rows`` and are evaluated at ``_Rows``, so every fit on a bundle's
+    training rows and every evaluation at a fold's scored rows reads the same
+    designs. The designs are never written to."""
 
     def __init__(self, a, x, y=None):
         self.a, self.x, self.y = a, x, y
@@ -98,16 +101,14 @@ def _rows_of(data):
     return data if isinstance(data, _Rows) else _Rows(data.a, data.x, data.y)
 
 
-class _RowsFit:
-    """A fit trained on ``_Rows`` by ``_fit(rows, y, *args)``. The public
-    constructors take (a, x, y) arrays; ``_of_rows`` trains on ``_Rows`` that
-    other fits and evaluations share."""
-
-    @classmethod
-    def _of_rows(cls, rows, y, *args):
-        fit = cls.__new__(cls)
-        fit._fit(rows, np.asarray(y, dtype=float).ravel(), *args)
-        return fit
+def _require_finite(fit, y, design, response="y"):
+    """Raise ``DataError`` unless the response ``y`` and the design are finite:
+    a non-finite entry would turn every fitted value NaN or stop LAPACK."""
+    bad_y = np.count_nonzero(~np.isfinite(y))
+    bad_design = np.count_nonzero(~np.isfinite(design))
+    if bad_y or bad_design:
+        raise DataError(f"{fit} needs finite data: {bad_y} non-finite in {response}, "
+                        f"{bad_design} in the design")
 
 
 def _lstsq(design, y):
@@ -119,20 +120,19 @@ def _lstsq(design, y):
     return coef
 
 
-class LinearOutcomeFit(_RowsFit):
-    """Polynomial-in-treatment, linear-in-covariates least squares regression."""
+class LinearOutcomeFit:
+    """Polynomial-in-treatment, linear-in-covariates least squares regression
+    of y on the ``_Rows`` ``rows``."""
 
-    def __init__(self, a, x, y, degree=1):
-        self._fit(_Rows(a, x), np.asarray(y, dtype=float).ravel(), degree)
-
-    def _fit(self, rows, y, degree):
+    def __init__(self, rows, y, degree=1):
         self.degree = int(degree)
-        self.coef = _lstsq(rows.design(self.degree), y)
+        design = rows.design(self.degree)
+        y = np.asarray(y, dtype=float).ravel()
+        _require_finite("linear outcome fit", y, design)
+        self.coef = _lstsq(design, y)
 
-    def __call__(self, a, x):
-        return self._at(_Rows(a, x))
-
-    def _at(self, rows):
+    def __call__(self, rows):
+        """The fit at the ``_Rows`` ``rows``."""
         return rows.design(self.degree) @ self.coef
 
     def _additive_parts(self, rows):
@@ -145,24 +145,21 @@ class LinearOutcomeFit(_RowsFit):
         return treatment @ self.coef[:k], self.coef[k:]
 
 
-class KernelOutcomeFit(_RowsFit):
-    """Nadaraya-Watson regression with a Gaussian product kernel."""
+class KernelOutcomeFit:
+    """Nadaraya-Watson regression with a Gaussian product kernel, of y on the
+    ``_Rows`` ``rows``."""
 
-    def __init__(self, a, x, y, bandwidth_scale=1.0):
-        self._fit(_Rows(a, x), np.asarray(y, dtype=float).ravel(), bandwidth_scale)
-
-    def _fit(self, rows, y, bandwidth_scale):
+    def __init__(self, rows, y, bandwidth_scale=1.0):
         self.train = rows.design(1)[:, 1:]
-        self.y = y
+        self.y = np.asarray(y, dtype=float).ravel()
+        _require_finite("kernel outcome fit", self.y, self.train)
         n = self.train.shape[0]
         sd = self.train.std(axis=0)
         sd = np.where(sd < 1e-12, 1.0, sd)
         self.bandwidth = 1.06 * sd * n ** (-0.2) * float(bandwidth_scale)
 
-    def __call__(self, a, x):
-        return self._at(_Rows(a, x))
-
-    def _at(self, rows):
+    def __call__(self, rows):
+        """The fit at the ``_Rows`` ``rows``."""
         probe = rows.design(1)[:, 1:]
         out = np.empty(probe.shape[0])
         for start in range(0, probe.shape[0], 512):
@@ -187,6 +184,7 @@ class GaussianPropensity:
     def __init__(self, a, x, clip=PROPENSITY_CLIP):
         a = np.asarray(a, dtype=float).ravel()
         design = _poly_design(a, x, 0)
+        _require_finite("gaussian propensity fit", a, design, "a")
         self.coef = _lstsq(design, a)
         resid = a - design @ self.coef
         self.sigma2 = float(np.mean(resid ** 2))
@@ -262,6 +260,8 @@ class DiscretePropensity:
 
     def __init__(self, a, x, clip=PROPENSITY_CLIP):
         a = np.asarray(a, dtype=float).ravel()
+        z = _poly_design(a, x, 0)
+        _require_finite("discrete propensity fit", a, z, "a")
         self.levels = np.unique(a)
         if self.levels.size > self.MAX_LEVELS:
             raise TooManyLevels(
@@ -269,7 +269,6 @@ class DiscretePropensity:
             )
         labels = np.searchsorted(self.levels, a)
         self.marg = np.bincount(labels, minlength=self.levels.size) / a.size
-        z = _poly_design(a, x, 0)
         self.theta = (_fit_multinomial_logistic(z, labels, self.levels.size)
                       if z.shape[1] > 1 else None)
         self.clip = float(clip)
@@ -446,8 +445,9 @@ def _quantile_vertex(design, y, tau, setup=None):
         above = np.where(r != 0, r > 0, above)
 
 
-class PinballQuantileFit(_RowsFit):
-    """Linear-in-features conditional quantiles: exact pinball-loss minimizers.
+class PinballQuantileFit:
+    """Linear-in-features conditional quantiles of y on the ``_Rows`` ``rows``:
+    exact pinball-loss minimizers.
 
     Each tau is fit by ``_quantile_vertex`` on a linearly independent subset of
     the design's columns (the others get coefficient 0), so its fit
@@ -459,24 +459,17 @@ class PinballQuantileFit(_RowsFit):
     across the tau axis so requested quantile curves never cross.
     """
 
-    def __init__(self, a, x, y, degree=1):
-        self._fit(_Rows(a, x), np.asarray(y, dtype=float).ravel(), degree)
-
-    def _fit(self, rows, y, degree):
+    def __init__(self, rows, y, degree=1):
         self.degree = int(degree)
         self._design = rows.design(self.degree)
-        self._y = y
+        self._y = np.asarray(y, dtype=float).ravel()
         self._coefs = {}
         self._shared = None
 
     def _tau_free(self):
         """(columns, their design, its ``_vertex_setup``), made on the first call."""
         if self._shared is None:
-            bad_y = np.count_nonzero(~np.isfinite(self._y))
-            bad_design = np.count_nonzero(~np.isfinite(self._design))
-            if bad_y or bad_design:
-                raise DataError(f"pinball quantile fit needs finite data: {bad_y} non-finite "
-                                f"in y, {bad_design} in the design")
+            _require_finite("pinball quantile fit", self._y, self._design)
             cols = _independent_columns(self._design)
             design = self._design[:, cols]
             self._shared = cols, design, _vertex_setup(design, self._y)
@@ -496,16 +489,11 @@ class PinballQuantileFit(_RowsFit):
             self._coefs[key] = self._fit_one(key)
         return self._coefs[key]
 
-    def evaluate_many(self, taus, a, x):
-        """Quantiles at each tau for each (a, x) row, sorted so they never cross."""
-        return self._many_at(taus, _Rows(a, x))
-
-    def _many_at(self, taus, rows):
+    def evaluate_many(self, taus, rows):
+        """Quantiles at each tau for each of the ``_Rows`` ``rows``, sorted so they
+        never cross."""
         design = rows.design(self.degree)
         return _uncrossed(np.column_stack([design @ self.coef(t) for t in taus]), taus)
-
-    def evaluate(self, tau, a, x):
-        return self.evaluate_many([tau], a, x)[:, 0]
 
 
 def _cell_rows(a, x):
@@ -528,28 +516,27 @@ def cell_labels(a, x):
     return _row_labels(_cell_rows(a, x))
 
 
-class EmpiricalQuantileFit(_RowsFit):
-    """Per-(a, x)-cell type-1 empirical quantiles for discrete-support data.
+class EmpiricalQuantileFit:
+    """Per-(a, x)-cell type-1 empirical quantiles of y on the ``_Rows`` ``rows``,
+    for discrete-support data.
 
     y is kept sorted by (cell, y), then the pooled sample as one more cell
     for probe rows in a cell that no training row has.
     """
 
-    def __init__(self, a, x, y):
-        self._fit(_Rows(a, x), np.asarray(y, dtype=float).ravel())
-
-    def _fit(self, rows, y):
+    def __init__(self, rows, y):
+        y = np.asarray(y, dtype=float).ravel()
         cells = _cell_rows(rows.a, rows.x)
+        _require_finite("empirical quantile fit", y, cells)
         labels = _row_labels(cells)
         self._keys = cells[np.unique(labels, return_index=True)[1]]
         self._sorted = np.concatenate([y[np.lexsort((y, labels))], np.sort(y)])
         self._sizes = np.append(np.bincount(labels), y.size)
         self._starts = np.cumsum(self._sizes) - self._sizes
 
-    def evaluate_many(self, taus, a, x):
-        return self._many_at(taus, _Rows(a, x))
-
-    def _many_at(self, taus, rows):
+    def evaluate_many(self, taus, rows):
+        """Quantiles at each tau for each of the ``_Rows`` ``rows``, sorted so they
+        never cross."""
         k = len(self._keys)
         joint = _row_labels(np.concatenate([self._keys, _cell_rows(rows.a, rows.x)]))
         cell_of_joint = np.full(joint.max() + 1, k)
@@ -564,16 +551,13 @@ class EmpiricalQuantileFit(_RowsFit):
             out[:, j] = self._sorted[start + idx]
         return _uncrossed(out, taus)
 
-    def evaluate(self, tau, a, x):
-        return self.evaluate_many([tau], a, x)[:, 0]
-
 
 def _outcome_fit(rows, y, config):
     """The configured regression of y on the (a, x) ``_Rows``: least squares or
     Nadaraya-Watson."""
     if config.outcome_method == "linear":
-        return LinearOutcomeFit._of_rows(rows, y, config.outcome_degree)
-    return KernelOutcomeFit._of_rows(rows, y, config.bandwidth_scale)
+        return LinearOutcomeFit(rows, y, config.outcome_degree)
+    return KernelOutcomeFit(rows, y, config.bandwidth_scale)
 
 
 def fit_outcome(data, config=None):
@@ -593,8 +577,8 @@ def fit_quantile(data, config=None):
     """Fit the conditional-quantile model for Y | A, X."""
     config = config or NuisanceConfig()
     if config.quantile_method == "pinball":
-        return PinballQuantileFit._of_rows(_rows_of(data), data.y, config.quantile_degree)
-    return EmpiricalQuantileFit._of_rows(_rows_of(data), data.y)
+        return PinballQuantileFit(_rows_of(data), data.y, config.quantile_degree)
+    return EmpiricalQuantileFit(_rows_of(data), data.y)
 
 
 def clipped_pseudo_outcome(y, q_low, q_high, gamma, side):
@@ -660,7 +644,7 @@ class _Bundle:
         """(q_low, q_high) at the ``_Rows`` ``rows``."""
         tau_l = 1.0 / (1.0 + gamma)
         tau_u = gamma / (1.0 + gamma)
-        q = self.quantile._many_at([tau_l, tau_u], rows)
+        q = self.quantile.evaluate_many([tau_l, tau_u], rows)
         return q[:, 0], q[:, 1]
 
     def regression(self, gamma=None, side=None):
@@ -758,14 +742,14 @@ class CrossFit:
         """A regression at each unit's (a_i, x_i), or (a0, x_i), from its own bundle."""
         def evaluate(f, units):
             fit, rows = self.bundles[f].regression(gamma, side), self._scored_rows(f)
-            return fit._at(rows) if a0 is None else fit(np.full(units.size, float(a0)), rows.x)
+            return fit(rows if a0 is None else _Rows(np.full(units.size, float(a0)), rows.x))
 
         return self._per_unit(evaluate)
 
     def _row(self, i, gamma=None, side=None):
         """A regression at (a_i, X_j) for all j, from unit i's bundle."""
         fit = self.bundle_for(i).regression(gamma, side)
-        return fit(np.full(self.data.n, self.data.a[i]), self.data.x)
+        return fit(_Rows(np.full(self.data.n, self.data.a[i]), self.data.x))
 
     @property
     def weights(self):
@@ -816,7 +800,8 @@ class CrossFit:
 
     def kappa_at(self, gamma, side, a, x):
         """kappa-hat at probe points (a, x): the average over the bundles."""
-        return np.mean([b.regression(gamma, side)(a, x) for b in self.bundles], axis=0)
+        rows = _Rows(a, x)
+        return np.mean([b.regression(gamma, side)(rows) for b in self.bundles], axis=0)
 
     def additive_parts(self, gamma=None, side=None):
         """(g, c) per unit with unit i's regression at (a_i, X_j) equal to

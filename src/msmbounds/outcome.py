@@ -15,7 +15,9 @@ import dataclasses
 import numpy as np
 
 from .gamma import _leverage
-from .msm import _linear_functional_fits, _pair_moment_sides, solve_moment
+from .msm import (
+    _linear_functional_fits, _moment_matrix, _pair_moment_sides, _solve, solve_moment,
+)
 from .nuisance import _pair_phi
 from .results import BetaEstimate
 
@@ -100,16 +102,18 @@ def _shift_band(model, a, w, fitted, radius, coord):
     h = model.features(a)
     n = h.shape[0]
     target = h.T @ (w * fitted) / n
-    start = solve_moment(model, a, target, w, h=h)
     if model.linear:
-        center = float(start[coord])
-        half = float(radius * np.mean(np.abs(_leverage(model, a, w, coord, h=h))))
+        # solve_moment's closed form, on the M the leverage takes too
+        m = _moment_matrix(model, a, h, w)
+        center = float(_solve(m, target, "moment matrix")[coord])
+        half = float(radius * np.mean(np.abs(_leverage(h, m, coord))))
         return center - half, center + half
+    start = solve_moment(model, a, target, w, h=h)
     ends = []
     for side in (-1.0, 1.0):
         beta, best, seen = start, side * start[coord], set()
         while True:
-            signs = np.sign(side * _leverage(model, a, w, coord, beta, h=h))
+            signs = np.sign(side * _leverage(h, _moment_matrix(model, a, h, w, beta), coord))
             if signs.tobytes() in seen:
                 break
             seen.add(signs.tobytes())

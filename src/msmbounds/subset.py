@@ -14,7 +14,7 @@ import numpy as np
 
 from ._ranks import ceil_count, select_bottom_mask, select_top_mask
 from .gamma import GammaSpec, _gamma_grid, _leverage, _rank_rule_grid
-from .msm import _pair_moment_sides
+from .msm import _moment_matrix, _pair_moment_sides
 from .outcome import DeltaSpec, _shift_band
 from .results import BetaEstimate
 
@@ -126,7 +126,8 @@ def subset_linear_beta_bounds(data, model, nuisances, eps, coord):
         raise ValueError("subset_linear_beta_bounds needs a linear model")
     if not isinstance(eps.inner, GammaSpec):
         raise TypeError("subset_linear_beta_bounds needs a GammaSpec inner model")
-    c = _leverage(model, data.a, nuisances.weights, coord)
+    h = model.features(data.a)
+    c = _leverage(h, _moment_matrix(model, data.a, h, nuisances.weights), coord)
     lows = np.empty(data.n)
     highs = np.empty(data.n)
     for i in range(data.n):

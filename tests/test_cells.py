@@ -19,6 +19,7 @@ from msmbounds.gamma import GammaSpec, conditional_outcome_bounds
 from msmbounds.nuisance import (
     EmpiricalQuantileFit,
     _cell_rows,
+    _Rows,
     cell_labels,
     clipped_pseudo_outcome,
 )
@@ -148,16 +149,16 @@ def test_empirical_quantiles_match_per_unit_loop(data, k):
     taus = data.draw(st.lists(
         st.one_of(st.sampled_from([0.5, 1 / 3, 2 / 3, 0.25]), st.floats(0.01, 0.99)),
         min_size=1, max_size=3))
-    got = EmpiricalQuantileFit(a, x, y).evaluate_many(taus, probe_a, probe_x)
+    got = EmpiricalQuantileFit(_Rows(a, x), y).evaluate_many(taus, _Rows(probe_a, probe_x))
     want = _reference_quantiles(taus, a, x, y, probe_a, probe_x)
     assert got.tobytes() == want.tobytes()
 
 
 def test_empirical_quantiles_reject_bad_tau():
-    fit = EmpiricalQuantileFit([0.0, 1.0], np.zeros((2, 0)), [0.0, 1.0])
+    fit = EmpiricalQuantileFit(_Rows([0.0, 1.0], np.zeros((2, 0))), [0.0, 1.0])
     for tau in (0.0, 1.0):
         with pytest.raises(BadTau):
-            fit.evaluate_many([0.5, tau], [0.0, 3.0], np.zeros((2, 0)))
+            fit.evaluate_many([0.5, tau], _Rows([0.0, 3.0], np.zeros((2, 0))))
 
 
 def _reference_cell_plugin(data, spec):

@@ -50,7 +50,7 @@ def _reference_exact(data, model, nuisances, grid, coord, constraint, w,
     y, a_obj = data.y, data.a
     h = model.features(a_obj)
     n = y.size
-    beta_point = homotopy.weighted_fit(model, a_obj, y, w)
+    beta_point = homotopy.weighted_fit(model, a_obj, y, w)[0]
     point = float(beta_point[coord])
     lower = np.full(grid.size, np.nan)
     upper = np.full(grid.size, np.nan)
@@ -126,9 +126,9 @@ def _reference_ascent(data, model, w, grid, coord, n_orderings, seed, keep_weigh
     n = y.size
     rng = np.random.default_rng(seed)
     orders = [rng.permutation(n) for _ in range(max(int(n_orderings), 1))]
-    refit = (lambda v: homotopy.weighted_fit(model, data.a, y, w * v)) if check_refits \
+    refit = (lambda v: homotopy.weighted_fit(model, data.a, y, w * v)[0]) if check_refits \
         else None
-    point = float(homotopy.weighted_fit(model, data.a, y, w)[coord])
+    point = float(homotopy.weighted_fit(model, data.a, y, w)[0][coord])
     lower = np.full(grid.size, np.nan)
     upper = np.full(grid.size, np.nan)
     lower[0] = upper[0] = point
@@ -167,8 +167,8 @@ def _reference_ascent(data, model, w, grid, coord, n_orderings, seed, keep_weigh
 
 @contextlib.contextmanager
 def _refits_failing_from(k, error):
-    """The fits of ``homotopy``, the point fit (``weighted_fit``) then the refits
-    (``_refit``), raise ``error`` from their k-th call on (never when k is None)."""
+    """The fits of ``homotopy``, the point fit then the refits (all ``weighted_fit``),
+    raise ``error`` from their k-th call on (never when k is None)."""
     if k is None:
         yield
         return
@@ -181,8 +181,7 @@ def _refits_failing_from(k, error):
             return fit(*args, **kwargs)
         return call
 
-    with mock.patch.object(homotopy, "weighted_fit", failing(homotopy.weighted_fit)), \
-            mock.patch.object(homotopy, "_refit", failing(homotopy._refit)):
+    with mock.patch.object(homotopy, "weighted_fit", failing(homotopy.weighted_fit)):
         yield
 
 

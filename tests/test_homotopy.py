@@ -1,5 +1,7 @@
 """Grid continuation and coordinate ascent for extremal weights."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from msmbounds.gamma import (
     marginal_quantile_beta_bounds,
 )
 from msmbounds.homotopy import coordinate_ascent_bounds, homotopy_bounds
-from msmbounds.msm import custom_msm, intercept_msm, linear_msm
+from msmbounds.msm import _moment_matrix, custom_msm, intercept_msm, linear_msm
 from msmbounds.nuisance import NuisanceConfig, SelfFit
 from msmbounds.oracles import oracle_exhaustive_beta_bound
 
@@ -32,7 +34,10 @@ def test_exact_derivative_intercept_hand_value():
     data = _data(n=20)
     w = np.ones(20)
     beta = np.array([data.y.mean()])
-    d = gamma_module._derivative(intercept_msm(), data.a, data.y, w, 0, beta)[2]
+    model = intercept_msm()
+    h = model.features(data.a)
+    d = gamma_module._derivative(model, data.a, h, data.y, w, 0, beta,
+                                 _moment_matrix(model, data.a, h, w))[2]
     np.testing.assert_allclose(d, data.y - data.y.mean(), atol=1e-12)
 
 
@@ -45,7 +50,9 @@ def test_exact_derivative_matches_finite_differences():
     model = linear_msm()
     b = model.basis_matrix(data.a)
     beta = _beta_of_v(b, data.y, w, v)
-    d = gamma_module._derivative(model, data.a, data.y, w, 1, beta, v)[2]
+    h = model.features(data.a)
+    d = gamma_module._derivative(model, data.a, h, data.y, w, 1, beta,
+                                 _moment_matrix(model, data.a, h, v * w))[2]
     eps = 1e-6
     for i in range(n):
         vp, vm = v.copy(), v.copy()
@@ -246,10 +253,16 @@ def test_coordinate_ascent_needs_linear_model():
 def test_homotopy_records_fallbacks_and_invalid_points(monkeypatch):
     # every refit after the point estimate fails: each branch keeps its
     # previous point at its first two failed steps, then turns invalid
+    fits = []
+
     def failing_refit(*args, **kwargs):
+        fits.append(args)
+        if len(fits) == 1:
+            return point_fit(*args, **kwargs)
         raise SingularMoment("forced")
 
-    monkeypatch.setattr(homotopy, "_refit", failing_refit)
+    point_fit = homotopy.weighted_fit
+    monkeypatch.setattr(homotopy, "weighted_fit", failing_refit)
     data = _data()
     trace = homotopy_bounds(data, linear_msm(), weights=np.ones(data.n),
                             grid=[1.0, 1.5, 2.0, 2.5, 3.0], coord=1)
@@ -293,23 +306,28 @@ def test_exact_homotopy_builds_one_feature_matrix(grid):
 def test_exact_homotopy_builds_one_gram_per_weight_vector(monkeypatch, constraint):
     # each refit hands its Gram matrix to the next derivative and the seed's
     # to the swaps, so only a step's first derivative, at the carried
-    # weights, builds its own: one per branch and grid step
-    own_builds = []
-    leverage = gamma_module._leverage
+    # weights, builds its own: one per branch and grid step. The refits build
+    # theirs inside msm, the swaps theirs in _swap_phase
+    derivatives, own_builds = [], []
+    derivative, moment_matrix = homotopy._derivative, homotopy._moment_matrix
 
-    def spy(*args, **kwargs):
-        m = args[7] if len(args) > 7 else kwargs.get("m")
-        own_builds.append(m is None)
-        return leverage(*args, **kwargs)
+    def spy_derivative(*args):
+        derivatives.append(args)
+        return derivative(*args)
 
-    monkeypatch.setattr(gamma_module, "_leverage", spy)
+    def spy_moment_matrix(*args):
+        own_builds.append(sys._getframe(1).f_code.co_name == "_one_step")
+        return moment_matrix(*args)
+
+    monkeypatch.setattr(homotopy, "_derivative", spy_derivative)
+    monkeypatch.setattr(homotopy, "_moment_matrix", spy_moment_matrix)
     data = generate(DgpSpec("confounded-line", seed=2), 300)
     grid = [1.0, 1.25, 1.5, 2.0, 3.0]
     trace = homotopy_bounds(data, linear_msm(), nuisances=SelfFit(data), grid=grid,
                             flavor="exact", constraint=constraint, coord=1,
                             inner_iterations=5)
     assert np.all(trace.valid)
-    assert len(own_builds) > 2 * (len(grid) - 1)
+    assert len(derivatives) > 2 * (len(grid) - 1)
     assert sum(own_builds) == 2 * (len(grid) - 1)
 
 

@@ -54,9 +54,9 @@ def _reference_linearized_homotopy(data, model, nuisances, grid, coord, constrai
     cells = _cells(data, nuisances) if constraint == "conditional" else None
     a, y = data.a, data.y
     h = model.features(a)
-    beta = weighted_fit(model, a, y, w)
+    beta, m_beta = weighted_fit(model, a, y, w)
     point = float(beta[coord])
-    c = _leverage(model, a, w, coord, beta, h=h) * w
+    c = _leverage(h, m_beta, coord) * w
     d = c * y
     grad = h if model.linear else model.grad(a, beta)
     m = (h * w[:, None]).T @ grad / y.size
@@ -128,7 +128,7 @@ def test_linearized_homotopy_matches_step_loop(case):
     # 4e6 for the quadratic on hidden-dose, whose doses lie in [2, 2.5])
     h = model.features(data.a)
     cond = np.linalg.cond((h * w[:, None]).T @ (h if model.linear else model.grad(
-        data.a, weighted_fit(model, data.a, data.y, w))))
+        data.a, weighted_fit(model, data.a, data.y, w)[0])))
     rel = max(1e-9 if case["model"] == "curved" else 1e-11, np.finfo(float).eps * cond)
     for branch in ("lower", "upper"):
         values, kept = want[branch]

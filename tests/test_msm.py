@@ -14,7 +14,6 @@ from msmbounds.msm import (
     fit_msm,
     intercept_msm,
     linear_msm,
-    moment_matrix,
     polynomial_msm,
     sandwich_variance,
     u_projection_variance,
@@ -106,7 +105,7 @@ def test_fit_requires_weights_or_nuisances():
 
 def test_moment_matrix_and_singular_design():
     data = _dataset(n=50)
-    m = moment_matrix(linear_msm(), data.a, np.ones(50))
+    m = weighted_fit(linear_msm(), data.a, data.y, np.ones(50))[1]
     B = np.column_stack([np.ones(50), data.a])
     np.testing.assert_allclose(m, B.T @ B / 50, atol=1e-12)
     with pytest.raises(SingularMoment):

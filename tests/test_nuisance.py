@@ -10,6 +10,7 @@ from msmbounds.data import Dataset
 from msmbounds.errors import (
     BadTau,
     ConfigError,
+    DataError,
     DegenerateVariance,
     TooManyLevels,
 )
@@ -20,6 +21,7 @@ from msmbounds.nuisance import (
     DiscretePropensity,
     EmpiricalQuantileFit,
     GaussianPropensity,
+    KernelOutcomeFit,
     LinearOutcomeFit,
     NuisanceConfig,
     PinballQuantileFit,
@@ -56,12 +58,12 @@ def test_linear_outcome_exact_on_noiseless_data():
     x = rng.standard_normal((50, 2))
     a = rng.standard_normal(50)
     y = 2.0 - 1.5 * a + 0.5 * a ** 2 + x @ [1.0, -2.0]
-    fit = LinearOutcomeFit(a, x, y, degree=2)
-    np.testing.assert_allclose(fit(a, x), y, atol=1e-9)
+    fit = LinearOutcomeFit(nuisance._Rows(a, x), y, degree=2)
+    np.testing.assert_allclose(fit(nuisance._Rows(a, x)), y, atol=1e-9)
     a2 = rng.standard_normal(10)
     x2 = rng.standard_normal((10, 2))
     expected = 2.0 - 1.5 * a2 + 0.5 * a2 ** 2 + x2 @ [1.0, -2.0]
-    np.testing.assert_allclose(fit(a2, x2), expected, atol=1e-9)
+    np.testing.assert_allclose(fit(nuisance._Rows(a2, x2)), expected, atol=1e-9)
 
 
 def test_kernel_outcome_interpolates_smoothly():
@@ -70,7 +72,7 @@ def test_kernel_outcome_interpolates_smoothly():
     y = np.sin(a)
     fit = fit_outcome(Dataset(None, a, y), NuisanceConfig(outcome_method="kernel"))
     probe = np.linspace(-1.5, 1.5, 20)
-    np.testing.assert_allclose(fit(probe, np.zeros((20, 0))), np.sin(probe), atol=0.1)
+    np.testing.assert_allclose(fit(nuisance._Rows(probe, np.zeros((20, 0)))), np.sin(probe), atol=0.1)
 
 
 def test_gaussian_propensity_recovers_mean_model():
@@ -122,9 +124,9 @@ def test_pinball_quantiles_exact_on_noiseless_line():
     rng = np.random.default_rng(5)
     a = rng.standard_normal(80)
     y = 2.0 + 1.5 * a
-    fit = PinballQuantileFit(a, np.zeros((80, 0)), y)
+    fit = PinballQuantileFit(nuisance._Rows(a, np.zeros((80, 0))), y)
     for tau in (0.2, 0.5, 0.8):
-        np.testing.assert_allclose(fit.evaluate(tau, a, np.zeros((80, 0))), y,
+        np.testing.assert_allclose(fit.evaluate_many([tau], nuisance._Rows(a, np.zeros((80, 0))))[:, 0], y,
                                    atol=1e-6)
 
 
@@ -132,31 +134,67 @@ def test_pinball_quantiles_never_cross():
     rng = np.random.default_rng(6)
     a = rng.standard_normal(120)
     y = a + rng.standard_normal(120) * (1 + a ** 2)
-    fit = PinballQuantileFit(a, np.zeros((120, 0)), y)
+    fit = PinballQuantileFit(nuisance._Rows(a, np.zeros((120, 0))), y)
     taus = [0.9, 0.1, 0.5]
-    q = fit.evaluate_many(taus, a, np.zeros((120, 0)))
+    q = fit.evaluate_many(taus, nuisance._Rows(a, np.zeros((120, 0))))
     assert np.all(q[:, 1] <= q[:, 2] + 1e-12)
     assert np.all(q[:, 2] <= q[:, 0] + 1e-12)
 
 
 def test_pinball_rejects_bad_tau():
-    fit = PinballQuantileFit([0.0, 1.0], np.zeros((2, 0)), [0.0, 1.0])
+    fit = PinballQuantileFit(nuisance._Rows([0.0, 1.0], np.zeros((2, 0))), [0.0, 1.0])
     with pytest.raises(BadTau):
-        fit.evaluate(0.0, [0.0], np.zeros((1, 0)))
+        fit.evaluate_many([0.0], nuisance._Rows([0.0], np.zeros((1, 0))))
     with pytest.raises(BadTau):
-        fit.evaluate(1.0, [0.0], np.zeros((1, 0)))
+        fit.evaluate_many([1.0], nuisance._Rows([0.0], np.zeros((1, 0))))
 
 
 def test_empirical_quantiles_per_cell():
     a = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
     y = np.array([1.0, 2.0, 3.0, 10.0, 20.0])
-    fit = EmpiricalQuantileFit(a, np.zeros((5, 0)), y)
+    fit = EmpiricalQuantileFit(nuisance._Rows(a, np.zeros((5, 0))), y)
     # type-1: ceil(3*.5)=2nd smallest in cell a=0; ceil(2*.5)=1st in cell a=1
-    assert fit.evaluate(0.5, [0.0], np.zeros((1, 0)))[0] == 2.0
-    assert fit.evaluate(0.5, [1.0], np.zeros((1, 0)))[0] == 10.0
+    assert fit.evaluate_many([0.5], nuisance._Rows([0.0], np.zeros((1, 0))))[0, 0] == 2.0
+    assert fit.evaluate_many([0.5], nuisance._Rows([1.0], np.zeros((1, 0))))[0, 0] == 10.0
     # unseen cell falls back to the pooled sample
-    assert fit.evaluate(0.5, [7.0], np.zeros((1, 0)))[0] == 3.0
+    assert fit.evaluate_many([0.5], nuisance._Rows([7.0], np.zeros((1, 0))))[0, 0] == 3.0
 
+
+# each fit's training entry, by the name its message gives, and whether it reads y
+TRAINING_ENTRIES = {
+    "linear outcome fit": (lambda rows, y: LinearOutcomeFit(rows, y), True),
+    "kernel outcome fit": (lambda rows, y: KernelOutcomeFit(rows, y), True),
+    "pinball quantile fit": (lambda rows, y: PinballQuantileFit(rows, y).coef(0.5), True),
+    "empirical quantile fit": (lambda rows, y: EmpiricalQuantileFit(rows, y), True),
+    "gaussian propensity fit": (lambda rows, y: GaussianPropensity(rows.a, rows.x), False),
+    "discrete propensity fit": (lambda rows, y: DiscretePropensity(rows.a, rows.x), False),
+}
+NON_FINITE = {"+inf-y": ("y", np.inf), "-inf-y": ("y", -np.inf), "nan-y": ("y", np.nan),
+              "nan-a": ("a", np.nan), "+inf-a": ("a", np.inf)}
+
+
+@pytest.mark.parametrize("fit,entry", [
+    pytest.param(fit, entry, id=f"{fit}-{entry}")
+    for fit, (_, reads_y) in sorted(TRAINING_ENTRIES.items()) for entry in NON_FINITE
+    # a propensity reads a as its response and no y
+    if reads_y or NON_FINITE[entry][0] == "a"])
+def test_non_finite_training_data_is_a_data_error(fit, entry):
+    # NaN in y gave NaN fits, and NaN or inf in a NaN fits or an untyped
+    # LinAlgError from the least squares
+    train, reads_y = TRAINING_ENTRIES[fit]
+    column, value = NON_FINITE[entry]
+    rng = np.random.default_rng(6)
+    a, x = rng.standard_normal(50), rng.standard_normal((50, 1))
+    y = a + x[:, 0] + rng.standard_normal(50)
+    {"a": a, "y": y}[column][7] = value
+    if not reads_y:
+        counts = "1 non-finite in a, 0 in the design"
+    elif column == "y":
+        counts = "1 non-finite in y, 0 in the design"
+    else:
+        counts = "0 non-finite in y, 1 in the design"
+    with pytest.raises(DataError, match=f"{fit} needs finite data: {counts}"):
+        train(nuisance._Rows(a, x), y)
 
 def test_group_cells_partitions():
     a = np.array([0.0, 1.0, 0.0, 1.0])
@@ -253,8 +291,8 @@ def test_selffit_matches_full_sample_fits():
     data = _noisy_linear()
     sf = SelfFit(data)
     assert sf.in_sample
-    full = LinearOutcomeFit(data.a, data.x, data.y)
-    np.testing.assert_allclose(sf.mu_units, full(data.a, data.x), atol=1e-12)
+    full = LinearOutcomeFit(nuisance._Rows(data.a, data.x), data.y)
+    np.testing.assert_allclose(sf.mu_units, full(nuisance._Rows(data.a, data.x)), atol=1e-12)
     w = GaussianPropensity(data.a, data.x)
     expect = w.marginal_density(data.a) / w.conditional_density(data.a, data.x)
     np.testing.assert_allclose(sf.weights, expect, atol=1e-12)

@@ -131,7 +131,8 @@ class _ReferenceDiscretePropensity(nuisance.DiscretePropensity):
 
 def _reference_outcome_fit(a, x, y, config):
     if config.outcome_method == "linear":
-        return nuisance.LinearOutcomeFit(a, x, y, degree=config.outcome_degree)
+        fit = nuisance.LinearOutcomeFit(nuisance._Rows(a, x), y, degree=config.outcome_degree)
+        return lambda a, x: fit(nuisance._Rows(a, x))
     return _ReferenceKernelOutcomeFit(a, x, y, bandwidth_scale=config.bandwidth_scale)
 
 
@@ -154,7 +155,8 @@ class _ReferenceBundle:
         return 1.0 / cond
 
     def quantile_pair(self, gamma, a, x):
-        q = self.quantile.evaluate_many([1.0 / (1.0 + gamma), gamma / (1.0 + gamma)], a, x)
+        q = self.quantile.evaluate_many([1.0 / (1.0 + gamma), gamma / (1.0 + gamma)],
+                                        nuisance._Rows(a, x))
         return q[:, 0], q[:, 1]
 
     def kappa_fit(self, gamma, side):

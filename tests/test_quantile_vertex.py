@@ -24,6 +24,7 @@ from msmbounds.errors import DataError, SingularDesign
 from msmbounds.nuisance import (
     PinballQuantileFit,
     _poly_design,
+    _Rows,
     _quantile_vertex,
     _sorted_quantile,
 )
@@ -69,7 +70,7 @@ def _unique_optimum(design, y, fitted, tau):
 
 
 def _check_against_highs(a, x, y, degree, tau):
-    fit = PinballQuantileFit(a, x, y, degree)
+    fit = PinballQuantileFit(_Rows(a, x), y, degree)
     design = _poly_design(a, x, degree)
     coef, ref = fit.coef(tau), _highs_quantile(design, y, tau)
     assert _loss(design, y, coef, tau) == pytest.approx(
@@ -144,9 +145,9 @@ def test_collinear_column_gets_zero():
     x = rng.standard_normal((60, 1))
     y = 1.0 + 2.0 * a + x[:, 0] + rng.standard_normal(60)
     for tau in (0.25, 0.5, 0.75):
-        coef = PinballQuantileFit(a, x, y, degree=2).coef(tau)
+        coef = PinballQuantileFit(_Rows(a, x), y, degree=2).coef(tau)
         assert coef[2] == 0.0
-        np.testing.assert_allclose(coef[[0, 1, 3]], PinballQuantileFit(a, x, y).coef(tau),
+        np.testing.assert_allclose(coef[[0, 1, 3]], PinballQuantileFit(_Rows(a, x), y).coef(tau),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -281,7 +282,7 @@ def shared_setup_designs(draw):
 @given(shared_setup_designs())
 def test_shared_setup_matches_the_per_tau_reference_bit_for_bit(case):
     a, x, y, degree = case
-    fit = PinballQuantileFit(a, x, y, degree)
+    fit = PinballQuantileFit(_Rows(a, x), y, degree)
     design = _poly_design(a, x, degree)
     for tau in TAUS:
         try:
@@ -301,12 +302,12 @@ def test_tau_free_work_runs_once_per_fit_and_not_before_the_first():
     with mock.patch.object(nuisance, "_independent_columns",
                            wraps=nuisance._independent_columns) as columns, \
             mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
-        fit = PinballQuantileFit(a, x, y)
+        fit = PinballQuantileFit(_Rows(a, x), y)
         assert columns.call_count == lstsq.call_count == 0
         for tau in TAUS:
             fit.coef(tau)
         assert columns.call_count == lstsq.call_count == 1
-        PinballQuantileFit(a, x, y).coef(0.5)
+        PinballQuantileFit(_Rows(a, x), y).coef(0.5)
         assert columns.call_count == lstsq.call_count == 2
 
 
@@ -324,7 +325,7 @@ def test_non_finite_data_is_a_data_error_before_the_walk(column, value):
     with mock.patch.object(nuisance, "_independent_columns",
                            wraps=nuisance._independent_columns) as columns, \
             mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
-        fit = PinballQuantileFit(a, x, y)
+        fit = PinballQuantileFit(_Rows(a, x), y)
         with pytest.raises(DataError, match=counts):
             fit.coef(0.5)
     assert columns.call_count == lstsq.call_count == 0

@@ -23,7 +23,7 @@ from msmbounds.gamma import (
     marginal_quantile_grid_bounds,
 )
 from msmbounds.homotopy import homotopy_bounds
-from msmbounds.msm import _solve, intercept_msm, linear_msm, polynomial_msm
+from msmbounds.msm import _solve, intercept_msm, linear_msm, polynomial_msm, weighted_fit
 from msmbounds.nuisance import NuisanceConfig, SelfFit, fixed_weight_nuisances
 from msmbounds.panel import cumulative_panel_msm, panel_weights
 
@@ -49,7 +49,7 @@ def _reference_swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coo
         gram = (b_mat * wv[:, None]).T @ b_mat / n
         rhs = b_mat.T @ (wv * y) / n
         try:
-            c = _leverage(model, a_obj, w, coord, beta_cur, v) * w
+            c = _leverage(b_mat, gram, coord) * w
         except SingularMoment:
             break
         d = c * (y - model.predict(a_obj, beta_cur))
@@ -159,7 +159,8 @@ def test_singular_candidate_falls_back_to_one_by_one_solves(monkeypatch):
 def _f(data, model, nuis, coord):
     """f = T Y of a linear model, whose linearized bound has no offset."""
     w = nuis.weights
-    return _leverage(model, data.a, w, coord) * w * data.y
+    h = model.features(data.a)
+    return _leverage(h, weighted_fit(model, data.a, data.y, w, h=h)[1], coord) * w * data.y
 
 
 def _per_gamma(data, model, nuis, grid, coord):

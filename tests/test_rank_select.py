@@ -113,9 +113,9 @@ def test_swap_band_lower_index_wins_ties(monkeypatch):
     w = np.ones(data.n)
     mask = np.zeros(data.n, dtype=bool)
     mask[::3] = True
-    beta = homotopy.weighted_fit(model, data.a, data.y, w * np.where(mask, 2.0, 0.5))
+    beta, gram = homotopy.weighted_fit(model, data.a, data.y, w * np.where(mask, 2.0, 0.5))
 
-    def tied(model, a, y, w, coord, beta, v=None, h=None, m=None):
+    def tied(model, a, h, y, w, coord, beta, m):
         return np.ones(y.size), np.zeros(y.size), np.full(y.size, 0.25)
 
     bands = []
@@ -129,7 +129,7 @@ def test_swap_band_lower_index_wins_ties(monkeypatch):
     monkeypatch.setattr(homotopy, "_derivative", tied)
     monkeypatch.setattr(homotopy, "_band", spy)
     runs = [homotopy._swap_phase(model, data.a, h, data.y, w, (0.5, 2.0), mask, beta,
-                                 sense, 1) for sense in (1.0, -1.0, 1.0)]
+                                 sense, 1, gram) for sense in (1.0, -1.0, 1.0)]
     assert bands
     for idx, band in bands:
         np.testing.assert_array_equal(band, idx[:homotopy._SWAP_BAND])
