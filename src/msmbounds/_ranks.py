@@ -12,7 +12,7 @@ Every rule follows the ascending (value, index) order of ``np.lexsort``,
 but only ``rank_masks``, ``rank_sums`` and ``cell_rank_mask`` sort, because
 a whole grid or every cell needs that order. ``rank_mask``, the
 ``select_*_mask`` pair and the homotopy's swap band need one cut of it:
-they take the threshold from ``np.partition``, mark every value strictly
+they take the threshold from a partition, mark every value strictly
 past it, and fill the remaining count from the values tied with it in
 index order, the highest indices for the top side and the lowest for the
 bottom side, which is where lexsort puts them. ±inf rank like any other value and -0.0 ties
@@ -64,12 +64,20 @@ def _select(values, count, top):
     if not count:
         return np.zeros(n, dtype=bool)
     kth = n - count if top else count - 1
-    threshold = np.partition(values, kth)[kth]
+    part = values.copy()
+    part.partition(kth)
+    threshold = part[kth]
     mask = values > threshold if top else values < threshold
-    ties = np.flatnonzero(values == threshold)
+    ties = (values == threshold).nonzero()[0]
     fill = count - np.count_nonzero(mask)
     mask[ties[ties.size - fill:] if top else ties[:fill]] = True
     return mask
+
+
+def _levels(mask, box):
+    """v = box[1] on the boolean ``mask`` and box[0] elsewhere: the bytes of
+    ``np.where(mask, box[1], box[0])``, by a table lookup on the mask's bytes."""
+    return np.array(box, dtype=float).take(mask.view(np.uint8))
 
 
 def select_top_mask(values, count):
@@ -173,7 +181,7 @@ def upper_mass_v(values, gamma):
     (tau_u = gamma/(1+gamma)); 1/gamma elsewhere. mean(v) = 1 exactly when
     n*tau_u is integral, otherwise short by at most one atom.
     """
-    return np.where(rank_mask(values, gamma, True), gamma, 1.0 / gamma)
+    return _levels(rank_mask(values, gamma, True), (1.0 / gamma, gamma))
 
 
 def lower_mass_v(values, gamma):
@@ -181,4 +189,4 @@ def lower_mass_v(values, gamma):
 
     Mirror of ``upper_mass_v`` through ``rank_mask``.
     """
-    return np.where(rank_mask(values, gamma, False), gamma, 1.0 / gamma)
+    return _levels(rank_mask(values, gamma, False), (1.0 / gamma, gamma))

@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from ._ranks import cell_rank_mask, rank_masks, rank_sums
+from ._ranks import _levels, cell_rank_mask, rank_masks, rank_sums
 from .errors import ConfigError
 from .msm import (
     PairKernel,
@@ -238,7 +238,7 @@ def _coordinate_transfer(data, model, w, coord):
 
 def _weights(mask, gamma, epsilon):
     """v = gamma on ``mask`` and 1/gamma elsewhere, shrunk to (1 - epsilon) + epsilon v."""
-    v = np.where(mask, gamma, 1.0 / gamma)
+    v = _levels(mask, (1.0 / gamma, gamma))
     return v if epsilon == 1.0 else (1.0 - epsilon) + epsilon * v
 
 

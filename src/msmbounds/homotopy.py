@@ -16,7 +16,7 @@ Every search here is one ``_continue`` over the grid with its own step.
 
 import numpy as np
 
-from ._ranks import _select, rank_mask
+from ._ranks import _levels, _select, rank_mask
 from .errors import NoConvergence, SingularMoment
 from .gamma import (
     _cells, _conditional_mask, _derivative, _gamma_grid, _rank_rule_grid,
@@ -51,10 +51,11 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, gram):
         return []
     n = y.size
     lo, hi = box
+    v = _levels(mask, box)
     visited = []
     cur_val = float(beta_cur[coord])
     for _ in range(2 * n):
-        wv = w * np.where(mask, hi, lo)
+        wv = w * v
         if gram is None:
             gram = _moment_matrix(model, a_obj, h, wv)
         # h^T (w v y), not M's h w: the candidates' rank-two updates are built on it
@@ -63,8 +64,8 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, gram):
             d = _derivative(model, a_obj, h, y, w, coord, beta_cur, gram)[2]
         except SingularMoment:
             break
-        in_idx = np.flatnonzero(mask)
-        out_idx = np.flatnonzero(~mask)
+        in_idx = mask.nonzero()[0]
+        out_idx = (~mask).nonzero()[0]
         if in_idx.size == 0 or out_idx.size == 0:
             break
         drop = _band(in_idx, sense * d[in_idx])
@@ -81,7 +82,7 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, gram):
         rhs_j = dw_j[:, None] * b_j * y[add][:, None]
         rhs2 = rhs + (rhs_i[:, None] + rhs_j[None, :]) / n
         betas = _solve_candidates(gram2, rhs2)
-        ok = np.all(np.isfinite(betas), axis=-1)
+        ok = np.isfinite(betas).all(axis=-1)
         if not ok.any():
             break
         score = np.where(ok, sense * betas[..., coord], -np.inf)
@@ -90,11 +91,11 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, gram):
         if sense * (best_val - cur_val) <= 1e-12:
             break
         cur_val, beta_cur = best_val, betas[i, j]
-        mask = mask.copy()
-        mask[drop[i]] = False
-        mask[add[j]] = True
+        mask, v = mask.copy(), v.copy()
+        mask[drop[i]], v[drop[i]] = False, lo
+        mask[add[j]], v[add[j]] = True, hi
         gram = None
-        visited.append((np.where(mask, hi, lo), beta_cur.copy(), cur_val))
+        visited.append((v, beta_cur.copy(), cur_val))
     return visited
 
 
@@ -266,15 +267,15 @@ def _one_step(
         c, g, d = _derivative(model, a_obj, h, y, w, coord, beta_cur, m)
         if constraint == "marginal":
             mask = rank_mask(d, gamma, upper)
-            if seen_masks and np.array_equal(mask, seen_masks[-1]):
+            if seen_masks and (mask == seen_masks[-1]).all():
                 break
-            revisit = any(np.array_equal(mask, seen) for seen in seen_masks)
-            v_vertex = np.where(mask, box[1], box[0])
+            revisit = any((mask == seen).all() for seen in seen_masks)
+            if revisit and damps >= 3:
+                break
+            v_vertex = _levels(mask, box)
             if revisit:
                 # the threshold map is cycling; damp toward the proposal so
                 # the next derivative is taken between the cycle members
-                if damps >= 3:
-                    break
                 damps += 1
                 v_cur = 0.5 * (v_cur + v_vertex)
                 beta_cur, m = weighted_fit(model, a_obj, y, w * v_cur, beta_cur, h=h)
@@ -282,11 +283,11 @@ def _one_step(
             v_cur = v_vertex
             beta_cur, m = weighted_fit(model, a_obj, y, w * v_cur, beta_cur, h=h)
             candidates.append((v_cur, beta_cur, float(beta_cur[coord])))
-            vertices.append((candidates[-1], m))
+            vertices.append((candidates[-1], m, mask))
             seen_masks.append(mask)
         else:
             mask = _conditional_mask(cells, nuisances, d, c, g, gamma, upper)
-            v_cur = np.where(mask, box[1], box[0])
+            v_cur = _levels(mask, box)
             beta_cur, m = weighted_fit(model, a_obj, y, w * v_cur, beta_cur, h=h)
             val = float(beta_cur[coord])
             candidates.append((v_cur, beta_cur, val))
@@ -294,16 +295,12 @@ def _one_step(
                 break
             last_coord = val
     if constraint == "marginal" and inner_iterations > 1 and vertices:
-        # seed swaps from the best vertex built at THIS gamma's levels; the
-        # carried candidate has old atom levels, so its count is wrong here
-        (seed_v, seed_beta, _), seed_m = max(vertices, key=lambda fit: sense * fit[0][2])
-        seed_mask = seed_v >= 1.0 + 1e-12
-        if seed_mask.any() and not seed_mask.all():
-            candidates.extend(
-                _swap_phase(
-                    model, a_obj, h, y, w, box, seed_mask, seed_beta, sense, coord, seed_m,
-                )
-            )
+        # seed swaps from the best vertex built at THIS gamma's levels, with
+        # its own rank mask; the carried candidate has old atom levels, so its
+        # count is wrong here
+        (_, seed_beta, _), seed_m, seed_mask = max(vertices, key=lambda fit: sense * fit[0][2])
+        candidates.extend(
+            _swap_phase(model, a_obj, h, y, w, box, seed_mask, seed_beta, sense, coord, seed_m))
     return max(candidates, key=lambda cand: sense * cand[2])
 
 
@@ -342,7 +339,7 @@ def coordinate_ascent_bounds(
 
     def step(j, gamma, sense, carried):
         nonlocal worst_refit_gap
-        start = np.where(carried[0] >= 1.0, gamma, 1.0 / gamma)
+        start = _levels(carried[0] >= 1.0, (1.0 / gamma, gamma))
         flips = [_greedy_flips(b, y, w, start.copy(), gamma, 1.0 / gamma, coord, order, sense,
                                refit) for order in orders]
         for _, _, gap in flips:

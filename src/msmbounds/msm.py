@@ -136,9 +136,20 @@ def _solve(mat, rhs, context):
         sol = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMoment(f"{context}: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         raise SingularMoment(f"{context}: non-finite solve result")
     return sol
+
+
+def _weighted_rows(h, w):
+    """h w, the rows of ``h`` times the weights ``w``: the bytes of h * w[:, None],
+    formed one column at a time, which is faster than the broadcast, into a
+    fresh array of h's layout, the one the broadcast gives, because the
+    general product (h w)^T h rounds by layout."""
+    hw = np.empty_like(h)
+    for k in range(h.shape[1]):
+        np.multiply(h[:, k], w, out=hw[:, k])
+    return hw
 
 
 def _moment_matrix(model, a, h, w, beta=None, hw=None):
@@ -151,7 +162,7 @@ def _moment_matrix(model, a, h, w, beta=None, hw=None):
     unlike the general product.
     """
     if hw is None:
-        hw = h * w[:, None]
+        hw = _weighted_rows(h, w)
     grad = h if model.linear else model.grad(a, beta)
     return hw.T @ grad / h.shape[0]
 
@@ -161,14 +172,18 @@ def sandwich_variance(model, a, y, w, beta):
 
     S is the ddof-0 covariance of the per-unit scores h(A) w (Y - g(A; beta)).
     """
-    y = _as_rows(y)
     w = _as_rows(w)
     h = model.features(a)
+    return _sandwich(model, a, _as_rows(y), w, beta, h, _moment_matrix(model, a, h, w, beta))
+
+
+def _sandwich(model, a, y, w, beta, h, m):
+    """``sandwich_variance`` with the features ``h`` and the moment matrix ``m`` at beta,
+    as ``weighted_fit`` returns it with beta."""
     resid = y - model.predict(a, beta)
     scores = h * (w * resid)[:, None]
     centered = scores - scores.mean(axis=0)
     s = centered.T @ centered / scores.shape[0]
-    m = _moment_matrix(model, a, h, w, beta)
     minv_s = _solve(m, s, "sandwich bread")
     return _solve(m, minv_s.T, "sandwich bread").T
 
@@ -189,7 +204,7 @@ def solve_moment(model, a, target, w=None, beta0=None, max_iter=100, h=None):
         # the moment features are the basis (MsmModel checks)
         return _solve(_moment_matrix(model, a, h, np.ones(n) if w is None else w), target,
                       "moment matrix")
-    hw = h if w is None else h * w[:, None]
+    hw = h if w is None else _weighted_rows(h, w)
     beta = np.zeros(model.dim) if beta0 is None else np.asarray(beta0, dtype=float).copy()
 
     def gap(bvec):
@@ -228,7 +243,7 @@ def weighted_fit(model, a, y, w, beta0=None, max_iter=100, h=None):
     """
     if h is None:
         h = model.features(a)
-    hw = h * w[:, None]
+    hw = _weighted_rows(h, w)
     target = hw.T @ y / y.size
     if model.linear:
         m = _moment_matrix(model, a, h, w, hw=hw)
@@ -249,8 +264,9 @@ def fit_msm(data, model, nuisances=None, weights=None, beta0=None, max_iter=100)
             raise ValueError("pass either nuisances or explicit weights")
         weights = nuisances.weights
     w = _as_rows(weights)
-    beta = weighted_fit(model, data.a, data.y, w, beta0, max_iter)[0]
-    cov = sandwich_variance(model, data.a, data.y, w, beta)
+    h = model.features(data.a)
+    beta, m = weighted_fit(model, data.a, data.y, w, beta0, max_iter, h)
+    cov = _sandwich(model, data.a, _as_rows(data.y), w, beta, h, m)
     return BetaEstimate(beta=beta, covariance=cov)
 
 
@@ -390,8 +406,13 @@ def _pair_moment_sides(model, a, phis):
     kernel that ``phis`` yields, one per side."""
     h = model.features(a)
     ones = np.ones(h.shape[0])
+    # a linear model's M is free of beta: one for both sides, solve_moment's and the bread
+    m = _moment_matrix(model, a, h, ones) if model.linear else None
 
     def solve(target):
+        if model.linear:
+            beta = _solve(m, target, "moment matrix")
+            return beta, model.predict(a, beta), m
         beta = solve_moment(model, a, target, h=h)
         return beta, model.predict(a, beta), _moment_matrix(model, a, h, ones, beta)
 

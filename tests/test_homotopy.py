@@ -7,6 +7,7 @@ import pytest
 
 from msmbounds import gamma as gamma_module
 from msmbounds import homotopy
+from msmbounds._ranks import gamma_count
 from msmbounds.data import Dataset
 from msmbounds.datagen import DgpSpec, generate
 from msmbounds.errors import SingularMoment
@@ -300,6 +301,30 @@ def test_exact_homotopy_builds_one_feature_matrix(grid):
                             flavor="exact", coord=1, inner_iterations=5)
     assert np.all(np.isfinite(trace.upper))
     assert builds == [data.n]
+
+
+def test_swap_search_runs_just_above_gamma_one(monkeypatch):
+    # at 1 < gamma < 1 + 1e-12 the high level gamma sits below 1 + 1e-12, so
+    # a seed read off the vertex weights marks no unit; the vertex's own rank
+    # mask holds its gamma_count units and the search runs from it
+    seeds = []
+    swap_phase = homotopy._swap_phase
+
+    def spy(model, a_obj, h, y, w, box, mask, *rest):
+        seeds.append((box[1], mask.copy()))
+        return swap_phase(model, a_obj, h, y, w, box, mask, *rest)
+
+    monkeypatch.setattr(homotopy, "_swap_phase", spy)
+    data = _data(seed=3, n=80)
+    tiny = 1.0 + 5e-13
+    trace = homotopy_bounds(data, linear_msm(), weights=np.ones(data.n), grid=[1.0, tiny, 2.0],
+                            coord=1, inner_iterations=4)
+    assert np.all(trace.valid)
+    at_tiny = [mask for gamma, mask in seeds if gamma == tiny]
+    assert len(at_tiny) == 2  # one per branch
+    count = gamma_count(data.n, tiny)
+    assert 0 < count < data.n
+    assert all(np.count_nonzero(mask) == count for mask in at_tiny)
 
 
 @pytest.mark.parametrize("constraint", ["marginal", "conditional"])

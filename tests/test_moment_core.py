@@ -1,5 +1,6 @@
 """One moment core: ``msm.weighted_fit`` returns (beta, M), and every leverage,
-derivative and sandwich takes M from ``msm._moment_matrix``.
+derivative and sandwich takes M from ``msm._moment_matrix``; ``fit_msm``
+and a linear model's pair-moment sides form no M beyond the one they need.
 
 The references below are the routes the core replaced, kept as they were:
 a linear fit that returned its Gram matrix beside the public fit, a public
@@ -9,17 +10,23 @@ for bit, because numpy rounds A^T A from one buffer (syrk) unlike the general
 product, and the homotopy's traces and the CLI outputs rest on these bits.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msmbounds.errors import NoConvergence, SingularMoment
+from msmbounds import msm
 from msmbounds.gamma import _derivative, _leverage
 from msmbounds.msm import (
     _moment_matrix,
+    _pair_moment_sides,
     _solve,
     custom_msm,
+    fit_msm,
+    pair_moment_fit,
     polynomial_msm,
     sandwich_variance,
     solve_moment,
@@ -164,3 +171,61 @@ def test_moment_core_matches_the_routes_it_replaced(case):
             sandwich_variance(model, a, y, w, beta)
         return
     _same_bits(sandwich_variance(model, a, y, w, beta), want_cov)
+
+
+def _counting_moment_matrix(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _moment_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(msm, "_moment_matrix", counted)
+    return calls
+
+
+def _line_data(n=150, seed=3):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n)
+    return a, 1.0 + a + rng.standard_normal(n), rng.uniform(0.3, 3.0, n)
+
+
+@pytest.mark.parametrize("name", ["poly1", "poly2", "curved"])
+def test_fit_msm_takes_the_sandwich_bread_from_its_fit(monkeypatch, name):
+    # the fit's M is the bread, so fit_msm forms no M beyond the fit's own:
+    # one for a linear model, one per Newton step plus one otherwise
+    model = MODELS[name]
+    a, y, w = _line_data()
+    calls = _counting_moment_matrix(monkeypatch)
+    beta = weighted_fit(model, a, y, w)[0]
+    fit_calls = len(calls)
+    calls.clear()
+    estimate = fit_msm(SimpleNamespace(a=a, y=y), model, weights=w)
+    assert len(calls) == fit_calls
+    if model.linear:
+        assert fit_calls == 1
+    _same_bits(estimate.beta, beta)
+    _same_bits(estimate.covariance, _reference_sandwich(model, a, y, w, beta))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_linear_pair_moment_sides_form_one_moment_matrix(monkeypatch, degree):
+    # M (w = 1) is free of beta for a linear model: one per call serves both
+    # sides' solves and breads, bit for bit the per-side solve and bread
+    model = polynomial_msm(degree)
+    a, y, w = _line_data(n=80)
+    h = model.features(a)
+    phis = [(np.column_stack([w * y, w]), np.column_stack([np.ones(a.size), sign * y]))
+            for sign in (-1.0, 1.0)]
+
+    def per_side(target):
+        beta = solve_moment(model, a, target, h=h)
+        return beta, model.predict(a, beta), _reference_moment_matrix(model, a, np.ones(a.size))
+
+    want = [pair_moment_fit(h, phi, per_side) for phi in phis]
+    calls = _counting_moment_matrix(monkeypatch)
+    got = _pair_moment_sides(model, a, iter(phis))
+    assert len(calls) == 1
+    for (beta, cov), (want_beta, want_cov) in zip(got, want, strict=True):
+        _same_bits(beta, want_beta)
+        _same_bits(cov, want_cov)
