@@ -11,9 +11,12 @@ route's library call, the sensitivity keys it needs and the optional ones
 it reads (any other key is a config error), its caveat flags, whether HulC
 around it is flagged "heuristic CI", whether it takes panel data and
 whether it gives the variances of Wald intervals.
-``FAMILIES`` holds each family's grid knob, grid start and spec.
-``curve`` runs the a0 route of its family over an a0 grid; both commands
-share one body.
+``FAMILIES`` holds each family's grid knob, its start and end, and spec.
+``curve`` runs the a0 route of its family over an a0 grid. Both commands
+make one plan (``_plan``) before any nuisance fit: the route, the grid, the
+model, the coord, each grid value's spec and the HulC blocks, with every
+config error raised there. ``_run_plan`` fits the nuisances and calls the
+route, on the full sample and on each HulC block.
 
 Panel data runs the routes marked ``panel`` through the static code: one
 confounding weight per trajectory reduces it to the static problem on (path
@@ -21,6 +24,8 @@ features, product weight, outcome), and the fixed-weight nuisance adapter
 serves the product weights of ``panel_weights``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+Any other exception is a fault of the program, not of the config, and
+leaves ``main`` as a traceback (exit 1).
 """
 
 import argparse
@@ -37,13 +42,7 @@ from . import __version__
 from ._ranks import lower_mass_v, upper_mass_v
 from .data import PanelDataset, load_csv, load_panel_csv, save_csv
 from .datagen import DgpSpec, generate
-from .errors import (
-    ConfigError,
-    DataError,
-    MsmBoundsError,
-    NumericalError,
-    UsageError,
-)
+from .errors import BadFoldCount, ConfigError, DataError, NumericalError
 from .gamma import (
     GammaSpec,
     conditional_quantile_beta_bounds,
@@ -107,7 +106,7 @@ _DATA = {
             "properties": {
                 "name": {"type": "string"},
                 "n": {"type": "integer", "minimum": 2},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "params": {"type": "object"},
             },
         },
@@ -162,7 +161,7 @@ _NUISANCE = {
         "weight_flavor": {"enum": ["stabilized", "unstabilized"]},
         "folds": {"type": "integer", "minimum": 2},
         "in_sample": {"type": "boolean"},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
 }
 
@@ -172,7 +171,7 @@ _INFERENCE = {
     "properties": {
         "kind": {"enum": ["none", "wald", "hulc"]},
         "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
 }
 
@@ -212,7 +211,7 @@ SCHEMAS = {
             "data": _DATA,
             "model": _MODEL,
             "nuisance": _NUISANCE,
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
         },
     },
     "bounds": {
@@ -225,7 +224,7 @@ SCHEMAS = {
             "nuisance": _NUISANCE,
             "sensitivity": _SENSITIVITY,
             "inference": _INFERENCE,
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
         },
     },
     "curve": {
@@ -248,7 +247,7 @@ SCHEMAS = {
                 },
             },
             "inference": _INFERENCE,
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
         },
     },
     "simulate": {
@@ -258,14 +257,14 @@ SCHEMAS = {
         "properties": {
             "dgp": _DATA["properties"]["dgp"],
             "out_name": {"type": "string"},
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
         },
     },
     "oracle-check": {
         "type": "object",
         "additionalProperties": False,
         "properties": {
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
             "instances": {"type": "integer", "minimum": 1},
             "tiny_instances": {"type": "integer", "minimum": 1},
             "gammas": {"type": "array", "items": {"type": "number", "minimum": 1}},
@@ -401,7 +400,7 @@ def _apply_env_overrides(config):
 
 def _load_config(command, path):
     if path is None:
-        raise UsageError(f"{command} requires --config PATH")
+        raise ConfigError(f"{command} requires --config PATH")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh, parse_constant=_non_finite, parse_float=_finite_float)
@@ -409,6 +408,8 @@ def _load_config(command, path):
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     return _checked_config(command, _apply_env_overrides(config))
@@ -427,10 +428,19 @@ def _checked_config(command, config):
     return config
 
 
+# the most points a {start, stop, step} grid may have; each is a bounds run
+_MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(obj):
     if isinstance(obj, dict):
         start, stop, step = obj["start"], obj["stop"], obj["step"]
-        count = int(round((stop - start) / step)) + 1
+        # the span is counted before anything is allocated; it is infinite
+        # when the step underflows it, and below -1 the grid is empty
+        span = (stop - start) / step
+        if span >= _MAX_GRID_POINTS:
+            raise ConfigError(f"grid has about {span + 1:.4g} points, more than {_MAX_GRID_POINTS}")
+        count = int(round(max(span, -1.0))) + 1
         values = np.round(start + step * np.arange(count), 12)
         values = values[values <= stop + 1e-9]
     else:
@@ -444,6 +454,8 @@ def _parse_grid(obj):
 
 def _seed(args, config):
     """The run's seed: ``--seed``, else the config's, else 0."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     return args.seed if args.seed is not None else config.get("seed", 0)
 
 
@@ -451,11 +463,7 @@ def _make_data(spec, default_seed):
     """The dataset that a data block names: its ``dgp``, ``csv`` or ``panel_csv``."""
     if "dgp" in spec:
         d = spec["dgp"]
-        dgp = DgpSpec(
-            name=d["name"],
-            params=d.get("params", {}),
-            seed=d.get("seed", default_seed),
-        )
+        dgp = DgpSpec(d["name"], d.get("params", {}), d.get("seed", default_seed))
         return generate(dgp, d.get("n"))
     if "csv" in spec:
         d = spec["csv"]
@@ -480,16 +488,9 @@ def _make_model(cfg, data):
     return polynomial_msm(spec.get("degree", 1))
 
 
-def _nuisance_config(cfg):
-    spec = dict(cfg.get("nuisance", {}))
-    spec.pop("in_sample", None)
-    spec.pop("seed", None)
-    return NuisanceConfig(**spec)
-
-
 def _make_nuisances(cfg, data, default_seed):
     spec = cfg.get("nuisance", {})
-    nconf = _nuisance_config(cfg)
+    nconf = NuisanceConfig(**{k: v for k, v in spec.items() if k not in ("in_sample", "seed")})
     if isinstance(data, PanelDataset):
         return fixed_weight_nuisances(data, panel_weights(data, nconf))
     if spec.get("in_sample", False):
@@ -504,20 +505,20 @@ def _fmt(value):
 
 
 def _write_curve_csv(path, grid, lower, upper, ci_lower=None, ci_upper=None):
-    lines = ["grid_value,lower,upper,ci_lower,ci_upper"]
-    for i in range(len(grid)):
-        lo_ci = "" if ci_lower is None else _fmt(ci_lower[i])
-        hi_ci = "" if ci_upper is None else _fmt(ci_upper[i])
-        lines.append(
-            f"{_fmt(grid[i])},{_fmt(lower[i])},{_fmt(upper[i])},{lo_ci},{hi_ci}"
-        )
+    blank = [None] * len(grid)
+    rows = zip(grid, lower, upper, blank if ci_lower is None else ci_lower,
+               blank if ci_upper is None else ci_upper)
+    _write_lines(path, ["grid_value,lower,upper,ci_lower,ci_upper",
+                        *(",".join(map(_fmt, r)) for r in rows)])
+
+
+def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _json_dump(path, payload):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2)])
 
 
 def _metadata(command, config, seed, flags, extra=None):
@@ -544,20 +545,20 @@ def _metadata(command, config, seed, flags, extra=None):
 
 
 # A sensitivity model: the knob its grid sweeps, the knob value at which the
-# bounds collapse (every grid starts there), and spec(value, sensitivity
-# config), its library spec at one knob value.
-_Family = namedtuple("_Family", "knob start spec", defaults=(None,))
+# bounds collapse (every grid starts there), the knob's largest value, and
+# spec(value, sensitivity config), its library spec at one knob value.
+_Family = namedtuple("_Family", "knob start stop spec", defaults=(None,))
 
 
 FAMILIES = {
-    "propensity": _Family("gamma", 1.0, lambda v, sens: GammaSpec(v)),
-    "outcome": _Family("delta", 0.0, lambda v, sens: DeltaSpec(v)),
+    "propensity": _Family("gamma", 1.0, math.inf, lambda v, sens: GammaSpec(v)),
+    "outcome": _Family("delta", 0.0, math.inf, lambda v, sens: DeltaSpec(v)),
     "subset-propensity": _Family(
-        "epsilon", 0.0, lambda v, sens: EpsilonSpec(v, GammaSpec(sens["gamma"]))),
+        "epsilon", 0.0, 1.0, lambda v, sens: EpsilonSpec(v, GammaSpec(sens["gamma"]))),
     "subset-outcome": _Family(
-        "epsilon", 0.0, lambda v, sens: EpsilonSpec(v, DeltaSpec(sens["delta"]))),
+        "epsilon", 0.0, 1.0, lambda v, sens: EpsilonSpec(v, DeltaSpec(sens["delta"]))),
     # its one route takes the whole gamma grid
-    "subset-independent": _Family("gamma", 1.0),
+    "subset-independent": _Family("gamma", 1.0, math.inf),
 }
 
 
@@ -576,10 +577,8 @@ _Run = namedtuple("_Run", "data model nuis sens coord seed")
 # "heuristic CI", ``panel`` marks the routes that take panel data and
 # ``variances`` those whose calls give variances, the only ones with Wald
 # intervals.
-_Route = namedtuple(
-    "_Route", "call keys optional flags heuristic_ci whole_grid panel variances",
-    defaults=((), (), (), True, False, False, False),
-)
+_Route = namedtuple("_Route", "call keys optional flags heuristic_ci whole_grid panel variances",
+                    defaults=((), (), (), True, False, False, False))
 
 
 def _coord_bounds(estimates, coord):
@@ -657,27 +656,6 @@ ROUTES = {
 }
 
 
-def _bounds_route(data, config):
-    """The route of the config's (family, method), with its sensitivity keys checked."""
-    sens = config["sensitivity"]
-    panel = isinstance(data, PanelDataset)
-    family, method = sens["family"], sens["method"]
-    if panel and family != "propensity":
-        raise ConfigError("panel bounds support the propensity family only")
-    route = ROUTES.get((family, method))
-    if route is None or (panel and not route.panel):
-        kind = "panel" if panel else family
-        raise UsageError(f"unknown {kind} bounds method {method!r}")
-    for key in route.keys:
-        if key not in sens:
-            raise ConfigError(f"{family} method {method!r} needs sensitivity.{key}")
-    # a route that takes a0 bounds a curve point, not a coordinate
-    coord = () if "a0" in route.keys else ("coord",)
-    _reject_unread(sens, {"family", "method", "grid", *coord, *route.keys, *route.optional},
-                   f"{family} method {method!r}")
-    return route
-
-
 def _reject_unread(sens, read, what):
     """ConfigError naming every sensitivity key outside ``read``, with its value."""
     unread = sorted(set(sens) - read)
@@ -686,73 +664,90 @@ def _reject_unread(sens, read, what):
                           + ", ".join(f"{key} {sens[key]!r}" for key in unread))
 
 
-def _make_run(data, config, seed):
+# A bounds or curve run resolved before any fit. ``values`` holds one
+# (sensitivity, spec) per grid value, or is None for a route that takes the
+# whole grid; ``blocks`` are the HulC blocks, or None without HulC.
+_Plan = namedtuple("_Plan", "route grid model coord values blocks")
+
+
+def _plan(command, data, config, seed):
+    """The plan of a ``bounds`` or ``curve`` run on ``data``; every config
+    error of the run is raised here, before any nuisance fit.
+
+    ``curve`` runs the a0 route of its family over the a0 grid at the
+    family's fixed knob value.
+    """
     sens = config["sensitivity"]
+    name = sens["family"]
+    family = FAMILIES[name]
+    panel = isinstance(data, PanelDataset)
+    if command == "curve":
+        if panel:
+            raise ConfigError("curve works on static datasets")
+        _reject_unread(sens, {"family", "a0_grid", family.knob}, f"{name} curve")
+        route = ROUTES[name, "linear-curve" if name == "propensity" else "curve"]
+        grid = _parse_grid(sens["a0_grid"])
+        spec = family.spec(sens.get(family.knob, family.start), sens)
+        values = [({**sens, "a0": float(a0)}, spec) for a0 in grid]
+    else:
+        method = sens["method"]
+        if panel and name != "propensity":
+            raise ConfigError("panel bounds support the propensity family only")
+        route = ROUTES.get((name, method))
+        if route is None or (panel and not route.panel):
+            raise ConfigError(f"unknown {'panel' if panel else name} bounds method {method!r}")
+        for key in route.keys:
+            if key not in sens:
+                raise ConfigError(f"{name} method {method!r} needs sensitivity.{key}")
+        # a route that takes a0 bounds a curve point, not a coordinate
+        reads = {"family", "method", "grid", *route.keys, *route.optional}
+        _reject_unread(sens, reads if "a0" in route.keys else reads | {"coord"},
+                       f"{name} method {method!r}")
+        if panel and sens.get("constraint") == "conditional":
+            raise ConfigError("panel weights carry no quantile fits, so panel data takes "
+                              "the marginal constraint only")
+        grid = _parse_grid(sens["grid"])
+        if not 0.0 <= grid[0] - family.start <= 1e-12:
+            raise ConfigError(f"{name} grids must start at {family.knob} = {family.start:g}")
+        if grid[-1] > family.stop:
+            raise ConfigError(f"{name} grids must end at {family.knob} <= {family.stop:g}")
+        values = None if route.whole_grid else [(sens, family.spec(float(v), sens))
+                                                for v in grid]
     model = _make_model(config, data)
     coord = sens.get("coord", 1 if model.dim > 1 else 0)
     if coord >= model.dim:
         raise ConfigError(f"coord {coord} out of range for a {model.dim}-column model")
-    return _Run(data, model, _make_nuisances(config, data, seed), sens, coord, seed)
+    inference = config.get("inference", {})
+    kind = inference.get("kind", "none")
+    if kind == "wald" and not route.variances:
+        raise ConfigError(f"wald intervals are unavailable for method {sens['method']!r}; use hulc")
+    if kind != "hulc":
+        return _Plan(route, grid, model, coord, values, None)
+    blocks = _blocks(data.n, HulcSpec(inference.get("alpha", 0.05), inference.get("seed", seed)))
+    nuisance = config.get("nuisance", {})
+    folds, smallest = nuisance.get("folds", NuisanceConfig.folds), min(map(len, blocks))
+    # each block is cross-fitted on its own folds
+    if not (panel or nuisance.get("in_sample", False)) and folds > smallest:
+        raise BadFoldCount(f"{folds} folds need {folds} units in every hulc block, "
+                           f"the smallest has {smallest}")
+    return _Plan(route, grid, model, coord, values, blocks)
 
 
-def _value_results(results):
-    """(lower, upper, variances) arrays from per-grid-value (lo, hi) or
-    (lo, hi, (var_lo, var_hi)) results; variances is None for (lo, hi)."""
-    results = list(results)
+def _run_plan(plan, data, config, seed):
+    """The plan's bounds on ``data``, the full sample or a HulC block, with
+    nuisances fitted on it: (lower, upper, variances), variances None or a
+    pair of arrays on the sqrt(n) scale."""
+    run = _Run(data, plan.model, _make_nuisances(config, data, seed), config["sensitivity"],
+               plan.coord, seed)
+    if plan.values is None:
+        trace = plan.route.call(run, plan.grid)
+        return trace.lower, trace.upper, None
+    # each call gives (lo, hi) or (lo, hi, (var_lo, var_hi))
+    results = [plan.route.call(run._replace(sens=sens), spec) for sens, spec in plan.values]
     lower, upper = (np.array([r[k] for r in results], dtype=float) for k in (0, 1))
     if len(results[0]) == 2:
         return lower, upper, None
-    variances = tuple(np.array([r[2][k] for r in results], dtype=float) for k in (0, 1))
-    return lower, upper, variances
-
-
-def _bounds_on_dataset(data, config, seed, route):
-    """Bounds over the sensitivity grid: (grid, lower, upper, variances).
-
-    variances is None or a pair of arrays on the sqrt(n) scale.
-    """
-    sens = config["sensitivity"]
-    family = FAMILIES[sens["family"]]
-    grid = _parse_grid(sens["grid"])
-    if abs(grid[0] - family.start) > 1e-12:
-        raise ConfigError(
-            f"{sens['family']} grids must start at {family.knob} = {family.start:g}"
-        )
-    run = _make_run(data, config, seed)
-    if route.whole_grid:
-        trace = route.call(run, grid)
-        return grid, trace.lower, trace.upper, None
-    results = (route.call(run, family.spec(float(v), sens)) for v in grid)
-    return (grid, *_value_results(results))
-
-
-def _curve_route(data, config):
-    """The a0 route of the curve's family, with its sensitivity keys checked."""
-    if isinstance(data, PanelDataset):
-        raise ConfigError("curve works on static datasets")
-    sens = config["sensitivity"]
-    _reject_unread(sens, {"family", "a0_grid", FAMILIES[sens["family"]].knob},
-                   f"{sens['family']} curve")
-    return ROUTES[sens["family"], "linear-curve" if sens["family"] == "propensity" else "curve"]
-
-
-def _curve_on_dataset(data, config, seed, route):
-    """Dose-response bounds over an a0 grid at a fixed sensitivity value:
-    the family's a0 route, with the a0 grid in place of the knob's grid."""
-    sens = config["sensitivity"]
-    family = FAMILIES[sens["family"]]
-    a0_grid = _parse_grid(sens["a0_grid"])
-    spec = family.spec(sens.get(family.knob, family.start), sens)
-    run = _make_run(data, config, seed)
-    results = (route.call(run._replace(sens={**sens, "a0": float(a0)}), spec) for a0 in a0_grid)
-    return (a0_grid, *_value_results(results))
-
-
-def _wald_band(lower, upper, variances, n, alpha):
-    """Per-grid-value Wald limits below the lower and above the upper bound."""
-    ci_lower = np.array([wald_ci(lo, v, n, alpha).low for lo, v in zip(lower, variances[0])])
-    ci_upper = np.array([wald_ci(hi, v, n, alpha).high for hi, v in zip(upper, variances[1])])
-    return ci_lower, ci_upper
+    return lower, upper, tuple(np.array([r[2][k] for r in results], dtype=float) for k in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -777,77 +772,57 @@ def cmd_fit(args):
         _json_dump(result_path, payload)
     else:
         result_path = os.path.join(args.out, "fit_result.csv")
-        lines = ["coord,estimate,se"]
-        for i, (b, s) in enumerate(zip(payload["coefficients"], payload["standard_errors"])):
-            lines.append(f"{i},{_fmt(b)},{_fmt(s)}")
-        with open(result_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = enumerate(zip(payload["coefficients"], payload["standard_errors"]))
+        _write_lines(result_path, ["coord,estimate,se",
+                                   *(f"{i},{_fmt(b)},{_fmt(s)}" for i, (b, s) in rows)])
     meta = _metadata("fit", config, seed, flags, {"outputs": [os.path.basename(result_path)]})
     _json_dump(os.path.join(args.out, "fit_meta.json"), meta)
     print(f"fit: wrote {result_path}")
     return 0
 
 
-def _grid_command(args, command, find_route, compute):
-    """``bounds`` and ``curve``: load the config and the data, check the
-    route and the intervals it asks for, compute the bounds over the grid,
-    add Wald or HulC intervals, then write the result and meta files.
-
-    find_route(data, config) -> route;
-    compute(data, config, seed, route) -> (grid, lower, upper, variances).
-    """
+def _grid_command(args):
+    """``bounds`` and ``curve``: load the config and the data, plan the run,
+    compute the bounds over the grid, add Wald or HulC intervals, then write
+    the result and meta files."""
+    command = args.command
     config = _load_config(command, args.config)
     seed = _seed(args, config)
     data = _make_data(config["data"], seed)
-    route = find_route(data, config)
-    inference = config.get("inference", {})
-    kind = inference.get("kind", "none")
-    alpha = inference.get("alpha", 0.05)
-    if kind == "wald" and not route.variances:
-        method = config["sensitivity"]["method"]
-        raise ConfigError(f"wald intervals are unavailable for method {method!r}; use hulc")
-    if kind == "hulc":
-        blocks = _blocks(data.n, HulcSpec(alpha, inference.get("seed", seed)))
-    grid, lower, upper, variances = compute(data, config, seed, route)
-    flags = list(route.flags)
+    plan = _plan(command, data, config, seed)
+    lower, upper, variances = _run_plan(plan, data, config, seed)
+    flags = list(plan.route.flags)
     ci_lower = ci_upper = None
-    if kind == "wald":
-        ci_lower, ci_upper = _wald_band(lower, upper, variances, data.n, alpha)
-    elif kind == "hulc":
-        if route.heuristic_ci:
+    inference = config.get("inference", {})
+    if inference.get("kind") == "wald":
+        # per grid value, the Wald limit below the lower and above the upper bound
+        alpha, n = inference.get("alpha", 0.05), data.n
+        ci_lower = np.array([wald_ci(v, s, n, alpha).low for v, s in zip(lower, variances[0])])
+        ci_upper = np.array([wald_ci(v, s, n, alpha).high for v, s in zip(upper, variances[1])])
+    elif plan.blocks is not None:
+        if plan.route.heuristic_ci:
             flags.append("heuristic CI")
         ci_lower, ci_upper = _extremes(
-            data, lambda sub: compute(sub, config, seed, route)[1:3], blocks)
+            data, lambda sub: _run_plan(plan, sub, config, seed)[:2], plan.blocks)
 
     if np.any(lower > upper + 1e-12):
         raise NumericalError("lower bound exceeded upper bound on the grid")
     if args.format == "json":
         result_path = os.path.join(args.out, f"{command}_result.json")
-        _json_dump(
-            result_path,
-            {
-                "grid": [float(v) for v in grid],
-                "lower": [float(v) for v in lower],
-                "upper": [float(v) for v in upper],
-                "ci_lower": None if ci_lower is None else [float(v) for v in ci_lower],
-                "ci_upper": None if ci_upper is None else [float(v) for v in ci_upper],
-            },
-        )
+        _json_dump(result_path, {
+            "grid": [float(v) for v in plan.grid],
+            "lower": [float(v) for v in lower],
+            "upper": [float(v) for v in upper],
+            "ci_lower": None if ci_lower is None else [float(v) for v in ci_lower],
+            "ci_upper": None if ci_upper is None else [float(v) for v in ci_upper],
+        })
     else:
         result_path = os.path.join(args.out, f"{command}_result.csv")
-        _write_curve_csv(result_path, grid, lower, upper, ci_lower, ci_upper)
+        _write_curve_csv(result_path, plan.grid, lower, upper, ci_lower, ci_upper)
     meta = _metadata(command, config, seed, flags, {"outputs": [os.path.basename(result_path)]})
     _json_dump(os.path.join(args.out, f"{command}_meta.json"), meta)
     print(f"{command}: wrote {result_path}")
     return 0
-
-
-def cmd_bounds(args):
-    return _grid_command(args, "bounds", _bounds_route, _bounds_on_dataset)
-
-
-def cmd_curve(args):
-    return _grid_command(args, "curve", _curve_route, _curve_on_dataset)
 
 
 def cmd_simulate(args):
@@ -984,29 +959,14 @@ def cmd_oracle_check(args):
     collapse = _collapse_smoke(seed)
     collapse_pass = all(v <= 1e-8 for v in collapse.values())
 
-    report = {
-        "blocks": [
-            {
-                "name": "closed-form vs LP oracle",
-                "pass": rank_pass,
-                "instances": instances,
-                "worst_gap": worst_gap,
-            },
-            {
-                "name": "tiny-n continuation vs exhaustive oracle",
-                "pass": tiny_pass,
-                "mean_gap": mean_gap,
-                "gaps_over_1e-4": n_large,
-                "gaps": gaps,
-            },
-            {
-                "name": "no-confounding collapse",
-                "pass": collapse_pass,
-                "widths": collapse,
-            },
-        ],
-        "all_pass": bool(rank_pass and tiny_pass and collapse_pass),
-    }
+    blocks = [
+        {"name": "closed-form vs LP oracle", "pass": rank_pass, "instances": instances,
+         "worst_gap": worst_gap},
+        {"name": "tiny-n continuation vs exhaustive oracle", "pass": tiny_pass,
+         "mean_gap": mean_gap, "gaps_over_1e-4": n_large, "gaps": gaps},
+        {"name": "no-confounding collapse", "pass": collapse_pass, "widths": collapse},
+    ]
+    report = {"blocks": blocks, "all_pass": bool(rank_pass and tiny_pass and collapse_pass)}
     _json_dump(os.path.join(args.out, "oracle_report.json"), report)
     for block in report["blocks"]:
         status = "PASS" if block["pass"] else "FAIL"
@@ -1039,8 +999,8 @@ def _build_parser():
 
 _HANDLERS = {
     "fit": cmd_fit,
-    "bounds": cmd_bounds,
-    "curve": cmd_curve,
+    "bounds": _grid_command,
+    "curve": _grid_command,
     "simulate": cmd_simulate,
     "oracle-check": cmd_oracle_check,
 }
@@ -1061,12 +1021,6 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    except MsmBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -181,14 +181,16 @@ def _read_rows(path):
     """Yield the header's stripped cells, then each body row that has a
     non-blank cell, as the csv module reads them: one row at a time.
 
-    Raises ``EmptyFile`` for a file without rows or with a header only
-    before the header is yielded, and the ``DataError`` of ``_not_utf8``
-    wherever the text stops being UTF-8.
+    Raises ``DataError`` for a file it cannot open, ``EmptyFile`` for a file
+    without rows or with a header only before the header is yielded, and the
+    ``DataError`` of ``_not_utf8`` wherever the text stops being UTF-8.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError as exc:
         raise DataError(f"file not found: {path}") from exc
+    except OSError as exc:  # a directory, a file without read permission
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     with fh:
         rows = (r for r in csv.reader(fh) if any(field.strip() for field in r))
         try:

@@ -21,10 +21,6 @@ class NumericalError(MsmBoundsError):
     """Numerical failure during estimation."""
 
 
-class UsageError(ConfigError):
-    pass
-
-
 class MissingColumn(DataError):
     def __init__(self, column):
         self.column = column

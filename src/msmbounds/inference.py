@@ -15,7 +15,7 @@ import statistics
 
 import numpy as np
 
-from .errors import NegativeVariance, SubsampleTooSmall
+from .errors import NegativeVariance, NumericalError, SubsampleTooSmall
 from .results import ConfidenceInterval
 
 _MIN_BLOCK = 4
@@ -71,6 +71,8 @@ def wald_ci(estimate, variance, n, alpha=0.05):
     """estimate +/- z sqrt(variance / n); variance on the sqrt(n) scale."""
     if variance < 0:
         raise NegativeVariance(f"variance {variance} is negative")
+    if math.isnan(estimate) or math.isnan(variance):
+        raise NumericalError(f"no wald interval around {estimate} with variance {variance}")
     # Wichura's AS241 in the standard library: within a few eps of the exact
     # quantile, as scipy.stats.norm.ppf is, without scipy.stats' 17 MB import
     z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)

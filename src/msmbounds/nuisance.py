@@ -530,7 +530,8 @@ class EmpiricalQuantileFit:
         _require_finite("empirical quantile fit", y, cells)
         labels = _row_labels(cells)
         self._keys = cells[np.unique(labels, return_index=True)[1]]
-        self._sorted = np.concatenate([y[np.lexsort((y, labels))], np.sort(y)])
+        # a stable sort keeps ties, -0.0 and 0.0 among them, in index order, as lexsort does
+        self._sorted = np.concatenate([y[np.lexsort((y, labels))], np.sort(y, kind="stable")])
         self._sizes = np.append(np.bincount(labels), y.size)
         self._starts = np.cumsum(self._sizes) - self._sizes
 

@@ -51,8 +51,10 @@ def _reference_quantiles(taus, a, x, y, probe_a, probe_x):
     """Type-1 cell quantiles at each probe row, one row and one tau at a time;
     an unseen cell takes the pooled sample."""
     y = np.asarray(y, dtype=float)
-    cells = {key: np.sort(y[idx]) for key, idx in _reference_group_cells(a, x).items()}
-    pooled = np.sort(y)
+    # stable sorts keep tied values, -0.0 and 0.0 among them, in index order
+    cells = {key: np.sort(y[idx], kind="stable")
+             for key, idx in _reference_group_cells(a, x).items()}
+    pooled = np.sort(y, kind="stable")
     probe = _reference_group_cells(probe_a, probe_x)
     out = np.empty((len(probe_a), len(taus)))
     for key, rows in probe.items():

@@ -291,22 +291,32 @@ def test_route_cases_cover_every_static_route():
 def test_every_static_route(tmp_path, capsys, route):
     family, method = route
     cfg = _write_config(tmp_path / "hulc.json", case(f"route-{family}-{method}"))
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "hulc")]) == 0
+    with _counting_fits_and_routes() as (fits, calls):
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "hulc")]) == 0
     meta = json.loads((tmp_path / "hulc" / "bounds_meta.json").read_text())
     assert meta["flags"] == HULC_FLAGS[route]
     rows = _read_curve_csv(tmp_path / "hulc" / "bounds_result.csv")
     assert all(r[3] <= r[1] + 1e-12 and r[2] <= r[4] + 1e-12 for r in rows)
+    # one call per grid value, or one for the whole grid, on the full sample
+    # and on each of the 6 HulC blocks
+    per_sample = 1 if ROUTES[route].whole_grid else len(rows)
+    assert calls[route].call_count == 7 * per_sample
 
-    capsys.readouterr()
-    cfg = _write_config(tmp_path / "wald.json", route_config(family, method, WALD))
-    code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "wald")])
-    if route in WALD_ROUTES:
-        assert code == 0
-        rows = _read_curve_csv(tmp_path / "wald" / "bounds_result.csv")
-        assert all(r[3] < r[1] and r[4] > r[2] for r in rows)
-    else:
-        assert code == 2
-        assert "wald" in capsys.readouterr().err
+    for kind in ("none", "wald"):
+        capsys.readouterr()
+        cfg = _write_config(tmp_path / f"{kind}.json", route_config(family, method, {"kind": kind}))
+        with _counting_fits_and_routes() as (fits, calls):
+            code = main(["bounds", "--config", cfg, "--out", str(tmp_path / kind)])
+        if kind == "none" or route in WALD_ROUTES:
+            assert code == 0
+            assert calls[route].call_count == per_sample
+            rows = _read_curve_csv(tmp_path / kind / "bounds_result.csv")
+            assert all((r[3] < r[1] and r[4] > r[2]) if kind == "wald" else r[3] is None
+                       for r in rows)
+        else:
+            assert code == 2
+            assert "wald" in capsys.readouterr().err
+            assert _call_counts(fits, calls) == (0, 0)
 
 
 def test_outcome_nonlinear_grid_is_the_subset_outcome_row_at_epsilon_one(tmp_path, capsys):
@@ -416,8 +426,10 @@ def test_every_panel_route(tmp_path, capsys, method):
 
     capsys.readouterr()
     cfg = _write_config(tmp_path / "wald.json", panel_config(method, inference=WALD))
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "wald")]) == 2
+    with _counting_fits_and_routes() as (fits, calls):
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "wald")]) == 2
     assert "wald" in capsys.readouterr().err
+    assert _call_counts(fits, calls) == (0, 0)
 
 
 def test_panel_fit(tmp_path, capsys):
@@ -449,8 +461,10 @@ def test_panel_conditional_constraint_exits_2(tmp_path, capsys, method):
     config = panel_config(method)
     config["sensitivity"]["constraint"] = "conditional"
     cfg = _write_config(tmp_path / "c.json", config)
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    with _counting_fits_and_routes() as (fits, calls):
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: panel weights carry no quantile fits" in capsys.readouterr().err
+    assert _call_counts(fits, calls) == (0, 0)
 
 
 @pytest.mark.parametrize("method,constraint", [
@@ -675,19 +689,136 @@ NUISANCE_FITS = [(nuisance, "fit_propensity"), (nuisance, "_outcome_fit"),
                  (nuisance, "fit_quantile"), (nuisance.PinballQuantileFit, "_fit_one")]
 
 
+@contextlib.contextmanager
+def _counting_fits_and_routes():
+    """Count the calls of every nuisance fit and of every route's library call;
+    yields (fits, calls): a counter per NUISANCE_FITS entry and per ROUTES key."""
+    with contextlib.ExitStack() as stack:
+        fits = [stack.enter_context(_counting(*fit)) for fit in NUISANCE_FITS]
+        calls = {key: mock.Mock(side_effect=route.call) for key, route in ROUTES.items()}
+        stack.enter_context(mock.patch.dict(
+            ROUTES, {key: route._replace(call=calls[key]) for key, route in ROUTES.items()}))
+        yield fits, calls
+
+
+def _call_counts(fits, calls):
+    """(nuisance fits, route calls) made under ``_counting_fits_and_routes``."""
+    return (sum(fit.call_count for fit in fits),
+            sum(call.call_count for call in calls.values()))
+
+
 @pytest.mark.parametrize("config,message", [
     ({**bounds_config(), "nuisance": FOLDS, "inference": WALD},
      "wald intervals are unavailable for method 'marginal-quantile'"),
     ({**bounds_config(23, method="parametric"), "nuisance": FOLDS, "inference": HULC},
      "hulc needs at least 24 units for 6 subsamples, have 23"),
-], ids=["wald-without-variances", "hulc-below-24-units"])
+    # 100 units make blocks of 16 and 17, each cross-fitted on its own folds
+    ({**bounds_config(100, method="parametric"), "nuisance": {"folds": 17}, "inference": HULC},
+     "17 folds need 17 units in every hulc block, the smallest has 16"),
+], ids=["wald-without-variances", "hulc-below-24-units", "hulc-blocks-below-the-folds"])
 def test_interval_config_errors_come_before_any_fit(tmp_path, capsys, config, message):
     cfg = _write_config(tmp_path / "c.json", config)
-    with contextlib.ExitStack() as stack:
-        fits = [stack.enter_context(_counting(*fit)) for fit in NUISANCE_FITS]
+    with _counting_fits_and_routes() as (fits, calls):
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path), "--workers", "1"]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
-    assert [fit.call_count for fit in fits] == [0] * len(NUISANCE_FITS)
+    assert _call_counts(fits, calls) == (0, 0)
+
+
+def _with(config, path, value):
+    """A copy of ``config`` with ``value`` at the key path ``path``."""
+    config = copy.deepcopy(config)
+    node = config
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return config
+
+
+def _dgp_params(name="gauss-line", **params):
+    """bounds_config, or panel_config for panel-mix, on generator ``name`` with
+    ``params`` and no data.dgp.n, so that the params' n is the one read."""
+    config = panel_config() if name == "panel-mix" else bounds_config()
+    config["data"]["dgp"] = {"name": name, "seed": 1, "params": params}
+    return config
+
+
+# name -> (config, extra arguments, exit code, start of the message); each of
+# these ended in a traceback, was accepted, or exited 2 with a numpy message
+# through a catch-all of ValueError and TypeError
+PROBES = {
+    "dgp-slope-string": (_dgp_params(slope="x"), [], 2,
+                         "config error: dgp 'gauss-line' param 'slope' must be a finite number"),
+    "dgp-slope-list": (_dgp_params(slope=[1, 2]), [], 2,
+                       "config error: dgp 'gauss-line' param 'slope' must be a finite number"),
+    "dgp-n-string": (_dgp_params(n="a"), [], 2,
+                     "config error: dgp 'gauss-line' param 'n' must be an integer >= 2"),
+    "dgp-unknown-param": (_dgp_params(bogus=1), [], 2,
+                          "config error: dgp 'gauss-line' takes no param 'bogus'"),
+    "panel-T-string": (_dgp_params("panel-mix", T="x"), [], 2,
+                       "config error: dgp 'panel-mix' param 'T' must be an integer >= 1"),
+    "panel-T-negative": (_dgp_params("panel-mix", T=-1), [], 2,
+                         "config error: dgp 'panel-mix' param 'T' must be an integer >= 1"),
+    "panel-T-zero": (_dgp_params("panel-mix", T=0), [], 2,
+                     "config error: dgp 'panel-mix' param 'T' must be an integer >= 1"),
+    "panel-T-fraction": (_dgp_params("panel-mix", T=1.5), [], 2,
+                         "config error: dgp 'panel-mix' param 'T' must be an integer >= 1"),
+    "panel-effect-string": (_dgp_params("panel-mix", effect="x"), [], 2,
+                            "config error: dgp 'panel-mix' param 'effect' must be a finite"),
+    "dgp-seed": (_with(bounds_config(), ("data", "dgp", "seed"), -1), [], 2,
+                 "config error: config/data/dgp/seed: -1 is less than the minimum of 0"),
+    "nuisance-seed": (_with({**bounds_config(), "nuisance": FOLDS}, ("nuisance", "seed"), -1),
+                      [], 2, "config error: config/nuisance/seed: -1 is less than the minimum"),
+    "inference-seed": (_with({**bounds_config(), "inference": HULC}, ("inference", "seed"), -1),
+                       [], 2, "config error: config/inference/seed: -1 is less than the minimum"),
+    "config-seed": (_with(bounds_config(), ("seed",), -1), [], 2,
+                    "config error: config/seed: -1 is less than the minimum of 0"),
+    "argument-seed": (bounds_config(), ["--seed", "-1"], 2,
+                      "config error: --seed must be non-negative, got -1"),
+    "csv-directory": (_with(bounds_config(), ("data",), {"csv": {"path": "."}}), [], 3,
+                      "data error: cannot read .: Is a directory"),
+    "grid-of-1e12-points": (
+        bounds_config(grid={"start": 1.0, "stop": 1e3, "step": 1e-9}), [], 2,
+        "config error: grid has about 9.99e+11 points, more than 1000000"),
+    "grid-step-underflow": (
+        bounds_config(grid={"start": 1.0, "stop": 1e308, "step": 1e-300}), [], 2,
+        "config error: grid has about inf points"),
+    "grid-below-gamma-1": (bounds_config(method="local", grid=[1 - 1e-13, 2.0]), [], 2,
+                           "config error: propensity grids must start at gamma = 1"),
+    "grid-above-epsilon-1": (
+        bounds_config(family="subset-propensity", method="linear", grid=[0.0, 2.0], gamma=2.0),
+        [], 2, "config error: subset-propensity grids must end at epsilon <= 1"),
+}
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_probed_config_errors_come_before_any_fit(tmp_path, capsys, name):
+    config, extra, code, message = PROBES[name]
+    cfg = _write_config(tmp_path / "c.json", config)
+    with _counting_fits_and_routes() as (fits, calls):
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path), *extra]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert _call_counts(fits, calls) == (0, 0)
+
+
+@pytest.mark.parametrize("error", [ValueError, TypeError])
+def test_stray_library_error_propagates_out_of_main(tmp_path, capsys, error):
+    # only the package's typed errors are exit codes; any other exception is a bug
+    # of the program, not a config error, and leaves main as a traceback
+    route = ROUTES["propensity", "local"]
+    stray = route._replace(call=mock.Mock(side_effect=error("stray library error")))
+    cfg = _write_config(tmp_path / "c.json", bounds_config(method="local"))
+    with mock.patch.dict(ROUTES, {("propensity", "local"): stray}):
+        with pytest.raises(error, match="stray library error"):
+            main(["bounds", "--config", cfg, "--out", str(tmp_path)])
+    assert capsys.readouterr().err == ""
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    assert main(["bounds", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {tmp_path}")
+    (tmp_path / "c.json").write_bytes(json.dumps(bounds_config()).encode() + b"\xe9")
+    assert main(["bounds", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 2
+    assert "config error: cannot read config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["file", "env"])
