@@ -14,9 +14,10 @@ whether it gives the variances of Wald intervals.
 ``FAMILIES`` holds each family's grid knob, its start and end, and spec.
 ``curve`` runs the a0 route of its family over an a0 grid. Both commands
 make one plan (``_plan``) before any nuisance fit: the route, the grid, the
-model, the coord, each grid value's spec and the HulC blocks, with every
-config error raised there. ``_run_plan`` fits the nuisances and calls the
-route, on the full sample and on each HulC block.
+model, the coord, each grid value's spec and the HulC spec, with the HulC
+block size checked and every config error raised there. ``_run_plan`` fits
+the nuisances and calls the route, on the full sample and then on each HulC
+block, drawn after the full-sample run.
 
 Panel data runs the routes marked ``panel`` through the static code: one
 confounding weight per trajectory reduces it to the static problem on (path
@@ -41,7 +42,7 @@ import numpy as np
 from . import __version__
 from ._ranks import lower_mass_v, upper_mass_v
 from .data import PanelDataset, load_csv, load_panel_csv, save_csv
-from .datagen import DgpSpec, generate
+from .datagen import MAX_N, DgpSpec, generate
 from .errors import BadFoldCount, ConfigError, DataError, NumericalError
 from .gamma import (
     GammaSpec,
@@ -53,9 +54,9 @@ from .gamma import (
     marginal_quantile_grid_bounds,
 )
 from .homotopy import coordinate_ascent_bounds, homotopy_bounds
-from .inference import HulcSpec, _blocks, _extremes, wald_ci
+from .inference import HulcSpec, _blocks, _extremes, _smallest_block, wald_ci
 from .msm import fit_msm, polynomial_msm
-from .nuisance import CrossFit, NuisanceConfig, SelfFit, fixed_weight_nuisances
+from .nuisance import CrossFit, NuisanceConfig, SelfFit, _gamma_key, fixed_weight_nuisances
 from .oracles import oracle_exhaustive_beta_bound, oracle_linear_box_mean
 from .outcome import (
     DeltaSpec,
@@ -105,7 +106,7 @@ _DATA = {
             "required": ["name"],
             "properties": {
                 "name": {"type": "string"},
-                "n": {"type": "integer", "minimum": 2},
+                "n": {"type": "integer", "minimum": 2, "maximum": MAX_N},
                 "seed": {"type": "integer", "minimum": 0},
                 "params": {"type": "object"},
             },
@@ -666,8 +667,10 @@ def _reject_unread(sens, read, what):
 
 # A bounds or curve run resolved before any fit. ``values`` holds one
 # (sensitivity, spec) per grid value, or is None for a route that takes the
-# whole grid; ``blocks`` are the HulC blocks, or None without HulC.
-_Plan = namedtuple("_Plan", "route grid model coord values blocks")
+# whole grid; ``hulc`` is the ``HulcSpec`` of HulC intervals, or None without
+# them. The blocks are drawn after the full-sample run, so their indices are
+# not held through it.
+_Plan = namedtuple("_Plan", "route grid model coord values hulc")
 
 
 def _plan(command, data, config, seed):
@@ -713,6 +716,9 @@ def _plan(command, data, config, seed):
             raise ConfigError(f"{name} grids must end at {family.knob} <= {family.stop:g}")
         values = None if route.whole_grid else [(sens, family.spec(float(v), sens))
                                                 for v in grid]
+    # the run's largest gamma: a gamma grid's end, or the sensitivity's gamma
+    _check_quantile_levels(grid[-1] if command == "bounds" and family.knob == "gamma"
+                           else sens.get("gamma", 1.0))
     model = _make_model(config, data)
     coord = sens.get("coord", 1 if model.dim > 1 else 0)
     if coord >= model.dim:
@@ -723,14 +729,26 @@ def _plan(command, data, config, seed):
         raise ConfigError(f"wald intervals are unavailable for method {sens['method']!r}; use hulc")
     if kind != "hulc":
         return _Plan(route, grid, model, coord, values, None)
-    blocks = _blocks(data.n, HulcSpec(inference.get("alpha", 0.05), inference.get("seed", seed)))
+    hulc = HulcSpec(inference.get("alpha", 0.05), inference.get("seed", seed))
     nuisance = config.get("nuisance", {})
-    folds, smallest = nuisance.get("folds", NuisanceConfig.folds), min(map(len, blocks))
+    folds, smallest = nuisance.get("folds", NuisanceConfig.folds), _smallest_block(data.n, hulc)
     # each block is cross-fitted on its own folds
     if not (panel or nuisance.get("in_sample", False)) and folds > smallest:
         raise BadFoldCount(f"{folds} folds need {folds} units in every hulc block, "
                            f"the smallest has {smallest}")
-    return _Plan(route, grid, model, coord, values, blocks)
+    return _Plan(route, grid, model, coord, values, hulc)
+
+
+def _check_quantile_levels(gamma):
+    """ConfigError unless gamma's quantile levels 1/(1 + gamma) and gamma/(1 + gamma)
+    stay in (0, 1) at the 12 decimals that the quantile fits key them by (from
+    about gamma = 2e12 up, 1/(1 + gamma) rounds to 0). Both levels move away
+    from 1/2 as gamma grows, so the largest gamma of a run is the one to check."""
+    spec = GammaSpec(gamma)
+    low, high = _gamma_key(spec.tau_low), _gamma_key(spec.tau_high)
+    if low <= 0.0 or high >= 1.0:
+        raise ConfigError(f"gamma = {gamma:g} puts its quantile levels at {low!r} and {high!r} "
+                          "at 12 decimals; they must lie in (0, 1)")
 
 
 def _run_plan(plan, data, config, seed):
@@ -799,11 +817,11 @@ def _grid_command(args):
         alpha, n = inference.get("alpha", 0.05), data.n
         ci_lower = np.array([wald_ci(v, s, n, alpha).low for v, s in zip(lower, variances[0])])
         ci_upper = np.array([wald_ci(v, s, n, alpha).high for v, s in zip(upper, variances[1])])
-    elif plan.blocks is not None:
+    elif plan.hulc is not None:
         if plan.route.heuristic_ci:
             flags.append("heuristic CI")
         ci_lower, ci_upper = _extremes(
-            data, lambda sub: _run_plan(plan, sub, config, seed)[:2], plan.blocks)
+            data, lambda sub: _run_plan(plan, sub, config, seed)[:2], _blocks(data.n, plan.hulc))
 
     if np.any(lower > upper + 1e-12):
         raise NumericalError("lower bound exceeded upper bound on the grid")

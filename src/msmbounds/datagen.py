@@ -12,7 +12,9 @@ Every generator is deterministic given (name, parameters, seed). Names:
                      Y = 1.5(A1+A2) + X1 + X2 + N(0,1) (default n=500)
 
 Each generator declares its parameters in ``_REGISTRY``; ``generate`` raises
-ConfigError for any other name and any other value.
+ConfigError for any other name and any other value, before it allocates.
+Every generator draws at most ``MAX_N`` units; a larger sample comes from a
+CSV file.
 """
 
 import math
@@ -80,19 +82,22 @@ def _panel_mix(rng, n, T, effect):
     return PanelDataset([f"u{i}" for i in range(n)], x, a, y)
 
 
-# A generator parameter: its default and its least value. An int default
-# makes an integer parameter, which takes an integral float as its int, as
-# the config schema does; a float default makes a number parameter.
-_Param = namedtuple("_Param", "default least", defaults=(-math.inf,))
+# A generator parameter: its default, its least and its largest value. An
+# int default makes an integer parameter, which takes an integral float as
+# its int, as the config schema does; a float default makes a number parameter.
+_Param = namedtuple("_Param", "default least most", defaults=(-math.inf, math.inf))
 
+# the most units a generator draws; the config schema's data.dgp.n has the same maximum
+MAX_N = 10**7
 
 # name -> (generator, {parameter: _Param})
 _REGISTRY = {
-    "gauss-line": (_gauss_line, {"n": _Param(100, 2), "slope": _Param(3.0)}),
-    "confounded-line": (_confounded_line, {"n": _Param(1000, 2)}),
-    "hidden-dose": (_hidden_dose, {"n": _Param(1000, 2)}),
-    "discrete-cells": (_discrete_cells, {"n": _Param(400, 2)}),
-    "panel-mix": (_panel_mix, {"n": _Param(500, 2), "T": _Param(2, 1), "effect": _Param(1.5)}),
+    "gauss-line": (_gauss_line, {"n": _Param(100, 2, MAX_N), "slope": _Param(3.0)}),
+    "confounded-line": (_confounded_line, {"n": _Param(1000, 2, MAX_N)}),
+    "hidden-dose": (_hidden_dose, {"n": _Param(1000, 2, MAX_N)}),
+    "discrete-cells": (_discrete_cells, {"n": _Param(400, 2, MAX_N)}),
+    "panel-mix": (_panel_mix, {"n": _Param(500, 2, MAX_N), "T": _Param(2, 1),
+                               "effect": _Param(1.5)}),
 }
 
 
@@ -113,6 +118,9 @@ def _param(name, key, declared, value):
         what = "an integer" if integer else "a finite number"
         least = "" if declared.least == -math.inf else f" >= {declared.least}"
         raise ConfigError(f"dgp {name!r} param {key!r} must be {what}{least}, got {value!r}")
+    if value > declared.most:
+        raise ConfigError(f"dgp {name!r} param {key!r} must be at most {declared.most}, "
+                          f"got {value!r}")
     return int(value) if integer else float(value)
 
 

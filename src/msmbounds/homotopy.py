@@ -46,13 +46,18 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, gram):
     derivative takes that iteration's Gram matrix; the iteration solves all
     band x band candidate systems in one batch and takes the first strict
     maximum in drop-major, add-minor order.
+
+    Returns the (v, beta, value) of the last accepted swap, or None when none
+    is accepted. Every accepted swap strictly improves the value, so the last
+    one beats all before it; the search swaps in place on one copy of
+    ``mask`` and one weight vector, whatever its swap count.
     """
     if not model.linear:
-        return []
+        return None
     n = y.size
     lo, hi = box
-    v = _levels(mask, box)
-    visited = []
+    mask, v = mask.copy(), _levels(mask, box)
+    accepted = False
     cur_val = float(beta_cur[coord])
     for _ in range(2 * n):
         wv = w * v
@@ -90,13 +95,11 @@ def _swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coord, gram):
         best_val = float(betas[i, j, coord])
         if sense * (best_val - cur_val) <= 1e-12:
             break
-        cur_val, beta_cur = best_val, betas[i, j]
-        mask, v = mask.copy(), v.copy()
+        cur_val, beta_cur, accepted = best_val, betas[i, j], True
         mask[drop[i]], v[drop[i]] = False, lo
         mask[add[j]], v[add[j]] = True, hi
         gram = None
-        visited.append((v, beta_cur.copy(), cur_val))
-    return visited
+    return (v, beta_cur.copy(), cur_val) if accepted else None
 
 
 def _band(idx, key):
@@ -299,8 +302,10 @@ def _one_step(
         # its own rank mask; the carried candidate has old atom levels, so its
         # count is wrong here
         (_, seed_beta, _), seed_m, seed_mask = max(vertices, key=lambda fit: sense * fit[0][2])
-        candidates.extend(
-            _swap_phase(model, a_obj, h, y, w, box, seed_mask, seed_beta, sense, coord, seed_m))
+        swapped = _swap_phase(model, a_obj, h, y, w, box, seed_mask, seed_beta, sense, coord,
+                              seed_m)
+        if swapped is not None:
+            candidates.append(swapped)
     return max(candidates, key=lambda cand: sense * cand[2])
 
 

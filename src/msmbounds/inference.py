@@ -40,13 +40,20 @@ def subsample_partition(n, b, seed):
     return [np.sort(part) for part in np.array_split(np.random.default_rng(seed).permutation(n), b)]
 
 
-def _blocks(n, spec):
-    """The HulC blocks of n units under ``spec``; each must hold ``_MIN_BLOCK`` units."""
+def _smallest_block(n, spec):
+    """The size of the smallest HulC block of n units under ``spec``, without
+    drawing the blocks; it must hold ``_MIN_BLOCK`` units."""
     b = spec.n_subsamples
     if n // b < _MIN_BLOCK:
         raise SubsampleTooSmall(
             f"hulc needs at least {_MIN_BLOCK * b} units for {b} subsamples, have {n}")
-    return subsample_partition(n, b, spec.seed)
+    return n // b
+
+
+def _blocks(n, spec):
+    """The HulC blocks of n units under ``spec``; each must hold ``_MIN_BLOCK`` units."""
+    _smallest_block(n, spec)
+    return subsample_partition(n, spec.n_subsamples, spec.seed)
 
 
 def _extremes(data, compute, blocks):

@@ -88,8 +88,13 @@ class MsmModel:
 
 def _poly_basis(degree):
     def basis(a):
+        # the columns a^0 = 1, a, ..., a^degree, filled into one array
         a = _as_rows(a)
-        return np.column_stack([a ** p for p in range(degree + 1)])
+        out = np.empty((a.size, degree + 1))
+        out[:, 0] = 1.0
+        for p in range(1, degree + 1):
+            out[:, p] = a ** p
+        return out
 
     return basis
 

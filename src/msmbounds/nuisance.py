@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .data import FoldAssignment, split_folds
+from .data import split_folds
 from .errors import (
     BadTau,
     ConfigError,
@@ -71,12 +71,18 @@ class NuisanceConfig:
 
 
 def _poly_design(a, x, degree):
-    """The design [1, a, ..., a^degree, x], a 1-d x taken as one column."""
+    """The design [1, a, ..., a^degree, x], a 1-d x taken as one column, filled
+    column by column into one array."""
     a = np.asarray(a, dtype=float).ravel()
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    return np.column_stack([np.ones_like(a), *(a ** p for p in range(1, degree + 1)), *x.T])
+    design = np.empty((a.size, degree + 1 + x.shape[1]))
+    design[:, 0] = 1.0
+    for p in range(1, degree + 1):
+        design[:, p] = a ** p
+    design[:, degree + 1:] = x
+    return design
 
 
 class _Rows:
@@ -608,14 +614,9 @@ class _Bundle:
     fit trains on the ``_Rows`` ``train``, so they share its designs."""
 
     def __init__(self, data, train_idx, config):
-        """``train_idx`` None trains on ``data`` itself, with no copy."""
+        """``train_idx`` None trains on ``data`` itself, with no copy and no index."""
         self.config = config
-        if train_idx is None:
-            self.train_idx = np.arange(data.n)
-            sub = data
-        else:
-            self.train_idx = np.asarray(train_idx)
-            sub = data.take(self.train_idx)
+        sub = data if train_idx is None else data.take(train_idx)
         self.train = _Rows(sub.a, sub.x, sub.y)
         self.propensity = fit_propensity(sub, config)
         self._outcome = self._quantile = None
@@ -690,27 +691,25 @@ class CrossFit:
     point by ``_own`` and along a row by ``_row``. Each fold's scored rows are
     one ``_Rows`` (``_scored_rows``), so every evaluation at them reads one
     design. The weights slice (a, x) afresh and keep nothing: they are all
-    the rank rules read, at up to 100,000 units. ``_FixedNuisances`` is the
+    the rank rules read, at up to 100,000 units. ``assignment`` is the
+    ``data.FoldAssignment`` of the folds. ``_FixedNuisances`` is the
     weights-only implementation.
     """
 
     def __init__(self, data, config=None, seed=0):
         self.data = data
         self.config = config or NuisanceConfig()
-        splits = self._splits(seed)
-        self.bundles = [_Bundle(data, train, self.config) for train, _ in splits]
-        self._scored = [units for _, units in splits]
-        fold_of_unit = np.empty(data.n, dtype=int)
-        for f, units in enumerate(self._scored):
-            fold_of_unit[units] = f
-        self.assignment = FoldAssignment(fold_of_unit, len(splits))
+        self._fit_bundles(seed)
         self._cache = {}
 
-    def _splits(self, seed):
-        """(train, scored) unit indices per bundle: each fold is scored by
-        the bundle trained on the other folds."""
-        folds = split_folds(self.data.n, self.config.folds, seed)
-        return [(folds.complement(f), folds.members(f)) for f in range(folds.k)]
+    def _fit_bundles(self, seed):
+        """The bundles and their scored units: each fold is scored by the
+        bundle trained on the other folds."""
+        self.assignment = split_folds(self.data.n, self.config.folds, seed)
+        folds = range(self.assignment.k)
+        self.bundles = [_Bundle(self.data, self.assignment.complement(f), self.config)
+                        for f in folds]
+        self._scored = [self.assignment.members(f) for f in folds]
 
     def _cached(self, key, compute):
         if key not in self._cache:
@@ -743,7 +742,7 @@ class CrossFit:
         """A regression at each unit's (a_i, x_i), or (a0, x_i), from its own bundle."""
         def evaluate(f, units):
             fit, rows = self.bundles[f].regression(gamma, side), self._scored_rows(f)
-            return fit(rows if a0 is None else _Rows(np.full(units.size, float(a0)), rows.x))
+            return fit(rows if a0 is None else _Rows(np.full(rows.a.size, float(a0)), rows.x))
 
         return self._per_unit(evaluate)
 
@@ -829,7 +828,10 @@ class SelfFit(CrossFit):
     """Single in-sample bundle exposed through the CrossFit interface.
 
     Used by demos and oracle comparisons where plug-in identities matter
-    more than sample splitting; flagged so callers can surface it.
+    more than sample splitting; flagged so callers can surface it. It holds
+    no n-length index: its bundle trains on the dataset itself, and its
+    scored units are ``slice(None)``, every unit in index order, so its
+    weights read (a, x) without a copy. It has no ``assignment``.
     """
 
     in_sample = True
@@ -838,9 +840,12 @@ class SelfFit(CrossFit):
         # no seed: nothing is split at random
         super().__init__(data, config)
 
-    def _splits(self, seed):
-        # the one bundle trains on the dataset itself
-        return [(None, np.arange(self.data.n))]
+    def _fit_bundles(self, seed):
+        self.bundles = [_Bundle(self.data, None, self.config)]
+        self._scored = [slice(None)]
+
+    def bundle_for(self, i):
+        return self.bundles[0]
 
     def _scored_rows(self, f):
         # the units are scored in index order, so the scored rows are the training rows

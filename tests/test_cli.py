@@ -14,9 +14,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from msmbounds import nuisance
+from msmbounds import cli, nuisance
 from msmbounds.cli import FAMILIES, ROUTES, main
 from msmbounds.datagen import DgpSpec, generate
+from msmbounds.errors import BadTau, ConfigError
 from msmbounds.gamma import GammaSpec, local_beta_bounds, marginal_quantile_grid_bounds
 from msmbounds.inference import HulcSpec, hulc_ci
 from msmbounds.msm import polynomial_msm
@@ -787,6 +788,29 @@ PROBES = {
     "grid-above-epsilon-1": (
         bounds_config(family="subset-propensity", method="linear", grid=[0.0, 2.0], gamma=2.0),
         [], 2, "config error: subset-propensity grids must end at epsilon <= 1"),
+    # numpy could not allocate the 7.28 TiB of 10**12 units: a MemoryError traceback
+    "dgp-n-above-the-maximum": (
+        bounds_config(10**12), [], 2,
+        "config error: config/data/dgp/n: 1000000000000 is greater than the maximum of 10000000"),
+    "dgp-params-n-above-the-maximum": (
+        _dgp_params(n=10**12), [], 2,
+        "config error: dgp 'gauss-line' param 'n' must be at most 10000000, got 1000000000000"),
+    # 1/(1 + gamma) rounds to 0 at 12 decimals: parametric raised BadTau after
+    # every fit, and marginal-quantile and local exited 0
+    **{f"gamma-levels-round-off-{method}": (
+        bounds_config(method=method, grid=[1.0, 1e300]), [], 2,
+        "config error: gamma = 1e+300 puts its quantile levels at 0.0 and 1.0 at 12 decimals")
+       for method in ("parametric", "marginal-quantile", "local", "homotopy-exact")},
+    "gamma-levels-round-off-at-2e12": (
+        bounds_config(method="parametric", grid=[1.0, 2e12]), [], 2,
+        "config error: gamma = 2e+12 puts its quantile levels at 0.0 and 0.999999999999"),
+    "subset-gamma-levels-round-off": (
+        bounds_config(family="subset-propensity", method="linear", grid=[0.0, 0.5], gamma=1e300),
+        [], 2, "config error: gamma = 1e+300 puts its quantile levels at 0.0 and 1.0"),
+    "subset-independent-gamma-levels-round-off": (
+        bounds_config(family="subset-independent", method="independent", grid=[1.0, 1e300],
+                      epsilon=0.5),
+        [], 2, "config error: gamma = 1e+300 puts its quantile levels at 0.0 and 1.0"),
 }
 
 
@@ -798,6 +822,33 @@ def test_probed_config_errors_come_before_any_fit(tmp_path, capsys, name):
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path), *extra]) == code
     assert capsys.readouterr().err.startswith(message)
     assert _call_counts(fits, calls) == (0, 0)
+
+
+def test_curve_gamma_whose_quantile_levels_round_off_exits_2(tmp_path, capsys):
+    config = curve_config({"family": "propensity", "gamma": 1e300, "a0_grid": [0.0, 0.5]})
+    cfg = _write_config(tmp_path / "c.json", config)
+    with _counting_fits_and_routes() as (fits, calls):
+        assert main(["curve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: gamma = 1e+300 puts its quantile levels at 0.0 and 1.0")
+    assert _call_counts(fits, calls) == (0, 0)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 1e12, 1999999999998.0, 1999999999999.0, 2e12,
+                                   1e13, 1e300])
+def test_plan_rejects_a_gamma_exactly_where_the_pinball_fit_would(gamma):
+    # the plan's check and the fit's BadTau agree on both sides of gamma = 2e12 - 1
+    data = generate(DgpSpec("gauss-line", seed=1), 40)
+    fit = nuisance.PinballQuantileFit(nuisance._Rows(data.a, data.x), data.y)
+    spec = GammaSpec(gamma)
+    try:
+        fit.coef(spec.tau_low)
+        fit.coef(spec.tau_high)
+    except BadTau:
+        with pytest.raises(ConfigError, match="puts its quantile levels at"):
+            cli._check_quantile_levels(gamma)
+    else:
+        cli._check_quantile_levels(gamma)
 
 
 @pytest.mark.parametrize("error", [ValueError, TypeError])

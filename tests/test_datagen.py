@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from msmbounds import datagen
 from msmbounds.data import Dataset, PanelDataset
-from msmbounds.datagen import DgpSpec, generate, registry
+from msmbounds.datagen import MAX_N, DgpSpec, generate, registry
 from msmbounds.errors import ConfigError, UnknownDgp
 
 
@@ -92,6 +93,19 @@ def test_generate_checks_its_n_argument_like_the_n_param():
         generate(DgpSpec("gauss-line"), 1)
     # the argument overrides the param, and a numpy integer is an integer
     assert generate(DgpSpec("gauss-line", params={"n": 7}), np.int64(5)).n == 5
+
+
+@pytest.mark.parametrize("name", registry())
+def test_generate_rejects_an_n_above_its_maximum_before_drawing(name):
+    # 10**12 units would ask numpy for terabytes; the check comes first
+    for n in (MAX_N + 1, 10**12):
+        message = f"param 'n' must be at most {MAX_N}, got {n}"
+        with pytest.raises(ConfigError, match=message):
+            generate(DgpSpec(name, params={"n": n}))
+        with pytest.raises(ConfigError, match=message):
+            generate(DgpSpec(name), n)
+    declared = datagen._REGISTRY[name][1]["n"]
+    assert datagen._param(name, "n", declared, float(MAX_N)) == MAX_N
 
 
 def test_integral_float_and_int_params_give_the_same_data():

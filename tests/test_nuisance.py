@@ -226,8 +226,11 @@ def test_clipped_pseudo_outcome_hand_values():
 def test_crossfit_no_training_leakage():
     data = _noisy_linear()
     cf = CrossFit(data, NuisanceConfig(folds=3), seed=9)
+    # y is continuous, so its value marks a unit among a bundle's training rows
     for i in range(data.n):
-        assert i not in cf.bundle_for(i).train_idx
+        assert data.y[i] not in cf.bundle_for(i).train.y
+    # and every unit trains the other 2 of the 3 bundles
+    assert sum(bundle.train.y.size for bundle in cf.bundles) == 2 * data.n
 
 
 def test_selffit_trains_on_the_dataset_without_a_copy(monkeypatch):
@@ -236,7 +239,39 @@ def test_selffit_trains_on_the_dataset_without_a_copy(monkeypatch):
     cf = SelfFit(data)
     train = cf.bundles[0].train
     assert train.a is data.a and train.x is data.x and train.y is data.y
-    np.testing.assert_array_equal(cf.bundles[0].train_idx, np.arange(data.n))
+
+
+def _arrays(obj, seen):
+    """Every numpy array reachable from ``obj`` through lists, tuples, dict
+    values and the attributes of msmbounds objects."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item, seen)
+    elif type(obj).__module__.startswith("msmbounds"):
+        slots = getattr(type(obj), "__slots__", ())
+        attrs = vars(obj) if hasattr(obj, "__dict__") else {s: getattr(obj, s) for s in slots}
+        yield from _arrays(attrs, seen)
+
+
+def test_selffit_holds_no_index_array():
+    data = _noisy_linear(n=60)
+    cf = SelfFit(data)
+    # every cache filled: the weights, mu-hat, the quantiles and kappa-hat
+    filled = (cf.weights, cf.mu_units, cf.kappa_units(1.5, "upper"),
+              cf.additive_parts(1.5, "lower"))
+    assert all(part is not None for part in filled)
+    arrays = list(_arrays(cf, set()))
+    assert any(array is data.a for array in arrays)  # the walk reaches the data
+    assert not [array.shape for array in arrays
+                if array.dtype.kind in "iu" and data.n in array.shape]
 
 
 @pytest.mark.parametrize("folds", [1, 3])

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msmbounds import nuisance
-from msmbounds.data import Dataset
+from msmbounds.data import Dataset, split_folds
 from msmbounds.datagen import DgpSpec, generate
 from msmbounds.gamma import GammaSpec, conditional_outcome_bounds
 from msmbounds.nuisance import CrossFit, NuisanceConfig, SelfFit, clipped_pseudo_outcome
@@ -173,13 +173,22 @@ class _ReferenceBundle:
 
 
 class _ReferenceCrossFit:
-    """The earlier evaluators, on reference bundles trained on ``cf``'s splits."""
+    """The earlier evaluators, on reference bundles trained on the folds of
+    ``split_folds(n, config.folds, seed)``, or in-sample on every unit with
+    ``seed`` None. Its unit indices are its own, not those ``cf`` holds."""
 
-    def __init__(self, cf):
+    def __init__(self, cf, seed):
         self.data = cf.data
-        self.bundles = [_ReferenceBundle(cf.data, b.train_idx, cf.config) for b in cf.bundles]
-        self._scored = cf._scored
-        self.fold_of_unit = cf.assignment.fold_of_unit
+        n = cf.data.n
+        if seed is None:
+            self.fold_of_unit = np.zeros(n, dtype=int)
+        else:
+            self.fold_of_unit = split_folds(n, cf.config.folds, seed).fold_of_unit
+        folds = range(self.fold_of_unit.max() + 1)
+        self._scored = [np.flatnonzero(self.fold_of_unit == f) for f in folds]
+        train = ([np.arange(n)] if seed is None
+                 else [np.flatnonzero(self.fold_of_unit != f) for f in folds])
+        self.bundles = [_ReferenceBundle(cf.data, idx, cf.config) for idx in train]
 
     def bundle_for(self, i):
         return self.bundles[self.fold_of_unit[i]]
@@ -288,14 +297,15 @@ def _cases(draw):
 @given(_cases())
 def test_protocol_matches_the_per_method_evaluators(case):
     data, config, in_sample, gammas = case
-    cf = SelfFit(data, config) if in_sample else CrossFit(data, config, seed=3)
+    seed = None if in_sample else 3
+    cf = SelfFit(data, config) if in_sample else CrossFit(data, config, seed=seed)
     rows = (0, data.n // 2, data.n - 1)
     a0 = float(data.a[1])
     probes = [(data.a[:5], data.x[:5])]
     if data.x.shape[1] == 1:
         probes.append((data.a[-4:].tolist(), data.x[-4:, 0]))
     with mock.patch.object(nuisance, "_poly_design", _reference_poly_design):
-        want = _protocol(_ReferenceCrossFit(cf), gammas, rows, a0, probes)
+        want = _protocol(_ReferenceCrossFit(cf, seed), gammas, rows, a0, probes)
     got = _protocol(cf, gammas, rows, a0, probes)
     assert got.keys() == want.keys()
     for key, value in want.items():
@@ -335,6 +345,6 @@ def test_conditional_outcome_bounds_at_probe_points_use_kappa_at():
     cf = CrossFit(data, NuisanceConfig(folds=3), seed=0)
     low, high = conditional_outcome_bounds(data, GammaSpec(2.0), cf, data.a[:6], data.x[:6, 0])
     with mock.patch.object(nuisance, "_poly_design", _reference_poly_design):
-        ref = _ReferenceCrossFit(cf)
+        ref = _ReferenceCrossFit(cf, 0)
         want = [ref.kappa_at(2.0, side, data.a[:6], data.x[:6, 0]) for side in SIDES]
     assert np.array_equal(low, np.minimum(*want)) and np.array_equal(high, np.maximum(*want))

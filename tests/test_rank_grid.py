@@ -35,9 +35,11 @@ def _reference_swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coo
                           gram=None, band=homotopy._SWAP_BAND):
     """The swap search as a double loop: one rank-two Gram update and one
     ``_solve`` per (drop i, add j) pair, keeping the first strict maximum.
-    It ignores the seed's ``gram`` and builds every Gram matrix from scratch."""
+    It ignores the seed's ``gram`` and builds every Gram matrix from scratch.
+    It keeps every accepted swap's (v, beta, value) and returns the last, or
+    None when it accepts none, as ``homotopy._swap_phase`` does."""
     if not model.linear or band <= 0:
-        return []
+        return None
     b_mat = model.basis_matrix(a_obj)
     n = y.size
     lo, hi = box
@@ -81,7 +83,7 @@ def _reference_swap_phase(model, a_obj, h, y, w, box, mask, beta_cur, sense, coo
         mask[i] = False
         mask[j] = True
         visited.append((np.where(mask, hi, lo), beta_cur.copy(), cur_val))
-    return visited
+    return visited[-1] if visited else None
 
 
 def _same_bits(got, want):
