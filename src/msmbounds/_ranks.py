@@ -3,20 +3,21 @@
 Single home for the deterministic conventions used everywhere: ties
 broken toward the lower index, and the strict-above / inclusive-below
 split that makes rank-based weight assignments hit the LP vertex exactly
-when n*tau is integral. ``rank_mask`` is the one marginal rank rule behind
-every propensity coordinate bound; ``rank_masks`` applies it over a whole
-gamma grid, ``rank_sums`` gives the sums of the values it marks there, and
-``cell_rank_mask`` applies it inside every (a, x) cell.
+when n*tau is integral. ``_select`` is the one marginal mask rule:
+``rank_mask``, the marginal rank rule behind every propensity coordinate
+bound and every kept weight vector of a gamma grid, the ``select_*_mask``
+pair and the homotopy's swap band all call it. ``rank_sums`` gives the sums
+of the values ``rank_mask`` marks over a whole gamma grid, and
+``cell_rank_mask`` applies the rule inside every (a, x) cell.
 
 Every rule follows the ascending (value, index) order of ``np.lexsort``,
-but only ``rank_masks``, ``rank_sums`` and ``cell_rank_mask`` sort, because
-a whole grid or every cell needs that order. ``rank_mask``, the
-``select_*_mask`` pair and the homotopy's swap band need one cut of it:
-they take the threshold from a partition, mark every value strictly
-past it, and fill the remaining count from the values tied with it in
-index order, the highest indices for the top side and the lowest for the
-bottom side, which is where lexsort puts them. ±inf rank like any other value and -0.0 ties
-with 0.0. A NaN has no rank (lexsort would put it past +inf), so every
+but only ``rank_sums`` and ``cell_rank_mask`` sort, because a whole grid's
+sums or every cell need that order. ``_select`` needs one cut of it: it
+takes the threshold from a partition, marks every value strictly past it,
+and fills the remaining count from the values tied with it in index order,
+the highest indices for the top side and the lowest for the bottom side,
+which is where lexsort puts them. ±inf rank like any other value and -0.0
+ties with 0.0. A NaN has no rank (lexsort would put it past +inf), so every
 rule here raises ``NaNRank`` (a ``NumericalError``, CLI exit 4) naming
 the count of NaN values instead of placing them.
 """
@@ -37,19 +38,9 @@ def _ranked(values):
     return values
 
 
-def _ascending_order(values):
-    return np.lexsort((np.arange(values.size), values))
-
-
-def _cut(order, count, top):
-    """Mask of the last ``count`` entries of an ascending order (``top``) or of its first."""
-    mask = np.zeros(order.size, dtype=bool)
-    mask[order[order.size - count:] if top else order[:count]] = True
-    return mask
-
-
 def _select(values, count, top):
-    """``_cut(_ascending_order(values), count, top)`` without the sort.
+    """Mask of the last ``count`` entries of the ascending (value, index) order
+    (``top``) or of its first, without the sort.
 
     The threshold is the value at the cut's inner end; the values strictly
     past it are in, and the rest of ``count`` comes from the values equal
@@ -127,22 +118,9 @@ def rank_mask(values, gamma, upper):
     return _select(values, gamma_count(values.size, gamma), upper)
 
 
-def rank_masks(values, gammas):
-    """``rank_mask`` of both sides at every gamma, from one sort of ``values``.
-
-    Returns one (lower mask, upper mask) pair per gamma: the first and the
-    last ``gamma_count(n, gamma)`` entries of the one ascending order.
-    """
-    if any(gamma < 1 for gamma in gammas):
-        raise ValueError("gamma must be >= 1")
-    values = _ranked(values)
-    order = _ascending_order(values)
-    counts = [gamma_count(values.size, gamma) for gamma in gammas]
-    return [(_cut(order, count, False), _cut(order, count, True)) for count in counts]
-
-
 def rank_sums(values, gammas):
-    """The sums of the values that ``rank_masks`` marks, from one sort of ``values``.
+    """The sums of the values that ``rank_mask`` marks at every gamma, from one
+    sort of ``values``.
 
     Returns one (lower sum, upper sum) pair per gamma: the sums of the first
     and the last ``gamma_count(n, gamma)`` entries of the ascending order.

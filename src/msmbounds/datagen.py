@@ -13,8 +13,8 @@ Every generator is deterministic given (name, parameters, seed). Names:
 
 Each generator declares its parameters in ``_REGISTRY``; ``generate`` raises
 ConfigError for any other name and any other value, before it allocates.
-Every generator draws at most ``MAX_N`` units; a larger sample comes from a
-CSV file.
+Every generator draws at most ``MAX_N`` units and ``MAX_ROWS`` (unit, period)
+rows, n * T for panel-mix; a larger sample comes from a CSV file.
 """
 
 import math
@@ -89,6 +89,8 @@ _Param = namedtuple("_Param", "default least most", defaults=(-math.inf, math.in
 
 # the most units a generator draws; the config schema's data.dgp.n has the same maximum
 MAX_N = 10**7
+# the most (unit, period) rows a generator draws: MAX_N units at panel-mix's default T = 2
+MAX_ROWS = 2 * MAX_N
 
 # name -> (generator, {parameter: _Param})
 _REGISTRY = {
@@ -137,5 +139,9 @@ def generate(spec, n=None):
     given = {**spec.params, **({} if n is None else {"n": n})}
     params = {key: _param(spec.name, key, p, given.get(key, p.default))
               for key, p in declared.items()}
+    rows = params["n"] * params.get("T", 1)
+    if rows > MAX_ROWS:
+        raise ConfigError(f"dgp {spec.name!r} rows n * T must be at most {MAX_ROWS}, "
+                          f"got {rows}")
     rng = np.random.default_rng(spec.seed)
     return builder(rng, **params)

@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from ._ranks import _levels, cell_rank_mask, rank_masks, rank_sums
+from ._ranks import _levels, cell_rank_mask, rank_mask, rank_sums
 from .errors import ConfigError
 from .msm import (
     PairKernel,
@@ -247,7 +247,7 @@ def _rank_rule_grid(data, model, w, nuisances, grid, coord, constraint, keep_wei
     """Linearized coordinate bounds at every gamma of ``grid`` by the closed-form rank rule.
 
     f_i = T_i Y_i depends on neither gamma nor v, so it is built once. At each
-    gamma, v is gamma on the units of ``_ranks.rank_masks`` (marginal
+    gamma, v is gamma on the units of ``_ranks.rank_mask`` (marginal
     constraint) or of ``_conditional_mask`` (conditional) and 1/gamma
     elsewhere, shrunk to (1 - epsilon) + epsilon v when ``epsilon`` != 1, and
     the bound is offset + mean(f v). Under the marginal constraint that mean
@@ -265,7 +265,8 @@ def _rank_rule_grid(data, model, w, nuisances, grid, coord, constraint, keep_wei
         if epsilon != 1.0:
             values = [[(1.0 - epsilon) * mean_f + epsilon * side for side in sides]
                       for sides in values]
-        masks = rank_masks(f, grid) if keep_weights else []
+        masks = ([rank_mask(f, gamma, upper) for upper in (False, True)]
+                 for gamma in grid) if keep_weights else []
     else:
         empty = np.zeros(f.size, dtype=bool)
         masks = ([_conditional_mask(cells, nuisances, f, t, None, gamma, upper) if gamma > 1

@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NoConvergence, SingularMoment
+from .errors import ConfigError, NoConvergence, SingularMoment
 from .results import BetaEstimate
 
 
@@ -28,29 +28,56 @@ def _as_rows(a):
     return np.asarray(a, dtype=float).ravel()
 
 
+def _poly_design(a, x, degree):
+    """The design [1, a, ..., a^degree, x], filled column by column into one
+    array: the working model's polynomial basis when ``x`` is None, and every
+    nuisance design, a 1-d x taken as one column."""
+    a = _as_rows(a)
+    x = np.empty((a.size, 0)) if x is None else np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    design = np.empty((a.size, degree + 1 + x.shape[1]))
+    design[:, 0] = 1.0
+    for p in range(1, degree + 1):
+        design[:, p] = a ** p
+    design[:, degree + 1:] = x
+    return design
+
+
 @dataclasses.dataclass(frozen=True)
 class MsmModel:
     """Working marginal model g(a; beta) plus the moment features h(a).
 
-    ``basis`` is set when g(a; beta) = basis(a) @ beta; that unlocks the
-    closed-form fit and the linear bound machinery, all of which solve the
-    least-squares projection, so the moment features must be the basis.
+    A linear model is its ``basis``: g(a; beta) = basis(a) @ beta, and the
+    curve, gradient and moment features it is not given are derived from the
+    basis. That unlocks the closed-form fit and the linear bound machinery,
+    all of which solve the least-squares projection, so the moment features
+    must be the basis. Any other model gives all three callables.
     """
 
     dim: int
-    curve: object           # (a, beta) -> (m,)
-    gradient: object        # (a, beta) -> (m, dim)
-    moment_features: object  # (a,) -> (m, dim)
-    basis: object = None    # (a,) -> (m, dim) when the curve is linear
+    curve: object = None            # (a, beta) -> (m,)
+    gradient: object = None         # (a, beta) -> (m, dim)
+    moment_features: object = None  # (a,) -> (m, dim)
+    basis: object = None            # (a,) -> (m, dim) when the curve is linear
     name: str = "custom"
 
     def __post_init__(self):
-        if self.basis is not None and self.moment_features is not self.basis:
-            raise ValueError(
-                "a model with a basis solves the basis moments, so moment_features "
-                "must be the basis; drop basis to solve other moment features by "
-                "the generic Newton path"
-            )
+        basis = self.basis
+        if basis is None:
+            if any(f is None for f in (self.curve, self.gradient, self.moment_features)):
+                raise ConfigError(f"model {self.name!r} needs a basis or all of curve, "
+                                  "gradient and moment_features")
+            return
+        for field, derived in (("curve", lambda a, beta: basis(a) @ beta),
+                               ("gradient", lambda a, beta: basis(a)),
+                               ("moment_features", basis)):
+            if getattr(self, field) is None:
+                object.__setattr__(self, field, derived)
+        if self.moment_features is not basis:
+            raise ValueError("a model with a basis solves the basis moments, so "
+                             "moment_features must be the basis; drop basis to solve other "
+                             "moment features by the generic Newton path")
 
     @property
     def linear(self):
@@ -71,10 +98,7 @@ class MsmModel:
     def basis_matrix(self, a):
         if self.basis is None:
             raise ValueError(f"model {self.name!r} has no linear basis")
-        b = np.asarray(self.basis(self._coerce(a)), dtype=float)
-        if b.ndim == 1:
-            b = b[:, None]
-        return b
+        return self.features(a)
 
     def predict(self, a, beta):
         return np.asarray(self.curve(self._coerce(a), np.asarray(beta, dtype=float)))
@@ -86,32 +110,12 @@ class MsmModel:
         return g
 
 
-def _poly_basis(degree):
-    def basis(a):
-        # the columns a^0 = 1, a, ..., a^degree, filled into one array
-        a = _as_rows(a)
-        out = np.empty((a.size, degree + 1))
-        out[:, 0] = 1.0
-        for p in range(1, degree + 1):
-            out[:, p] = a ** p
-        return out
-
-    return basis
-
-
 def polynomial_msm(degree):
     """g(a; beta) = beta_0 + beta_1 a + ... + beta_degree a^degree."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    basis = _poly_basis(degree)
-    return MsmModel(
-        dim=degree + 1,
-        curve=lambda a, beta: basis(a) @ beta,
-        gradient=lambda a, beta: basis(a),
-        moment_features=basis,
-        basis=basis,
-        name=f"poly{degree}",
-    )
+    return MsmModel(dim=degree + 1, basis=lambda a: _poly_design(a, None, degree),
+                    name=f"poly{degree}")
 
 
 def linear_msm():
@@ -125,15 +129,9 @@ def intercept_msm():
 
 
 def custom_msm(dim, curve, gradient, moment_features, basis=None, name="custom"):
-    """Wrap user callables into a model; pass ``basis`` when the curve is linear."""
-    return MsmModel(
-        dim=dim,
-        curve=curve,
-        gradient=gradient,
-        moment_features=moment_features,
-        basis=basis,
-        name=name,
-    )
+    """Wrap user callables into a model; pass ``basis`` when the curve is linear,
+    and its curve, gradient and moment features may be None (derived from it)."""
+    return MsmModel(dim, curve, gradient, moment_features, basis, name)
 
 
 def _solve(mat, rhs, context):

@@ -27,6 +27,7 @@ from .errors import (
     TooManyLevels,
     UnseenLevel,
 )
+from .msm import _poly_design
 
 PROPENSITY_CLIP = 1e-3
 _VAR_FLOOR = 1e-12
@@ -68,21 +69,6 @@ class NuisanceConfig:
             raise ConfigError("folds must be >= 2")
         if not 0 < self.propensity_clip < 1:
             raise ConfigError("propensity_clip must be in (0, 1)")
-
-
-def _poly_design(a, x, degree):
-    """The design [1, a, ..., a^degree, x], a 1-d x taken as one column, filled
-    column by column into one array."""
-    a = np.asarray(a, dtype=float).ravel()
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    design = np.empty((a.size, degree + 1 + x.shape[1]))
-    design[:, 0] = 1.0
-    for p in range(1, degree + 1):
-        design[:, p] = a ** p
-    design[:, degree + 1:] = x
-    return design
 
 
 class _Rows:
@@ -398,8 +384,11 @@ def _quantile_vertex(design, y, tau, setup=None):
     the weighted median of the kinks r_i / z_i, from one sort and a cumulative
     sum; the kinks it passes change side. A step that does not move (a zero
     residual off the basis enters) makes the next step follow Bland's rule: the
-    lowest-indexed basis row leaves, to the first kink, lowest index first. So
-    degenerate data (noiseless lines, tied y, discrete cells) cannot cycle.
+    lowest-indexed basis row leaves, to the first kink, lowest index first.
+    No bound on the pivots is known: on degenerate data (noiseless lines,
+    tied y, discrete cells) every step can be one that does not move, and a
+    noiseless line of 255 rows had not ended its tau = 0.5 fit after 300,000
+    pivots (ROADMAP Known defect 3 and item 12).
     ``setup`` is ``_vertex_setup(design, y)``, which fits of several taus share.
     Each pivot makes one inverse and one solve; the rest is elementwise work
     on arrays, with the loop's invariants hoisted.

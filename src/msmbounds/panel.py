@@ -24,7 +24,8 @@ class PanelMsmModel(MsmModel):
     """Working model over whole treatment paths a_1..a_T.
 
     Callables receive the (n, T) treatment array, a 1-d array being one
-    period; everything else is ``MsmModel``.
+    period; everything else is ``MsmModel``, so a linear panel model is its
+    path-level basis.
     """
 
     name: str = "panel-custom"
@@ -38,33 +39,18 @@ class PanelMsmModel(MsmModel):
 
 def cumulative_panel_msm():
     """g(a_1..a_T; beta) = beta_0 + beta_1 * sum_s a_s."""
-
-    def basis(a2d):
-        return np.column_stack([np.ones(a2d.shape[0]), a2d.sum(axis=1)])
-
     return PanelMsmModel(
         dim=2,
-        curve=lambda a2d, beta: basis(a2d) @ beta,
-        gradient=lambda a2d, beta: basis(a2d),
-        moment_features=basis,
-        basis=basis,
+        basis=lambda a2d: np.column_stack([np.ones(a2d.shape[0]), a2d.sum(axis=1)]),
         name="panel-cumulative",
     )
 
 
 def custom_panel_msm(dim, basis=None, curve=None, gradient=None,
                      moment_features=None, name="panel-custom"):
-    """Wrap user path-level feature callables into a panel model."""
-    if basis is not None:
-        curve = curve or (lambda a2d, beta: basis(a2d) @ beta)
-        gradient = gradient or (lambda a2d, beta: basis(a2d))
-        moment_features = moment_features or basis
-    if curve is None or gradient is None or moment_features is None:
-        raise ConfigError("custom panel model needs basis or explicit callables")
-    return PanelMsmModel(
-        dim=dim, curve=curve, gradient=gradient,
-        moment_features=moment_features, basis=basis, name=name,
-    )
+    """Wrap user path-level feature callables into a panel model: a path basis,
+    or all of curve, gradient and moment_features."""
+    return PanelMsmModel(dim, curve, gradient, moment_features, basis, name)
 
 
 def _step_features(panel, s, include_covariates):

@@ -795,6 +795,11 @@ PROBES = {
     "dgp-params-n-above-the-maximum": (
         _dgp_params(n=10**12), [], 2,
         "config error: dgp 'gauss-line' param 'n' must be at most 10000000, got 1000000000000"),
+    # numpy could not allocate the 728 TiB of 100 units over 10**12 periods
+    "panel-T-above-the-row-maximum": (
+        _dgp_params("panel-mix", n=100, T=10**12), [], 2,
+        "config error: dgp 'panel-mix' rows n * T must be at most 20000000, "
+        "got 100000000000000"),
     # 1/(1 + gamma) rounds to 0 at 12 decimals: parametric raised BadTau after
     # every fit, and marginal-quantile and local exited 0
     **{f"gamma-levels-round-off-{method}": (

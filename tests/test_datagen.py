@@ -5,7 +5,7 @@ import pytest
 
 from msmbounds import datagen
 from msmbounds.data import Dataset, PanelDataset
-from msmbounds.datagen import MAX_N, DgpSpec, generate, registry
+from msmbounds.datagen import MAX_N, MAX_ROWS, DgpSpec, generate, registry
 from msmbounds.errors import ConfigError, UnknownDgp
 
 
@@ -106,6 +106,28 @@ def test_generate_rejects_an_n_above_its_maximum_before_drawing(name):
             generate(DgpSpec(name), n)
     declared = datagen._REGISTRY[name][1]["n"]
     assert datagen._param(name, "n", declared, float(MAX_N)) == MAX_N
+
+
+@pytest.mark.parametrize("n, T", [(100, 10**12), (6666667, 3)])
+def test_generate_rejects_panel_rows_above_their_maximum_before_drawing(n, T):
+    # 10**12 periods would ask numpy for 728 TiB; n * T = MAX_ROWS + 1 is the first refused
+    assert n * T > MAX_ROWS
+    message = f"rows n \\* T must be at most {MAX_ROWS}, got {n * T}"
+    with pytest.raises(ConfigError, match=message):
+        generate(DgpSpec("panel-mix", params={"n": n, "T": T}))
+    with pytest.raises(ConfigError, match=message):
+        generate(DgpSpec("panel-mix", params={"T": T}), n)
+
+
+@pytest.mark.parametrize("n, T", [(MAX_N, 2), (6666666, 3), (2, MAX_ROWS // 2)])
+def test_panel_row_maximum_admits_every_count_up_to_it(monkeypatch, n, T):
+    # MAX_N units at the default T = 2 still run; the stub draws nothing
+    drawn = {}
+    declared = datagen._REGISTRY["panel-mix"][1]
+    monkeypatch.setitem(datagen._REGISTRY, "panel-mix",
+                        (lambda rng, **params: drawn.update(params), declared))
+    generate(DgpSpec("panel-mix", params={"T": T}), n)
+    assert drawn["n"] * drawn["T"] == n * T <= MAX_ROWS
 
 
 def test_integral_float_and_int_params_give_the_same_data():

@@ -5,10 +5,11 @@ import pytest
 
 from msmbounds.data import Dataset
 from msmbounds.datagen import DgpSpec, generate
-from msmbounds.errors import NoConvergence, SingularMoment
+from msmbounds.errors import ConfigError, NoConvergence, SingularMoment
 from msmbounds.gamma import GammaSpec, fit_parametric_bounds, local_beta_bounds
 from msmbounds.homotopy import homotopy_bounds
 from msmbounds.msm import (
+    MsmModel,
     PairKernel,
     custom_msm,
     fit_msm,
@@ -23,6 +24,7 @@ from msmbounds.msm import (
 )
 from msmbounds.nuisance import SelfFit, fixed_weight_nuisances
 from msmbounds.outcome import DeltaSpec, outcome_parametric_bounds
+from msmbounds.panel import custom_panel_msm
 from msmbounds.subset import EpsilonSpec, subset_parametric_bounds
 
 
@@ -224,6 +226,38 @@ def test_basis_must_be_the_moment_features():
         )
     assert custom_msm(2, lambda a, b: basis(a) @ b, lambda a, b: basis(a),
                       basis, basis=basis).linear
+
+
+def _line_basis(a):
+    return np.column_stack([np.ones(a.size), a])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: custom_msm(2, None, None, None),
+    lambda: custom_msm(2, lambda a, b: b[0] + b[1] * a, None, _line_basis),
+    lambda: MsmModel(2),
+    lambda: MsmModel(2, moment_features=_line_basis),
+    lambda: custom_panel_msm(2),
+], ids=["custom-none", "custom-no-gradient", "model-none", "model-features-only", "panel-none"])
+def test_a_model_without_a_basis_or_its_callables_fails_at_construction(build):
+    # it used to build, and the first fit failed with "'NoneType' object is not callable"
+    with pytest.raises(ConfigError, match="needs a basis or all of curve, gradient and "
+                                          "moment_features"):
+        build()
+
+
+def test_a_linear_model_is_its_basis():
+    # curve, gradient and moment features come from the basis when not given
+    data = _dataset(3, 60)
+    model = MsmModel(2, basis=_line_basis)
+    beta = np.array([0.5, -2.0])
+    assert model.linear and model.moment_features is _line_basis
+    np.testing.assert_array_equal(model.predict(data.a, beta), _line_basis(data.a) @ beta)
+    np.testing.assert_array_equal(model.grad(data.a, beta), _line_basis(data.a))
+    np.testing.assert_array_equal(model.basis_matrix(data.a), model.features(data.a))
+    ones = np.ones(data.n)
+    assert (fit_msm(data, model, weights=ones).beta.tobytes()
+            == fit_msm(data, linear_msm(), weights=ones).beta.tobytes())
 
 
 def _pseudo_linear():

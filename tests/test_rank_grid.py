@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msmbounds import homotopy
-from msmbounds._ranks import gamma_count, rank_masks, select_bottom_mask, select_top_mask
+from msmbounds._ranks import gamma_count, select_bottom_mask, select_top_mask
 from msmbounds.data import Dataset
 from msmbounds.datagen import DgpSpec, generate
 from msmbounds.errors import NaNRank, SingularMoment
@@ -250,6 +250,21 @@ GRIDS = st.lists(st.floats(1.0, 50.0, exclude_min=True), max_size=6, unique=True
 EPSILONS = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
 
 
+def _lexsort_masks(values, grid):
+    """(lower, upper) masks at every gamma of ``grid``: the first and the last
+    ``gamma_count(n, gamma)`` entries of one (value, index) lexsort."""
+    n = values.size
+    order = np.lexsort((np.arange(n), values))
+    masks = []
+    for gamma in grid:
+        count = gamma_count(n, gamma)
+        low, high = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        low[order[:count]] = True
+        high[order[n - count:]] = True
+        masks.append((low, high))
+    return masks
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(VALUES, GRIDS, EPSILONS)
 def test_slice_sums_match_mean_of_rank_mask_weights(values, grid, epsilon):
@@ -263,7 +278,7 @@ def test_slice_sums_match_mean_of_rank_mask_weights(values, grid, epsilon):
     _same_bits(kept.upper, plain.upper)
     assert kept.lower[0].tobytes() == kept.upper[0].tobytes()
     for gamma, (low, high), v_lo, v_hi, lo, hi in zip(
-            grid, rank_masks(y, grid), kept.v_lower, kept.v_upper, kept.lower, kept.upper):
+            grid, _lexsort_masks(y, grid), kept.v_lower, kept.v_upper, kept.lower, kept.upper):
         shrink = lambda v: (1.0 - epsilon) + epsilon * v
         _same_bits(v_lo, shrink(np.where(low, gamma, 1.0 / gamma)))
         _same_bits(v_hi, shrink(np.where(high, gamma, 1.0 / gamma)))
